@@ -10,12 +10,11 @@ use rat_smt::PolicyKind;
 /// worker threads, 0 = all cores, 1 = serial), `--csv` (machine-readable
 /// output for plotting), `--st-cache PATH` (persist single-thread
 /// reference IPCs across invocations), `--no-skip` (step every cycle —
-/// the cycle-skipping ablation), `--no-replay` (functionally re-execute
-/// squashed spans — the fetch-replay ablation), `--no-drain` (keep every
-/// thread at full fidelity past its quota — the FAME-overshoot
-/// ablation), `--cell-timeout SECS` (wall-clock watchdog per sweep
-/// cell), `--batch N` (lockstep batch width per worker), `--quick`
-/// (tiny preset).
+/// the cycle-skipping ablation), `--no-drain` (keep every thread at full
+/// fidelity past its quota — the FAME-overshoot ablation),
+/// `--cell-timeout SECS` (wall-clock watchdog per sweep cell),
+/// `--batch N` (lockstep batch width per worker), `--quick` (tiny
+/// preset).
 #[derive(Clone, Debug)]
 pub struct HarnessArgs {
     /// Per-thread committed-instruction quota for measurement.
@@ -37,9 +36,6 @@ pub struct HarnessArgs {
     /// Disable event-driven cycle skipping (wall-clock ablation; the
     /// simulated numbers are bit-identical either way).
     pub no_skip: bool,
-    /// Disable fetch-replay memoization (wall-clock ablation; the
-    /// simulated numbers are bit-identical either way).
-    pub no_replay: bool,
     /// Disable post-quota drain mode (the paper's literal FAME
     /// procedure: every thread runs at full fidelity until the slowest
     /// reaches its quota). Per-thread measurement windows are
@@ -83,7 +79,6 @@ impl Default for HarnessArgs {
             csv: false,
             st_cache: None,
             no_skip: false,
-            no_replay: false,
             no_drain: false,
             resume: None,
             fault_plan: None,
@@ -123,7 +118,6 @@ impl HarnessArgs {
                     );
                 }
                 "--no-skip" => out.no_skip = true,
-                "--no-replay" => out.no_replay = true,
                 "--no-drain" => out.no_drain = true,
                 "--resume" => {
                     out.resume = Some(
@@ -189,7 +183,7 @@ impl HarnessArgs {
                          --cell-timeout SECS (abandon a cell still simulating after SECS)  \
                          --policies A,B,.. (restrict the policy set)  \
                          --batch N (lockstep cells per worker; output identical at any width)  \
-                         --no-skip  --no-replay  --no-drain  --quick"
+                         --no-skip  --no-drain  --quick"
                     );
                     std::process::exit(0);
                 }
@@ -226,7 +220,6 @@ impl HarnessArgs {
             warmup_insts: self.warmup,
             seed: self.seed,
             no_skip: self.no_skip,
-            no_replay: self.no_replay,
             no_drain: self.no_drain,
             ..RunConfig::default()
         }
@@ -245,7 +238,6 @@ mod tests {
         assert_eq!(a.threads, 0, "default uses all cores");
         assert!(a.st_cache.is_none());
         assert!(!a.no_skip);
-        assert!(!a.no_replay);
         assert!(!a.no_drain, "drain mode is on by default");
     }
 
@@ -290,21 +282,13 @@ mod tests {
     #[test]
     fn st_cache_and_no_skip_flags() {
         let a = HarnessArgs::parse(
-            [
-                "--st-cache",
-                "/tmp/st.txt",
-                "--no-skip",
-                "--no-replay",
-                "--no-drain",
-            ]
-            .iter()
-            .map(|s| s.to_string()),
+            ["--st-cache", "/tmp/st.txt", "--no-skip", "--no-drain"]
+                .iter()
+                .map(|s| s.to_string()),
         );
         assert_eq!(a.st_cache.as_deref(), Some("/tmp/st.txt"));
         assert!(a.no_skip);
         assert!(a.run_config().no_skip);
-        assert!(a.no_replay);
-        assert!(a.run_config().no_replay);
         assert!(a.no_drain);
         assert!(a.run_config().no_drain);
     }

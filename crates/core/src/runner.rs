@@ -29,19 +29,14 @@ pub struct RunConfig {
     /// every cycle (the `--no-skip` ablation reference). Results are
     /// bit-identical either way; only wall-clock time differs.
     pub no_skip: bool,
-    /// Disable the simulator's fetch-replay memoization and functionally
-    /// re-execute every squashed span (the `--no-replay` ablation
-    /// reference). Results are bit-identical either way (enforced by
-    /// `tests/replay_cache.rs`); only wall-clock time differs.
-    pub no_replay: bool,
     /// Disable post-quota drain mode and keep every thread at full
     /// fidelity until the slowest reaches its quota (the `--no-drain`
     /// ablation reference, and the paper's literal FAME procedure).
-    /// Unlike the other two ablations this one is *not* bit-identical
-    /// end to end: every statistic inside a thread's own measurement
-    /// window matches exactly, but where one thread's window overlaps
-    /// another's drain the shared-resource timing drifts within the
-    /// bound measured by `tests/quota_drain.rs`.
+    /// Unlike `no_skip` this ablation is *not* bit-identical end to end:
+    /// every statistic inside a thread's own measurement window matches
+    /// exactly, but where one thread's window overlaps another's drain
+    /// the shared-resource timing drifts within the bound measured by
+    /// `tests/quota_drain.rs`.
     pub no_drain: bool,
 }
 
@@ -53,7 +48,6 @@ impl Default for RunConfig {
             max_cycles: 400_000_000,
             seed: 42,
             no_skip: false,
-            no_replay: false,
             no_drain: false,
         }
     }
@@ -344,8 +338,8 @@ impl Runner {
     /// [`crate::store::CellKey`] component) and the measurement
     /// methodology. Differs from the ST fingerprint in covering the
     /// drain ablation, which changes multithreaded (but not
-    /// single-thread) timing; the bit-identical `no_skip`/`no_replay`
-    /// ablations stay excluded.
+    /// single-thread) timing; the bit-identical `no_skip` ablation stays
+    /// excluded.
     pub fn config_fingerprint(&self) -> u64 {
         let mut cfg = self.smt;
         cfg.policy = PolicyKind::Icount;
@@ -413,7 +407,6 @@ impl Runner {
         cfg.policy = policy;
         let mut sim = SmtSimulator::new(cfg, cpus);
         sim.set_cycle_skip(!self.run.no_skip);
-        sim.set_fetch_replay(!self.run.no_replay);
         sim
     }
 
@@ -688,7 +681,6 @@ mod tests {
             max_cycles: 50_000_000,
             seed: 7,
             no_skip: false,
-            no_replay: false,
             no_drain: false,
         }
     }
@@ -865,7 +857,6 @@ mod tests {
             max_cycles: 5_000,
             seed: 7,
             no_skip: false,
-            no_replay: false,
             no_drain: false,
         };
         let runner = Runner::new(SmtConfig::hpca2008_baseline(), run);
@@ -889,7 +880,6 @@ mod tests {
             max_cycles: 5_000,
             seed: 7,
             no_skip: false,
-            no_replay: false,
             no_drain: false,
         };
         let mut runner = Runner::new(SmtConfig::hpca2008_baseline(), run);

@@ -1,13 +1,12 @@
 //! Functional emulator: architectural state and single-step execution.
 
 use crate::inst::{AluOp, BranchCond, FpOp, Instruction, Operand};
-use crate::memory::{SparseMemory, UndoToken};
+use crate::memory::SparseMemory;
 use crate::program::{Pc, Program};
 use crate::reg::{FpReg, IntReg, NUM_FP_ARCH_REGS, NUM_INT_ARCH_REGS};
 
 /// The architectural register state of a thread context (registers + PC).
-/// Data memory lives separately in [`SparseMemory`] so that the two can be
-/// checkpointed with different mechanisms (copy vs. undo log).
+/// Data memory lives separately in [`SparseMemory`].
 #[derive(Clone, Debug)]
 pub struct ArchState {
     pc: Pc,
@@ -29,12 +28,6 @@ impl ArchState {
     #[inline]
     pub fn pc(&self) -> Pc {
         self.pc
-    }
-
-    /// Redirects the program counter (pipeline rewind).
-    #[inline]
-    pub fn set_pc(&mut self, pc: Pc) {
-        self.pc = pc;
     }
 
     /// Reads an integer register (`r0` reads as zero).
@@ -74,15 +67,6 @@ impl ArchState {
     }
 }
 
-/// A full register-file checkpoint, taken at runahead entry. Restoring one
-/// is a plain copy of 64 registers + PC, mirroring the paper's observation
-/// (§3.3) that each thread only needs to checkpoint *its own* architectural
-/// registers, never the whole physical register file.
-#[derive(Clone, Debug)]
-pub struct ArchSnapshot {
-    state: ArchState,
-}
-
 /// Everything the timing model needs to know about one dynamically executed
 /// instruction.
 #[derive(Clone, Copy, Debug)]
@@ -98,19 +82,13 @@ pub struct ExecRecord {
     /// For control instructions: whether the branch/jump was taken.
     pub taken: bool,
     /// For register-writing instructions: the produced value as raw bits
-    /// (FP results are `f64::to_bits`). The pipeline's retirement register
-    /// file applies these at commit.
+    /// (FP results are `f64::to_bits`; a load's result is the loaded
+    /// word).
     pub result: Option<u64>,
     /// The dynamic sequence number of this instruction (0-based index in
-    /// the thread's execution; matches the memory journal tags).
+    /// the thread's execution).
     pub seq: u64,
 }
-
-// `ExecRecord` is the unit the replay buffer, fetch queue and reorder
-// buffer copy around by value — millions of times per simulated second —
-// so its size is part of the simulator's hot-path budget. Loads report
-// their value through `result` (the loaded word *is* the produced
-// value), not a separate field.
 
 impl ExecRecord {
     /// Whether this record is a control-flow instruction.
@@ -125,10 +103,11 @@ impl ExecRecord {
 ///
 /// The timing simulator drives one `Cpu` per hardware thread in
 /// *execute-at-fetch* fashion: functional execution happens when the timing
-/// model fetches, and the resulting [`ExecRecord`] flows down the simulated
-/// pipeline. Runahead episodes snapshot registers ([`Cpu::snapshot`]) and
-/// open a memory undo log ([`Cpu::begin_speculation`]); rollback restores
-/// the exact pre-runahead state.
+/// model first fetches an instruction, and the [`ExecRecord`] supplies the
+/// addresses and branch outcomes the simulated pipeline needs. A `Cpu`
+/// only ever steps forward along the correct path: when the pipeline
+/// squashes (a runahead exit, a FLUSH), it re-fetches the squashed span
+/// from the records it already has instead of rewinding the `Cpu`.
 #[derive(Debug)]
 pub struct Cpu {
     state: ArchState,
@@ -192,47 +171,6 @@ impl Cpu {
         self.retired
     }
 
-    /// Rewinds the sequence counter after a pipeline squash so re-executed
-    /// instructions get the same sequence numbers they had before.
-    #[inline]
-    pub fn set_retired(&mut self, seq: u64) {
-        self.retired = seq;
-    }
-
-    /// Turns on the memory write journal (see
-    /// [`SparseMemory::enable_journal`]); each write is tagged with the
-    /// writing instruction's sequence number so the pipeline can trim at
-    /// commit and roll back on squash.
-    pub fn enable_journal(&mut self) {
-        self.memory.enable_journal();
-    }
-
-    /// Takes a register checkpoint (runahead entry).
-    pub fn snapshot(&self) -> ArchSnapshot {
-        ArchSnapshot {
-            state: self.state.clone(),
-        }
-    }
-
-    /// Restores a register checkpoint (runahead exit).
-    pub fn restore(&mut self, snap: &ArchSnapshot) {
-        self.state = snap.state.clone();
-    }
-
-    /// Opens the memory undo log for a speculative episode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a speculative episode is already open.
-    pub fn begin_speculation(&mut self) -> UndoToken {
-        self.memory.begin_undo()
-    }
-
-    /// Rolls back all memory writes of the speculative episode.
-    pub fn rollback_speculation(&mut self, token: UndoToken) {
-        self.memory.rollback(token);
-    }
-
     #[inline]
     fn operand(&self, op: Operand) -> u64 {
         match op {
@@ -252,7 +190,6 @@ impl Cpu {
         let pc = self.state.pc;
         let inst = self.program.fetch(pc);
         let seq = self.retired;
-        self.memory.journal_set_seq(seq);
         let mut eff_addr = None;
         let mut taken = false;
         let mut result = None;
@@ -507,51 +444,6 @@ mod tests {
         assert_eq!(cpu.state().fp_reg(FpReg::new(3)), 4.5);
         assert_eq!(cpu.state().fp_reg(FpReg::new(4)), 3.0);
         assert_eq!(cpu.memory().read_f64(0x108), 3.0);
-    }
-
-    #[test]
-    fn snapshot_restore_roundtrip() {
-        let prog = Program::new(vec![
-            I::int_op(AluOp::Add, r(1), r(1), Operand::Imm(1)),
-            I::jump(0),
-        ]);
-        let mut cpu = Cpu::new(prog);
-        cpu.step();
-        cpu.step(); // back at pc 0, r1 == 1
-        let snap = cpu.snapshot();
-        let tok = cpu.begin_speculation();
-        for _ in 0..10 {
-            cpu.step();
-        }
-        assert_eq!(cpu.state().int_reg(r(1)), 6);
-        cpu.restore(&snap);
-        cpu.rollback_speculation(tok);
-        assert_eq!(cpu.state().int_reg(r(1)), 1);
-        assert_eq!(cpu.state().pc().index(), 0);
-    }
-
-    #[test]
-    fn speculative_stores_roll_back() {
-        let prog = Program::new(vec![
-            I::int_op(AluOp::Add, r(1), IntReg::ZERO, Operand::Imm(0x2000)),
-            I::int_op(AluOp::Add, r(2), r(2), Operand::Imm(1)),
-            I::store(r(2), r(1), 0),
-            I::jump(1),
-        ]);
-        let mut cpu = Cpu::new(prog);
-        for _ in 0..3 {
-            cpu.step();
-        }
-        assert_eq!(cpu.memory().read_u64(0x2000), 1);
-        let snap = cpu.snapshot();
-        let tok = cpu.begin_speculation();
-        for _ in 0..6 {
-            cpu.step();
-        }
-        assert_eq!(cpu.memory().read_u64(0x2000), 3);
-        cpu.restore(&snap);
-        cpu.rollback_speculation(tok);
-        assert_eq!(cpu.memory().read_u64(0x2000), 1);
     }
 
     #[test]

@@ -15,9 +15,11 @@
 //! The emulator ([`Cpu`]) is *execute-at-fetch* friendly: each call to
 //! [`Cpu::step`] executes exactly one instruction and returns an
 //! [`ExecRecord`] carrying everything a timing model needs (effective
-//! address, branch outcome, next PC). Memory writes can be captured in an
-//! undo log ([`SparseMemory::begin_undo`]) so that a runahead episode can be
-//! rolled back exactly.
+//! address, branch outcome, next PC). It only steps forward: the timing
+//! model keeps the records of its in-flight instructions and re-fetches a
+//! squashed span (a runahead exit, a FLUSH) from them, so the emulator
+//! never checkpoints or rolls back, and its data memory
+//! ([`SparseMemory`]) has a single write path.
 //!
 //! # Example
 //!
@@ -42,8 +44,8 @@ mod memory;
 mod program;
 mod reg;
 
-pub use exec::{ArchSnapshot, ArchState, Cpu, ExecRecord};
+pub use exec::{ArchState, Cpu, ExecRecord};
 pub use inst::{AluOp, BranchCond, FpOp, Instruction, InstructionKind, Operand};
-pub use memory::{SparseMemory, UndoToken};
+pub use memory::SparseMemory;
 pub use program::{Pc, Program};
 pub use reg::{ArchReg, FpReg, IntReg, NUM_FP_ARCH_REGS, NUM_INT_ARCH_REGS};

@@ -1,4 +1,4 @@
-//! Sparse 64-bit data memory with an undo log for runahead rollback.
+//! Sparse 64-bit data memory.
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -13,20 +13,13 @@ const PAGE_WORDS: usize = PAGE_BYTES / 8;
 /// address space).
 const NO_PAGE: u64 = u64::MAX;
 
-/// Opaque marker returned by [`SparseMemory::begin_undo`], consumed by
-/// [`SparseMemory::rollback`] or [`SparseMemory::commit_undo`]. Prevents
-/// unbalanced rollback calls at compile time.
-#[derive(Debug)]
-pub struct UndoToken {
-    depth: usize,
-}
-
 /// A sparse, page-granular simulated data memory.
 ///
 /// * addresses are 64-bit, accesses are 8-byte aligned 64-bit words;
 /// * unwritten memory reads as zero;
-/// * an undo log can be opened around a speculative (runahead) episode and
-///   rolled back exactly, restoring every overwritten word.
+/// * a write overwrites its word and records nothing: the SMT front end
+///   serves squashed spans from its replay buffer instead of
+///   re-executing them, so no write is ever undone.
 ///
 /// Pages live in an append-only frame arena indexed through a
 /// `page → frame` map, with a two-entry *hot-page cache* in front of the
@@ -43,10 +36,10 @@ pub struct UndoToken {
 ///
 /// let mut m = SparseMemory::new();
 /// m.write_u64(0x1000, 7);
-/// let tok = m.begin_undo();
-/// m.write_u64(0x1000, 99);
-/// m.rollback(tok);
+/// m.write_block(0x2000, &[1, 2, 3]);
 /// assert_eq!(m.read_u64(0x1000), 7);
+/// assert_eq!(m.read_u64(0x2010), 3);
+/// assert_eq!(m.read_u64(0x3000), 0, "unwritten memory reads as zero");
 /// ```
 #[derive(Clone, Debug)]
 pub struct SparseMemory {
@@ -56,11 +49,6 @@ pub struct SparseMemory {
     frames: Vec<Box<[u64; PAGE_WORDS]>>,
     /// Most-recently-used `(page, frame)` pairs, hottest first.
     hot: [Cell<(u64, u32)>; 2],
-    undo: Vec<(u64, u64)>,
-    undo_active: bool,
-    journal: std::collections::VecDeque<(u64, u64, u64)>,
-    journal_enabled: bool,
-    journal_seq: u64,
 }
 
 impl Default for SparseMemory {
@@ -69,11 +57,6 @@ impl Default for SparseMemory {
             page_map: HashMap::new(),
             frames: Vec::new(),
             hot: [Cell::new((NO_PAGE, 0)), Cell::new((NO_PAGE, 0))],
-            undo: Vec::new(),
-            undo_active: false,
-            journal: std::collections::VecDeque::new(),
-            journal_enabled: false,
-            journal_seq: 0,
         }
     }
 }
@@ -133,20 +116,12 @@ impl SparseMemory {
             .map_or(0, |f| self.frames[f as usize][word])
     }
 
-    /// Writes the 64-bit word at `addr` (must be 8-byte aligned). If an undo
-    /// log is active, the previous value is recorded.
+    /// Writes the 64-bit word at `addr` (must be 8-byte aligned).
     #[inline]
     pub fn write_u64(&mut self, addr: u64, value: u64) {
         let (page, word) = Self::split(addr);
         let frame = self.frame_of_or_alloc(page);
-        let slot = &mut self.frames[frame][word];
-        if self.undo_active {
-            self.undo.push((addr, *slot));
-        }
-        if self.journal_enabled {
-            self.journal.push_back((self.journal_seq, addr, *slot));
-        }
-        *slot = value;
+        self.frames[frame][word] = value;
     }
 
     /// Bulk-writes `words.len()` consecutive 64-bit words starting at
@@ -155,16 +130,7 @@ impl SparseMemory {
     /// resolved once and filled with a slice copy instead of per-word
     /// hot-cache probes. Workload image generation fills multi-megabyte
     /// regions through this.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an undo log or write journal is active: bulk fills are
-    /// an initialization-time operation and bypass both.
     pub fn write_block(&mut self, addr: u64, words: &[u64]) {
-        assert!(
-            !self.undo_active && !self.journal_enabled,
-            "write_block during an undo log or journal"
-        );
         let mut addr = addr;
         let mut rest = words;
         while !rest.is_empty() {
@@ -211,56 +177,6 @@ impl SparseMemory {
         self.write_u64(addr, value.to_bits());
     }
 
-    /// Restores `old` at `addr` without logging (rollback paths).
-    fn restore_word(&mut self, addr: u64, old: u64) {
-        let (page, word) = Self::split(addr);
-        if let Some(f) = self.frame_of(page) {
-            self.frames[f as usize][word] = old;
-        }
-    }
-
-    /// Opens an undo log. All subsequent writes record their previous value
-    /// until [`rollback`](Self::rollback) or
-    /// [`commit_undo`](Self::commit_undo) is called with the returned token.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an undo log is already active (nesting is not supported:
-    /// a thread has at most one runahead episode in flight).
-    pub fn begin_undo(&mut self) -> UndoToken {
-        assert!(!self.undo_active, "undo log already active");
-        self.undo_active = true;
-        UndoToken {
-            depth: self.undo.len(),
-        }
-    }
-
-    /// Rolls back every write performed since the matching
-    /// [`begin_undo`](Self::begin_undo), restoring prior contents, and
-    /// closes the log.
-    pub fn rollback(&mut self, token: UndoToken) {
-        assert!(self.undo_active, "no undo log active");
-        while self.undo.len() > token.depth {
-            let (addr, old) = self.undo.pop().expect("undo entry");
-            self.restore_word(addr, old);
-        }
-        self.undo_active = false;
-    }
-
-    /// Closes the undo log keeping all writes (used when a speculative
-    /// episode is promoted rather than squashed — not used by runahead, but
-    /// provided for completeness and tested).
-    pub fn commit_undo(&mut self, token: UndoToken) {
-        assert!(self.undo_active, "no undo log active");
-        self.undo.truncate(token.depth);
-        self.undo_active = false;
-    }
-
-    /// Whether an undo log is currently active.
-    pub fn undo_active(&self) -> bool {
-        self.undo_active
-    }
-
     /// Number of resident (touched) pages; useful for footprint assertions
     /// in tests.
     pub fn resident_pages(&self) -> usize {
@@ -271,68 +187,6 @@ impl SparseMemory {
     /// generator-throughput cells in perfbench.
     pub fn resident_words(&self) -> usize {
         self.page_map.len() * PAGE_WORDS
-    }
-
-    // ---- sequence-tagged write journal ----
-    //
-    // The journal is the squash/rewind mechanism used by the SMT pipeline:
-    // every write is tagged with the dynamic instruction sequence number of
-    // the writer, entries retire (are dropped) when the writing store
-    // commits, and a pipeline squash rolls back every write younger than
-    // the squash point. Unlike the undo log it is always on and spans
-    // arbitrary instruction ranges.
-    //
-    // With the fetch-replay buffer active (see `rat_smt`'s `OracleThread`),
-    // squashed-then-replayed stores never re-execute, so the journal is
-    // written exactly once per dynamic store and never rolled back on
-    // squash — entries simply wait for their (replayed) writer to commit
-    // and be trimmed. The rollback path below remains the
-    // replay-disabled / divergence-fallback mechanism.
-
-    /// Turns on the write journal. Subsequent writes record `(seq, addr,
-    /// previous value)` where `seq` was set by
-    /// [`journal_set_seq`](Self::journal_set_seq).
-    pub fn enable_journal(&mut self) {
-        self.journal_enabled = true;
-    }
-
-    /// Sets the sequence number attributed to subsequent writes (the
-    /// emulator calls this with the dynamic instruction index before each
-    /// step).
-    #[inline]
-    pub fn journal_set_seq(&mut self, seq: u64) {
-        self.journal_seq = seq;
-    }
-
-    /// Drops journal entries with `seq <= upto` (their writers committed;
-    /// the writes can no longer be rolled back).
-    pub fn journal_trim(&mut self, upto: u64) {
-        while let Some(&(seq, _, _)) = self.journal.front() {
-            if seq <= upto {
-                self.journal.pop_front();
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Rolls back (newest first) every journaled write with `seq >= from`,
-    /// removing the entries. Used when the pipeline squashes all
-    /// instructions at or after `from`.
-    pub fn journal_rollback(&mut self, from: u64) {
-        while let Some(&(seq, addr, old)) = self.journal.back() {
-            if seq >= from {
-                self.restore_word(addr, old);
-                self.journal.pop_back();
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Number of journaled (rollback-able) writes.
-    pub fn journal_len(&self) -> usize {
-        self.journal.len()
     }
 }
 
@@ -381,86 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn rollback_restores_old_values() {
-        let mut m = SparseMemory::new();
-        m.write_u64(0x10, 1);
-        let tok = m.begin_undo();
-        assert!(m.undo_active());
-        m.write_u64(0x10, 2);
-        m.write_u64(0x10, 3);
-        m.write_u64(0x5000, 9); // untouched page before episode
-        m.rollback(tok);
-        assert_eq!(m.read_u64(0x10), 1);
-        assert_eq!(m.read_u64(0x5000), 0);
-        assert!(!m.undo_active());
-    }
-
-    #[test]
-    fn commit_keeps_new_values() {
-        let mut m = SparseMemory::new();
-        let tok = m.begin_undo();
-        m.write_u64(0x10, 2);
-        m.commit_undo(tok);
-        assert_eq!(m.read_u64(0x10), 2);
-        assert!(!m.undo_active());
-    }
-
-    #[test]
-    #[should_panic(expected = "already active")]
-    fn nested_undo_panics() {
-        let mut m = SparseMemory::new();
-        let _t1 = m.begin_undo();
-        let _t2 = m.begin_undo();
-    }
-
-    #[test]
-    fn journal_rollback_restores_in_reverse() {
-        let mut m = SparseMemory::new();
-        m.enable_journal();
-        m.journal_set_seq(1);
-        m.write_u64(0x10, 1);
-        m.journal_set_seq(2);
-        m.write_u64(0x10, 2);
-        m.journal_set_seq(3);
-        m.write_u64(0x20, 3);
-        assert_eq!(m.journal_len(), 3);
-        m.journal_rollback(2);
-        assert_eq!(m.read_u64(0x10), 1);
-        assert_eq!(m.read_u64(0x20), 0);
-        assert_eq!(m.journal_len(), 1);
-        m.journal_rollback(0);
-        assert_eq!(m.read_u64(0x10), 0);
-    }
-
-    #[test]
-    fn journal_trim_drops_committed_writes() {
-        let mut m = SparseMemory::new();
-        m.enable_journal();
-        for s in 1..=5u64 {
-            m.journal_set_seq(s);
-            m.write_u64(0x10 + s * 8, s);
-        }
-        m.journal_trim(3);
-        assert_eq!(m.journal_len(), 2);
-        // Rolling back past trimmed entries leaves committed writes alone.
-        m.journal_rollback(0);
-        assert_eq!(m.read_u64(0x18), 1);
-        assert_eq!(m.read_u64(0x30), 0);
-    }
-
-    #[test]
-    fn undo_reusable_after_rollback() {
-        let mut m = SparseMemory::new();
-        let t1 = m.begin_undo();
-        m.write_u64(0, 1);
-        m.rollback(t1);
-        let t2 = m.begin_undo();
-        m.write_u64(0, 2);
-        m.rollback(t2);
-        assert_eq!(m.read_u64(0), 0);
-    }
-
-    #[test]
     fn clone_is_independent() {
         let mut a = SparseMemory::new();
         a.write_u64(0x40, 7);
@@ -498,13 +272,5 @@ mod tests {
         assert_eq!(a.digest(), b.digest());
         b.write_u64(0x9000, 3);
         assert_ne!(a.digest(), b.digest());
-    }
-
-    #[test]
-    #[should_panic(expected = "write_block")]
-    fn write_block_rejects_active_undo() {
-        let mut m = SparseMemory::new();
-        let _tok = m.begin_undo();
-        m.write_block(0x1000, &[1, 2, 3]);
     }
 }

@@ -22,7 +22,6 @@ fn main() {
         max_cycles: 200_000_000,
         seed: 42,
         no_skip: false,
-        no_replay: false,
         no_drain: false,
     };
     let mut ucfg = SmtConfig::hpca2008_baseline();

@@ -1,51 +1,33 @@
-//! The per-thread execute-at-fetch oracle and retirement register file.
+//! The per-thread execute-at-fetch oracle and its fetch-replay buffer.
 //!
 //! Each hardware thread owns a functional [`Cpu`] that executes
-//! instructions *when the pipeline fetches them* — so every fetched
-//! instruction carries exact operand values, effective addresses and
-//! branch outcomes down the pipe. To support squashes (FLUSH policy,
-//! runahead exit), the thread also keeps a **retirement register file**
-//! (RRF): the architectural register values as of the last *committed*
-//! instruction, updated from recorded results at commit.
+//! instructions *when the pipeline first fetches them* — so every fetched
+//! instruction carries its exact effective address and branch outcome
+//! down the pipe.
 //!
-//! # Fetch-replay memoization
+//! # Fetch replay
 //!
 //! The oracle is deterministic and each thread's data memory is private,
-//! so the [`ExecRecord`] stream is a pure function of the dynamic
-//! sequence number: re-fetching after a squash recomputes **bit-identical
-//! records**. The oracle therefore keeps a seq-indexed **replay buffer**
-//! of every record past the commit point — the single authoritative copy
-//! of every in-flight instruction's record, so the fetch buffer and
-//! reorder buffer carry only the few hot scalars they read (PC,
-//! effective address, branch direction) instead of duplicating 80-byte
-//! records ([`OracleThread::record`] resolves a full record by sequence
-//! number for tests and diagnostics). A rewind
-//! (runahead exit, FLUSH squash) becomes a cursor move — no register
-//! rebuild, no memory-journal rollback — and subsequent
-//! [`OracleThread::fetch_step`] calls are served from the buffer until
-//! fetch passes the previously-executed frontier, where live execution
-//! resumes seamlessly (the underlying `Cpu` was simply left at the
-//! frontier). Squashed stores are never re-executed, so their journal
-//! entries are recorded exactly once and just wait for their replayed
-//! writer to commit.
-//!
-//! [`OracleThread::set_replay`] disables the *serving* half (restoring
-//! the eager rewind: rebuild registers from the RRF plus surviving
-//! in-flight results, roll back journaled writes, truncate the buffer,
-//! and functionally re-execute the squashed span); this is the
-//! `--no-replay` ablation reference used by `tests/replay_cache.rs` to
-//! prove the two modes produce bit-identical simulations.
+//! so the executed stream is a pure function of the dynamic sequence
+//! number: re-fetching after a squash would recompute bit-identical
+//! results. The oracle therefore keeps a seq-indexed **replay buffer**
+//! holding the [`FetchBrief`] of every executed-but-uncommitted
+//! instruction, and a rewind (runahead exit, FLUSH squash) is a cursor
+//! move. Subsequent [`OracleThread::fetch_step`] calls are served from
+//! the buffer until fetch passes the execution frontier, where live
+//! execution resumes (the `Cpu` was simply left there). The `Cpu` only
+//! ever steps forward: no register file is rebuilt and no memory write is
+//! undone. `tests/golden.rs` pins the simulator's results bit for bit,
+//! and this module's tests check every served brief against a `Cpu` that
+//! never rewinds.
 
 use std::collections::VecDeque;
 
-use rat_isa::{
-    Cpu, ExecRecord, FpReg, Instruction, IntReg, Pc, NUM_FP_ARCH_REGS, NUM_INT_ARCH_REGS,
-};
+use rat_isa::{Cpu, Pc};
 
-/// The scalars the fetch stage consumes from one executed (or replayed)
-/// instruction — everything else stays in the replay buffer, which is
-/// the authoritative copy ([`OracleThread::record`] resolves the rest).
-#[derive(Clone, Copy, Debug)]
+/// What the pipeline consumes from one executed instruction. Live fetch
+/// and replay return the same record: the replay buffer stores these.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FetchBrief {
     /// Dynamic sequence number.
     pub seq: u64,
@@ -57,107 +39,43 @@ pub struct FetchBrief {
     pub taken: bool,
 }
 
-/// A thread's functional front end: fetch-time emulator + retirement
-/// register file + fetch-replay buffer.
+/// A thread's functional front end: fetch-time emulator + fetch-replay
+/// buffer.
 #[derive(Debug)]
 pub struct OracleThread {
     cpu: Cpu,
-    rrf_int: [u64; NUM_INT_ARCH_REGS],
-    rrf_fp: [u64; NUM_FP_ARCH_REGS],
-    rrf_pc: Pc,
+    /// Sequence number of the oldest uncommitted instruction.
     committed: u64,
-    /// Records of every executed-but-uncommitted instruction, in seq
-    /// order: seqs `[committed, committed + replay.len())`. Maintained
-    /// in both modes (the pipeline reads in-flight records from here);
-    /// with replay disabled it is truncated on rewind instead of served.
-    replay: VecDeque<ExecRecord>,
-    /// Sequence number of the next record [`Self::fetch_step`] returns.
-    /// `cursor < frontier` means fetch is replaying memoized records;
+    /// Briefs of every executed-but-uncommitted instruction, in seq
+    /// order: seqs `[committed, committed + replay.len())`.
+    replay: VecDeque<FetchBrief>,
+    /// Sequence number of the next brief [`Self::fetch_step`] returns.
+    /// `cursor < frontier` means fetch is replaying buffered briefs;
     /// `cursor == frontier` means fetch is at the live edge.
     cursor: u64,
-    replay_enabled: bool,
     /// Fetches served from the buffer (simulator-performance diagnostic).
     replayed: u64,
 }
 
 impl OracleThread {
     /// Wraps a prepared functional context (program + memory image +
-    /// planted registers). Enables the memory write journal and the
-    /// fetch-replay buffer (see [`OracleThread::set_replay`]).
-    pub fn new(mut cpu: Cpu) -> Self {
-        cpu.enable_journal();
-        let rrf_int = std::array::from_fn(|i| cpu.state().int_reg(IntReg::new(i as u8)));
-        let rrf_fp = std::array::from_fn(|i| cpu.state().fp_reg_bits(FpReg::new(i as u8)));
-        let rrf_pc = cpu.state().pc();
+    /// planted registers).
+    pub fn new(cpu: Cpu) -> Self {
         let cursor = cpu.retired();
         OracleThread {
             cpu,
-            rrf_int,
-            rrf_fp,
-            rrf_pc,
             committed: cursor,
             replay: VecDeque::new(),
             cursor,
-            replay_enabled: true,
             replayed: 0,
         }
     }
 
-    /// Sequence number one past the newest record ever executed (the
+    /// Sequence number one past the newest instruction ever executed (the
     /// live edge of the replay buffer).
     #[inline]
     fn frontier(&self) -> u64 {
         self.committed + self.replay.len() as u64
-    }
-
-    /// The execution record of in-flight instruction `seq`. The buffer
-    /// holds every record in `[commit point, execution frontier)`, so
-    /// any dispatched-but-not-committed (or pseudo-retiring / squashing)
-    /// instruction can be resolved here — this is how the pipeline reads
-    /// addresses, branch outcomes and results without copying records
-    /// into its own queues.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if `seq` is outside the in-flight range.
-    #[allow(dead_code)] // hot scalars are denormalized into RobEntry; kept for tests/diagnostics
-    #[inline]
-    pub fn record(&self, seq: u64) -> &ExecRecord {
-        debug_assert!(
-            seq >= self.committed && seq < self.frontier(),
-            "record {seq} outside in-flight range [{}, {})",
-            self.committed,
-            self.frontier()
-        );
-        &self.replay[(seq - self.committed) as usize]
-    }
-
-    /// Enables or disables fetch-replay memoization (on by default).
-    ///
-    /// Disabling mid-flight first *materializes* the cursor position:
-    /// the `Cpu` (parked at the frontier while replaying) is eagerly
-    /// rewound to the cursor. Results are bit-identical either way
-    /// (`tests/replay_cache.rs`); `false` is the `--no-replay` ablation
-    /// reference.
-    pub fn set_replay(&mut self, enabled: bool) {
-        if enabled == self.replay_enabled {
-            return;
-        }
-        if !enabled {
-            let cursor = self.cursor;
-            self.replay_enabled = false;
-            self.rewind_to(cursor);
-        } else {
-            // Live edge == cursor == frontier: serving can start as is.
-            self.replay_enabled = true;
-        }
-    }
-
-    /// Whether fetch-replay memoization is active.
-    #[allow(dead_code)] // API symmetry; used by tests
-    #[inline]
-    pub fn replay_enabled(&self) -> bool {
-        self.replay_enabled
     }
 
     /// Total fetches served from the replay buffer instead of live
@@ -177,62 +95,28 @@ impl OracleThread {
         }
     }
 
-    /// Functionally executes (or replays) the instruction at the fetch
-    /// PC, returning only the scalars the fetch stage consumes — the
-    /// full record stays in the replay buffer instead of being copied
-    /// out by value on every fetch.
+    /// Fetches the instruction at the cursor: from the replay buffer if it
+    /// was executed before, otherwise by executing it live.
     #[inline]
-    pub fn fetch_step_brief(&mut self) -> FetchBrief {
+    pub fn fetch_step(&mut self) -> FetchBrief {
         let idx = (self.cursor - self.committed) as usize;
-        if idx < self.replay.len() {
-            // Only reachable with replay enabled: the eager rewind
-            // truncates the buffer to the cursor.
-            debug_assert!(self.replay_enabled);
-            let rec = &self.replay[idx];
-            debug_assert_eq!(rec.seq, self.cursor, "replay buffer out of sync");
-            self.cursor += 1;
+        let brief = if let Some(&brief) = self.replay.get(idx) {
             self.replayed += 1;
-            return FetchBrief {
+            brief
+        } else {
+            let rec = self.cpu.step();
+            let brief = FetchBrief {
                 seq: rec.seq,
                 pc: rec.pc,
                 eff_addr: rec.eff_addr,
                 taken: rec.taken,
             };
-        }
-        let rec = self.cpu.step();
-        debug_assert_eq!(rec.seq, self.cursor, "live edge out of sync");
-        let brief = FetchBrief {
-            seq: rec.seq,
-            pc: rec.pc,
-            eff_addr: rec.eff_addr,
-            taken: rec.taken,
+            self.replay.push_back(brief);
+            brief
         };
-        self.replay.push_back(rec);
+        debug_assert_eq!(brief.seq, self.cursor, "replay buffer out of sync");
         self.cursor += 1;
         brief
-    }
-
-    /// Functionally executes (or replays) the instruction at the fetch
-    /// PC.
-    #[allow(dead_code)] // the pipeline fetches via `fetch_step_brief`; kept for tests
-    #[inline]
-    pub fn fetch_step(&mut self) -> ExecRecord {
-        let idx = (self.cursor - self.committed) as usize;
-        if idx < self.replay.len() {
-            // Only reachable with replay enabled: the eager rewind
-            // truncates the buffer to the cursor.
-            debug_assert!(self.replay_enabled);
-            let rec = self.replay[idx];
-            debug_assert_eq!(rec.seq, self.cursor, "replay buffer out of sync");
-            self.cursor += 1;
-            self.replayed += 1;
-            return rec;
-        }
-        let rec = self.cpu.step();
-        debug_assert_eq!(rec.seq, self.cursor, "live edge out of sync");
-        self.replay.push_back(rec);
-        self.cursor += 1;
-        rec
     }
 
     /// Sequence number of the next instruction to be fetched.
@@ -242,55 +126,22 @@ impl OracleThread {
     }
 
     /// Sequence number of the next instruction to commit.
-    #[allow(dead_code)] // part of the intended API surface; used in tests
     #[inline]
     pub fn commit_seq(&self) -> u64 {
         self.committed
     }
 
-    /// Total committed instructions.
-    #[allow(dead_code)] // used by tests
-    #[inline]
-    pub fn committed(&self) -> u64 {
-        self.committed
-    }
-
-    /// The PC at the retirement point (where a full squash resumes).
-    #[allow(dead_code)] // used by tests
-    #[inline]
-    pub fn rrf_pc(&self) -> Pc {
-        self.rrf_pc
-    }
-
-    /// Applies a record's register write to a register-file image.
-    fn apply(
-        rec: &ExecRecord,
-        int: &mut [u64; NUM_INT_ARCH_REGS],
-        fp: &mut [u64; NUM_FP_ARCH_REGS],
-    ) {
-        let Some(result) = rec.result else { return };
-        match rec.inst {
-            Instruction::IntOp { dst, .. } | Instruction::Load { dst, .. } if !dst.is_zero() => {
-                int[dst.index()] = result;
-            }
-            Instruction::FpOpInst { dst, .. } | Instruction::LoadFp { dst, .. } => {
-                fp[dst.index()] = result;
-            }
-            _ => {}
-        }
-    }
-
-    /// Commits the instruction at the commit point exactly like
-    /// [`OracleThread::commit_next`], but returns only its effective
-    /// address (what the commit stage's store bookkeeping needs) instead
-    /// of copying the whole record out of the buffer.
+    /// Commits the instruction at the commit point, pruning its brief (a
+    /// committed instruction is never re-fetched), and returns its
+    /// effective address (what the commit stage's store bookkeeping
+    /// needs).
     ///
     /// # Panics
     ///
     /// Panics if no in-flight (fetched) instruction is pending commit;
     /// debug-panics if the commit point disagrees with `expected_seq`
     /// (the pipeline's ROB front).
-    pub fn commit_next_brief(&mut self, expected_seq: u64) -> Option<u64> {
+    pub fn commit_next(&mut self, expected_seq: u64) -> Option<u64> {
         assert!(
             self.committed < self.cursor,
             "commit ahead of the fetch point"
@@ -299,67 +150,16 @@ impl OracleThread {
             self.committed, expected_seq,
             "oracle/ROB commit points diverged"
         );
-        let (eff_addr, next_pc, seq, is_store);
-        {
-            let rec = self.replay.front().expect("in-flight record");
-            debug_assert_eq!(rec.seq, self.committed, "replay prune out of sync");
-            eff_addr = rec.eff_addr;
-            next_pc = rec.next_pc;
-            seq = rec.seq;
-            is_store = matches!(
-                rec.inst,
-                Instruction::Store { .. } | Instruction::StoreFp { .. }
-            );
-            Self::apply(rec, &mut self.rrf_int, &mut self.rrf_fp);
-        }
-        self.rrf_pc = next_pc;
+        let brief = self.replay.pop_front().expect("in-flight record");
+        debug_assert_eq!(brief.seq, self.committed, "replay prune out of sync");
         self.committed += 1;
-        self.replay.pop_front();
-        if is_store {
-            self.cpu.memory_mut().journal_trim(seq);
-        }
-        eff_addr
-    }
-
-    /// Commits the instruction at the commit point: folds its recorded
-    /// result into the RRF, lets the memory journal forget its write
-    /// (stores), and prunes the replay buffer (a committed record can
-    /// never be replayed again). Returns the committed record.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no in-flight (fetched) instruction is pending commit.
-    #[allow(dead_code)] // the pipeline commits via `commit_next_brief`; kept for tests
-    pub fn commit_next(&mut self) -> ExecRecord {
-        assert!(
-            self.committed < self.cursor,
-            "commit ahead of the fetch point"
-        );
-        let rec = self.replay.pop_front().expect("in-flight record");
-        debug_assert_eq!(rec.seq, self.committed, "replay prune out of sync");
-        Self::apply(&rec, &mut self.rrf_int, &mut self.rrf_fp);
-        self.rrf_pc = rec.next_pc;
-        self.committed += 1;
-        if matches!(
-            rec.inst,
-            Instruction::Store { .. } | Instruction::StoreFp { .. }
-        ) {
-            self.cpu.memory_mut().journal_trim(rec.seq);
-        }
-        rec
+        brief.eff_addr
     }
 
     /// Rewinds the fetch point to `resume_seq` (`committed <= resume_seq
     /// <= frontier`): the squash resumes fetching at `resume_seq`, with
-    /// everything younger discarded.
-    ///
-    /// With replay enabled this is a pure cursor move: the `Cpu` stays
-    /// parked at the frontier and the squashed span is served from the
-    /// buffer on re-fetch. With replay disabled (the `--no-replay`
-    /// ablation), registers are rebuilt from the RRF plus the surviving
-    /// in-flight results, all memory writes of squashed instructions are
-    /// rolled back, the buffer is truncated, and the squashed span
-    /// functionally re-executes on re-fetch.
+    /// everything younger discarded. A pure cursor move: the squashed span
+    /// is served from the buffer on re-fetch.
     ///
     /// # Panics
     ///
@@ -374,45 +174,14 @@ impl OracleThread {
             self.frontier()
         );
         self.cursor = resume_seq;
-        if self.replay_enabled {
-            return;
-        }
-        let mut int = self.rrf_int;
-        let mut fp = self.rrf_fp;
-        let mut resume_pc = self.rrf_pc;
-        let keep = (resume_seq - self.committed) as usize;
-        for rec in self.replay.iter().take(keep) {
-            Self::apply(rec, &mut int, &mut fp);
-            resume_pc = rec.next_pc;
-        }
-        self.replay.truncate(keep);
-        self.cpu.memory_mut().journal_rollback(resume_seq);
-        let st = self.cpu.state_mut();
-        for (i, v) in int.iter().enumerate() {
-            st.set_int_reg(IntReg::new(i as u8), *v);
-        }
-        for (i, v) in fp.iter().enumerate() {
-            st.set_fp_reg(FpReg::new(i as u8), f64::from_bits(*v));
-        }
-        st.set_pc(resume_pc);
-        self.cpu.set_retired(resume_seq);
-    }
-
-    /// Read access to the underlying functional context (tests).
-    ///
-    /// With replay enabled the `Cpu` sits at the execution *frontier*,
-    /// not the fetch cursor — architectural state questions mid-squash
-    /// should go through the records, not this accessor.
-    #[allow(dead_code)]
-    pub fn cpu(&self) -> &Cpu {
-        &self.cpu
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rat_isa::{AluOp, Operand, Program};
+    use rat_isa::{AluOp, BranchCond, ExecRecord, Instruction, IntReg, Operand, Program};
+    use rat_workload::WorkloadRng;
 
     fn counting_cpu() -> Cpu {
         // r1 += 1; mem[0x100] = r1; forever
@@ -426,146 +195,50 @@ mod tests {
         cpu
     }
 
-    fn eager(cpu: Cpu) -> OracleThread {
-        let mut o = OracleThread::new(cpu);
-        o.set_replay(false);
-        o
-    }
-
-    #[test]
-    fn commit_tracks_rrf() {
-        let mut o = OracleThread::new(counting_cpu());
-        let r1 = o.fetch_step();
-        let r2 = o.fetch_step();
-        assert_eq!(o.commit_next().seq, r1.seq);
-        assert_eq!(o.commit_next().seq, r2.seq);
-        assert_eq!(o.committed(), 2);
-        assert_eq!(o.rrf_pc(), r2.next_pc);
-    }
-
-    #[test]
-    fn record_resolves_inflight_seqs() {
-        let mut o = OracleThread::new(counting_cpu());
-        let recs: Vec<_> = (0..5).map(|_| o.fetch_step()).collect();
-        o.commit_next();
-        for r in &recs[1..] {
-            let got = o.record(r.seq);
-            assert_eq!(got.pc, r.pc);
-            assert_eq!(got.result, r.result);
-        }
-    }
-
-    #[test]
-    fn rewind_to_retirement_point_eager() {
-        let mut o = eager(counting_cpu());
-        // Fetch 6 instructions (2 loop iterations), commit only the first 3.
-        let recs: Vec<_> = (0..6).map(|_| o.fetch_step()).collect();
-        for _ in 0..3 {
-            o.commit_next();
-        }
-        assert_eq!(o.cpu().state().int_reg(IntReg::new(1)), 2);
-        assert_eq!(o.cpu().memory().read_u64(0x100), 2);
-        // Squash everything in flight: back to the committed point.
-        o.rewind_to(3);
-        assert_eq!(o.cpu().state().int_reg(IntReg::new(1)), 1);
-        assert_eq!(o.cpu().memory().read_u64(0x100), 1, "squashed store undone");
-        assert_eq!(o.next_seq(), 3);
-        // Re-fetching reproduces the same records.
-        let again = o.fetch_step();
-        assert_eq!(again.seq, recs[3].seq);
-        assert_eq!(again.pc, recs[3].pc);
-        assert_eq!(again.result, recs[3].result);
-    }
-
-    #[test]
-    fn rewind_with_partial_replay_eager() {
-        let mut o = eager(counting_cpu());
-        let recs: Vec<_> = (0..9).map(|_| o.fetch_step()).collect();
-        o.commit_next();
-        // Keep seqs 1..=4 in flight, squash 5..
-        o.rewind_to(5);
-        assert_eq!(o.next_seq(), 5);
-        // r1 was incremented by seq 0 and seq 3 (adds at pc 0); value 2.
-        assert_eq!(o.cpu().state().int_reg(IntReg::new(1)), 2);
-        // The store at seq 4 survives; the one at seq 7 was rolled back.
-        assert_eq!(o.cpu().memory().read_u64(0x100), 2);
-        let next = o.fetch_step();
-        assert_eq!(next.seq, 5);
-        assert_eq!(next.pc, recs[5].pc);
+    /// A loop whose addresses and branch outcomes depend on its own
+    /// earlier stores: each iteration stores its count into one of eight
+    /// slots, loads the neighbouring slot, and moves the slot base when
+    /// the loaded value is odd.
+    fn looping_cpu() -> Cpu {
+        let r = IntReg::new;
+        let prog = Program::new(vec![
+            Instruction::int_op(AluOp::Add, r(1), r(1), Operand::Imm(1)),
+            Instruction::int_op(AluOp::And, r(3), r(1), Operand::Imm(7)),
+            Instruction::int_op(AluOp::Shl, r(3), r(3), Operand::Imm(3)),
+            Instruction::int_op(AluOp::Add, r(3), r(3), Operand::Reg(r(2))),
+            Instruction::store(r(1), r(3), 0),
+            Instruction::load(r(4), r(3), 8),
+            Instruction::int_op(AluOp::And, r(5), r(4), Operand::Imm(1)),
+            Instruction::branch(BranchCond::Eq, r(5), IntReg::ZERO, 9),
+            Instruction::int_op(AluOp::Add, r(2), r(2), Operand::Imm(64)),
+            Instruction::jump(0),
+        ]);
+        let mut cpu = Cpu::new(prog);
+        cpu.state_mut().set_int_reg(r(2), 0x1000);
+        cpu
     }
 
     #[test]
     fn deterministic_refetch_after_many_rewinds() {
-        for replay_on in [false, true] {
-            let mut o = OracleThread::new(counting_cpu());
-            o.set_replay(replay_on);
-            let baseline: Vec<_> = (0..12).map(|_| o.fetch_step()).collect();
+        let mut o = OracleThread::new(counting_cpu());
+        let baseline: Vec<_> = (0..12).map(|_| o.fetch_step()).collect();
+        o.rewind_to(0);
+        for round in 0..3 {
+            let again: Vec<_> = (0..12).map(|_| o.fetch_step()).collect();
+            assert_eq!(baseline, again, "round {round}");
             o.rewind_to(0);
-            for round in 0..3 {
-                let recs: Vec<_> = (0..12).map(|_| o.fetch_step()).collect();
-                for (a, b) in baseline.iter().zip(&recs) {
-                    assert_eq!(a.result, b.result, "round {round} replay={replay_on}");
-                    assert_eq!(a.pc, b.pc);
-                }
-                o.rewind_to(0);
-            }
         }
-    }
-
-    /// The tentpole property at unit scale: a replaying oracle and an
-    /// eager one fed the same fetch/commit/rewind schedule produce
-    /// bit-identical record streams.
-    #[test]
-    fn replay_matches_eager_under_squashes() {
-        let mut fast = OracleThread::new(counting_cpu());
-        let mut slow = eager(counting_cpu());
-        let assert_same = |a: &ExecRecord, b: &ExecRecord| {
-            assert_eq!(a.seq, b.seq);
-            assert_eq!(a.pc, b.pc);
-            assert_eq!(a.next_pc, b.next_pc);
-            assert_eq!(a.result, b.result);
-            assert_eq!(a.eff_addr, b.eff_addr);
-            assert_eq!(a.taken, b.taken);
-        };
-        let mut inflight: Vec<ExecRecord> = Vec::new();
-        for round in 0..5 {
-            // Fetch a burst.
-            for _ in 0..7 {
-                assert_eq!(fast.fetch_pc(), slow.fetch_pc());
-                let (a, b) = (fast.fetch_step(), slow.fetch_step());
-                assert_same(&a, &b);
-                inflight.push(a);
-            }
-            // Commit a few from the front.
-            for rec in inflight.drain(..2 + round % 2) {
-                assert_same(&fast.commit_next(), &rec);
-                assert_same(&slow.commit_next(), &rec);
-            }
-            // Squash the tail, keeping a round-dependent prefix.
-            inflight.truncate(1 + round);
-            let resume = inflight.last().map_or(fast.committed(), |r| r.seq + 1);
-            fast.rewind_to(resume);
-            slow.rewind_to(resume);
-            assert_eq!(fast.next_seq(), slow.next_seq());
-        }
-        assert!(
-            fast.replayed_count() > 0,
-            "squash schedule must exercise replay"
-        );
-        assert_eq!(slow.replayed_count(), 0);
     }
 
     #[test]
     fn replay_serves_buffer_then_resumes_live() {
         let mut o = OracleThread::new(counting_cpu());
-        let recs: Vec<_> = (0..6).map(|_| o.fetch_step()).collect();
+        let briefs: Vec<_> = (0..6).map(|_| o.fetch_step()).collect();
         o.rewind_to(0);
         assert_eq!(o.next_seq(), 0);
         // The whole squashed span replays from the buffer...
-        for r in &recs {
-            let again = o.fetch_step();
-            assert_eq!(again.seq, r.seq);
-            assert_eq!(again.result, r.result);
+        for b in &briefs {
+            assert_eq!(o.fetch_step(), *b);
         }
         assert_eq!(o.replayed_count(), 6);
         // ...and the next fetch crosses the frontier into live execution.
@@ -574,21 +247,57 @@ mod tests {
         assert_eq!(o.replayed_count(), 6);
     }
 
+    /// Drives the oracle through random fetches, commits and rewinds (the
+    /// moves the pipeline makes) and checks every fetched brief and every
+    /// committed effective address against a `Cpu` that only ever steps
+    /// forward.
     #[test]
-    fn disabling_replay_mid_flight_materializes_cursor() {
-        let mut o = OracleThread::new(counting_cpu());
-        let recs: Vec<_> = (0..6).map(|_| o.fetch_step()).collect();
-        o.commit_next();
-        o.rewind_to(3); // cursor at 3, frontier at 6
-        o.set_replay(false);
-        // The Cpu must now sit exactly at seq 3 with squashed state undone:
-        // the store at seq 4 (value 2) rolled back, the one at seq 1
-        // (value 1) retained.
-        assert_eq!(o.next_seq(), 3);
-        assert_eq!(o.cpu().retired(), 3);
-        assert_eq!(o.cpu().memory().read_u64(0x100), 1);
-        let next = o.fetch_step();
-        assert_eq!(next.seq, recs[3].seq);
-        assert_eq!(next.result, recs[3].result);
+    fn random_fetch_commit_rewind_matches_forward_execution() {
+        for case in 0..16u64 {
+            let mut rng = WorkloadRng::seed_from_u64(0xF00D + case);
+            let mut o = OracleThread::new(looping_cpu());
+            let mut forward = looping_cpu();
+            let mut records: Vec<ExecRecord> = Vec::new();
+            let mut truth = |seq: u64| {
+                while records.len() as u64 <= seq {
+                    records.push(forward.step());
+                }
+                records[seq as usize]
+            };
+            let mut committed = 0u64;
+            for step in 0..2_000 {
+                let at = format!("case {case} step {step}");
+                match rng.below(8) {
+                    0..=4 => {
+                        let seq = o.next_seq();
+                        let want = truth(seq);
+                        assert_eq!(o.fetch_pc(), want.pc, "{at}");
+                        let want = FetchBrief {
+                            seq,
+                            pc: want.pc,
+                            eff_addr: want.eff_addr,
+                            taken: want.taken,
+                        };
+                        assert_eq!(o.fetch_step(), want, "{at}");
+                    }
+                    5 | 6 if committed < o.next_seq() => {
+                        let want = truth(committed).eff_addr;
+                        assert_eq!(o.commit_next(committed), want, "{at}");
+                        committed += 1;
+                        assert_eq!(o.commit_seq(), committed, "{at}");
+                    }
+                    7 => {
+                        let resume = committed + rng.below(o.next_seq() - committed + 1);
+                        o.rewind_to(resume);
+                        assert_eq!(o.next_seq(), resume, "{at}");
+                    }
+                    _ => {}
+                }
+            }
+            assert!(
+                o.replayed_count() > 0 && committed > 0,
+                "case {case}: the schedule must replay and commit"
+            );
+        }
     }
 }

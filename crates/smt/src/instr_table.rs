@@ -633,6 +633,8 @@ mod tests {
         }
     }
 
+    // The check is a `debug_assert!` on the fetch hot path.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "discontinuity")]
     fn discontiguous_fetch_panics() {

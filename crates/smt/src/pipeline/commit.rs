@@ -100,7 +100,7 @@ fn commit_one(sim: &mut SmtSimulator, tid: ThreadId) {
     debug_assert_eq!(m.flags & F_RUNAHEAD, 0);
     let regs = t.instrs.regs[slot];
     t.instrs.rob_pop_front();
-    let store_addr = t.oracle.commit_next_brief(seq);
+    let store_addr = t.oracle.commit_next(seq);
     if regs.dst != REG_NONE {
         let (class, dst) = unpack_reg(regs.dst).expect("packed dst");
         let arch = unpack_arch(m.dst_arch).expect("dst implies dst_arch");

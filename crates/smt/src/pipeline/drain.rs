@@ -407,7 +407,7 @@ fn burst(sim: &mut SmtSimulator, tid: ThreadId, n: u64) {
     let now = sim.now;
     let mut stall = 0u64;
     for _ in 0..n {
-        let brief = t.oracle.fetch_step_brief();
+        let brief = t.oracle.fetch_step();
         let addr = tag_addr(tid, brief.pc.byte_addr());
         let line = addr & !63;
         if line != t.drain.cur_line {
@@ -455,7 +455,7 @@ fn burst(sim: &mut SmtSimulator, tid: ThreadId, n: u64) {
             }
             _ => {}
         }
-        t.oracle.commit_next_brief(brief.seq);
+        t.oracle.commit_next(brief.seq);
         ts.committed += 1;
         ts.fetched += 1;
         ts.dispatched += 1;

@@ -174,7 +174,7 @@ fn fetch_one(
             }
             cur_line = line;
         }
-        let rec = t.oracle.fetch_step_brief();
+        let rec = t.oracle.fetch_step();
         ts.fetched += 1;
         let kind = t.decode[rec.pc.index()].kind;
         let mut flags = if rec.taken { F_TAKEN } else { 0 };

@@ -284,23 +284,6 @@ impl SmtSimulator {
         }
     }
 
-    /// Enables or disables fetch-replay memoization (on by default).
-    ///
-    /// With replay on, every squash (runahead exit, FLUSH) rewinds the
-    /// fetch oracle by moving a cursor into a per-thread seq-indexed
-    /// replay buffer; the squashed span is then re-fetched from memoized
-    /// [`rat_isa::ExecRecord`]s instead of functionally re-executed, and the
-    /// memory write journal is neither rolled back nor re-recorded. The
-    /// oracle is deterministic over private state, so the served records
-    /// are bit-identical to what re-execution would compute — enforced
-    /// by `tests/replay_cache.rs` across all policies; `false` is the
-    /// `--no-replay` ablation reference.
-    pub fn set_fetch_replay(&mut self, enabled: bool) {
-        for t in &mut self.threads {
-            t.oracle.set_replay(enabled);
-        }
-    }
-
     /// Enables or disables cycle skipping (on by default).
     ///
     /// With skipping on, [`SmtSimulator::run_until_quota`] jumps the

@@ -237,10 +237,8 @@ pub(super) fn flush_thread(sim: &mut SmtSimulator, tid: ThreadId, keep_seq: u64,
     sim.threads[tid].icache_wait = 0;
     sim.stats.threads[tid].squashed += squashed_frontend;
 
-    // The replay buffer already holds every surviving record, so the
-    // rewind is a cursor move — no per-squash record collection at all
-    // (the pre-replay design copied the surviving window into a fresh
-    // `Vec<ExecRecord>` on every flush and episode exit).
+    // A cursor move: the squashed span re-fetches from the replay
+    // buffer.
     sim.threads[tid].oracle.rewind_to(keep_seq + 1);
     debug_assert_eq!(sim.threads[tid].oracle.next_seq(), keep_seq + 1);
 

@@ -122,11 +122,10 @@ pub struct SimStats {
     /// Number of contiguous skip jumps performed (cumulative).
     pub skip_spans: u64,
     /// Fetches served from the per-thread replay buffers instead of
-    /// functional re-execution (cumulative, warmup included). Like
-    /// `skipped_cycles`, purely a simulator-performance diagnostic:
-    /// replayed records are bit-identical to what re-execution would
-    /// compute, so all other statistics match the `--no-replay`
-    /// ablation exactly.
+    /// live functional execution: every re-fetch of a squashed span
+    /// (cumulative, warmup included). Like `skipped_cycles`, purely a
+    /// simulator-performance diagnostic; no other statistic depends on
+    /// it.
     pub fetch_replays: u64,
     /// Snapshot of each thread's counters taken the cycle its quota was
     /// reached (before any post-quota accounting, in particular before a

@@ -28,7 +28,6 @@ fn tiny_runner() -> Runner {
             max_cycles: 50_000_000,
             seed: 42,
             no_skip: false,
-            no_replay: false,
             no_drain: false,
         },
     )

@@ -29,7 +29,6 @@ fn quick(no_skip: bool) -> RunConfig {
         max_cycles: 100_000_000,
         seed: 42,
         no_skip,
-        no_replay: false,
         no_drain: false,
     }
 }
@@ -117,7 +116,6 @@ fn truncated_runs_are_bit_identical_too() {
         max_cycles: 20_000,
         seed: 42,
         no_skip,
-        no_replay: false,
         no_drain: false,
     };
     let skip =

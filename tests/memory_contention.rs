@@ -15,7 +15,6 @@ fn quick_run() -> RunConfig {
         max_cycles: 200_000_000,
         seed: 42,
         no_skip: false,
-        no_replay: false,
         no_drain: false,
     }
 }

@@ -49,7 +49,6 @@ fn quick(no_drain: bool, warmup_insts: u64) -> RunConfig {
         max_cycles: 100_000_000,
         seed: 42,
         no_skip: false,
-        no_replay: false,
         no_drain,
     }
 }
@@ -170,7 +169,6 @@ fn truncated_run_before_any_quota_is_bit_identical() {
         max_cycles: 20_000,
         seed: 42,
         no_skip: false,
-        no_replay: false,
         no_drain,
     };
     let d = Runner::new(SmtConfig::hpca2008_baseline(), mk(false)).run_mix(mix, PolicyKind::Icount);
@@ -197,7 +195,6 @@ fn truncated_run_keeps_every_finished_window_identical() {
         max_cycles: 60_000,
         seed: 42,
         no_skip: false,
-        no_replay: false,
         no_drain,
     };
     let d = Runner::new(SmtConfig::hpca2008_baseline(), mk(false)).run_mix(mix, PolicyKind::Stall);
@@ -247,7 +244,6 @@ fn drift_bound_last_window_ipc_and_fairness() {
             max_cycles: 400_000_000,
             seed: 42,
             no_skip: false,
-            no_replay: false,
             no_drain,
         };
         let drained_runner = Runner::new(SmtConfig::hpca2008_baseline(), mk(false));
