@@ -42,6 +42,7 @@
 //! designed for two *processes* appending to one journal concurrently.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -450,7 +451,12 @@ fn append_bytes(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 /// results travel the wire with the same bit-exactness and corruption
 /// detection the journal has.
 pub fn format_record_line(key: &CellKey, words: &[u64]) -> String {
-    let mut body = format!(
+    // One buffer sized for the whole line: the header, 17 bytes a word
+    // and the 21-byte checksum tail. Writing into a `String` never fails.
+    let names = key.group.len() + key.mix.len() + key.policy.len();
+    let mut line = String::with_capacity(96 + names + 17 * words.len());
+    let _ = write!(
+        line,
         "rec {:016x} {} {} {} {} {}",
         key.fingerprint,
         key.group,
@@ -460,10 +466,11 @@ pub fn format_record_line(key: &CellKey, words: &[u64]) -> String {
         words.len()
     );
     for w in words {
-        body.push_str(&format!(" {w:016x}"));
+        let _ = write!(line, " {w:016x}");
     }
-    let crc = fnv1a(body.as_bytes());
-    format!("{body} crc {crc:016x}")
+    let crc = fnv1a(line.as_bytes());
+    let _ = write!(line, " crc {crc:016x}");
+    line
 }
 
 fn format_record(key: &CellKey, words: &[u64]) -> String {

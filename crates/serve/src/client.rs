@@ -9,16 +9,28 @@
 //! resubmitted batch is served from the server's journal, not
 //! recomputed.
 //!
+//! A client keeps its connection after a reply that leaves it open
+//! (`DONE`, `BUSY`, `PONG`, `STATS`) and sends its next request on it,
+//! so a repeat request skips the connect and the server's accept. Any
+//! other ending (`BAD`, `BYE`, an error) drops the connection, and the
+//! next request opens a new one. A kept connection can go stale while
+//! idle: a draining server closes idle connections within its 300-ms
+//! read timeout, and a restarted server never knew them. If a kept
+//! connection fails before the first reply line, the client opens a new
+//! connection at once and resends, without spending a retry — safe for
+//! the same reason retries are.
+//!
 //! A `BAD` reply (malformed request) and a corrupt `RESULT` record are
 //! *not* retried: they cannot heal by waiting.
 
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::Mutex;
 use std::time::Duration;
 
 use rat_core::store::decode_result;
-use rat_core::{Backoff, CellKey, MixResult};
+use rat_core::{lock_recover, Backoff, CellKey, MixResult};
 
 use crate::protocol::{parse_reply, LineReader, Reply, SweepRequest, MAX_LINE};
 
@@ -70,6 +82,28 @@ enum Attempt {
     Busy { retry_after_ms: u64 },
 }
 
+/// One open connection to the server.
+struct Conn {
+    stream: TcpStream,
+    reader: LineReader<TcpStream>,
+}
+
+impl Conn {
+    /// Sends `frame` (whole request lines) and reads the first reply
+    /// line. A close before that line is `UnexpectedEof`, which
+    /// [`retryable`] accepts.
+    fn send(&mut self, frame: &str) -> std::io::Result<String> {
+        self.stream.write_all(frame.as_bytes())?;
+        self.stream.flush()?;
+        self.reader.read_line()?.ok_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "server closed the connection without replying",
+            )
+        })
+    }
+}
+
 /// See the module docs.
 pub struct Client {
     addr: String,
@@ -77,6 +111,10 @@ pub struct Client {
     /// How long to wait for the server to produce each reply line
     /// (cold sweeps simulate, so this is generous).
     reply_timeout: Duration,
+    /// The connection the last reply left open, if any. Taken for the
+    /// length of a request, so concurrent requests on one client each
+    /// use their own connection.
+    kept: Mutex<Option<Conn>>,
 }
 
 fn retryable(e: &std::io::Error) -> bool {
@@ -107,6 +145,7 @@ impl Client {
             addr: addr.into(),
             backoff: Backoff::new(Duration::from_millis(50), Duration::from_secs(2), 6, seed),
             reply_timeout: Duration::from_secs(300),
+            kept: Mutex::new(None),
         }
     }
 
@@ -116,21 +155,45 @@ impl Client {
         self
     }
 
-    fn connect(&self) -> std::io::Result<(LineReader<TcpStream>, TcpStream)> {
+    fn connect(&self) -> std::io::Result<Conn> {
         let stream = TcpStream::connect(&self.addr)?;
         stream.set_read_timeout(Some(self.reply_timeout))?;
         stream.set_nodelay(true)?;
-        Ok((LineReader::new(stream.try_clone()?, MAX_LINE), stream))
+        let reader = LineReader::new(stream.try_clone()?, MAX_LINE);
+        Ok(Conn { stream, reader })
+    }
+
+    /// Sends `frame` on the kept connection, or on a new one if none is
+    /// kept or the kept one fails before replying, and returns the
+    /// connection with the first reply line. Hand the connection back
+    /// with [`Client::keep`] once its reply is read in full.
+    fn exchange(&self, frame: &str) -> std::io::Result<(Conn, String)> {
+        let kept = lock_recover(&self.kept).take();
+        if let Some(mut conn) = kept {
+            match conn.send(frame) {
+                Ok(line) => return Ok((conn, line)),
+                // Stale: replace it at once, spending no retry.
+                Err(e) if retryable(&e) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        let mut conn = self.connect()?;
+        let line = conn.send(frame)?;
+        Ok((conn, line))
+    }
+
+    /// Keeps `conn` for the next request.
+    fn keep(&self, conn: Conn) {
+        *lock_recover(&self.kept) = Some(conn);
     }
 
     fn roundtrip(&self, request: &str) -> std::io::Result<Reply> {
-        let (mut reader, mut stream) = self.connect()?;
-        writeln!(stream, "{request}")?;
-        stream.flush()?;
-        let line = reader
-            .read_line()?
-            .ok_or_else(|| bad("server closed the connection without replying"))?;
-        parse_reply(&line).map_err(bad)
+        let (conn, line) = self.exchange(&format!("{request}\n"))?;
+        let reply = parse_reply(&line).map_err(bad)?;
+        if matches!(reply, Reply::Pong | Reply::Stats(_)) {
+            self.keep(conn);
+        }
+        Ok(reply)
     }
 
     /// Health check (`PING` → `PONG`), retrying connection failures —
@@ -169,6 +232,13 @@ impl Client {
     /// Submits a sweep, retrying `BUSY` and transport failures with
     /// backoff. Safe to call repeatedly with the same request: cells
     /// are idempotent by content address.
+    ///
+    /// The request travels on the connection the previous reply left
+    /// open, if any: a `DONE` or `BUSY` reply keeps it, so a `BUSY`
+    /// retry and the next sweep reuse it too. If that kept connection
+    /// fails before the first reply line (a draining server closes idle
+    /// connections within its 300-ms read timeout), the request is
+    /// resent at once on a new connection without spending a retry.
     pub fn sweep(&self, request: &SweepRequest) -> std::io::Result<SweepReply> {
         let mut attempt = 0;
         loop {
@@ -200,33 +270,32 @@ impl Client {
         }
     }
 
+    /// One attempt: the request and its whole reply. The connection is
+    /// kept only when the reply ends in `BUSY` or `DONE`; on any error
+    /// it is dropped with whatever of the reply is still unread.
     fn try_sweep(&self, request: &SweepRequest) -> std::io::Result<Attempt> {
-        let (mut reader, mut stream) = self.connect()?;
         let mut frame = String::new();
         for line in request.to_lines() {
             frame.push_str(&line);
             frame.push('\n');
         }
-        stream.write_all(frame.as_bytes())?;
-        stream.flush()?;
+        let (mut conn, mut line) = self.exchange(&frame)?;
 
         let mut outcomes: Vec<Option<CellOutcome>> = vec![None; request.cells.len()];
+        let place = |outcomes: &mut Vec<Option<CellOutcome>>,
+                     idx: usize,
+                     outcome: CellOutcome|
+         -> std::io::Result<()> {
+            let slot = outcomes
+                .get_mut(idx)
+                .ok_or_else(|| bad(format!("reply names out-of-range cell {idx}")))?;
+            *slot = Some(outcome);
+            Ok(())
+        };
         loop {
-            let line = reader
-                .read_line()?
-                .ok_or_else(|| bad("connection closed mid-reply"))?;
-            let place = |outcomes: &mut Vec<Option<CellOutcome>>,
-                         idx: usize,
-                         outcome: CellOutcome|
-             -> std::io::Result<()> {
-                let slot = outcomes
-                    .get_mut(idx)
-                    .ok_or_else(|| bad(format!("reply names out-of-range cell {idx}")))?;
-                *slot = Some(outcome);
-                Ok(())
-            };
             match parse_reply(&line).map_err(bad)? {
                 Reply::Busy { retry_after_ms } => {
+                    self.keep(conn);
                     return Ok(Attempt::Busy { retry_after_ms });
                 }
                 Reply::Bad(msg) => return Err(bad(format!("server rejected request: {msg}"))),
@@ -255,12 +324,17 @@ impl Client {
                     let outcomes: Option<Vec<CellOutcome>> = outcomes.into_iter().collect();
                     let outcomes =
                         outcomes.ok_or_else(|| bad("DONE before every cell was answered"))?;
+                    self.keep(conn);
                     return Ok(Attempt::Reply(SweepReply { outcomes, done }));
                 }
                 other => {
                     return Err(bad(format!("unexpected line in sweep reply: {other:?}")));
                 }
             }
+            line = conn
+                .reader
+                .read_line()?
+                .ok_or_else(|| bad("connection closed mid-reply"))?;
         }
     }
 }

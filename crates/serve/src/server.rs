@@ -10,6 +10,13 @@
 //! line is written as the cell finishes (progressive delivery), with
 //! failure lines and the `DONE` summary after the sweep settles.
 //!
+//! Connections are persistent: one handler thread per connection serves
+//! its requests in turn until the client closes it, sends `SHUTDOWN`,
+//! or earns a `BAD` reply. [`Client`](crate::Client) keeps its
+//! connection across requests, so a repeat skips the connect, the
+//! accept and the thread spawn. The accept loop wakes the moment a
+//! connection arrives, and at least every 25 ms to notice a drain.
+//!
 //! Robustness properties (each tested in `tests/service.rs`):
 //!
 //! * **Backpressure** — at most `max_inflight` sweeps run at once;
@@ -23,7 +30,8 @@
 //! * **Graceful drain** — `SHUTDOWN` (or SIGTERM, see
 //!   [`install_sigterm_handler`]) stops accepting, lets in-flight
 //!   requests finish, compacts the journal, and returns `Ok` so the
-//!   process can exit 0. A kill that skips all of that loses nothing
+//!   process can exit 0. An idle kept connection is closed within one
+//!   300-ms read timeout. A kill that skips all of that loses nothing
 //!   but in-flight work: the journal is append-only and checksummed.
 
 use std::collections::HashMap;
@@ -115,6 +123,8 @@ impl Default for ServerConfig {
 
 #[derive(Default)]
 struct Counters {
+    /// Connections accepted.
+    accepted: AtomicU64,
     sweeps: AtomicU64,
     busy: AtomicU64,
     bad: AtomicU64,
@@ -186,10 +196,11 @@ impl Shared {
     fn stats_line(&self) -> String {
         let c = &self.counters;
         let mut line = format!(
-            "STATS active={} conns={} draining={} sweeps={} busy={} bad={} cells_ok={} \
-             cells_timeout={} cells_err={} hits={} computed={}",
+            "STATS active={} conns={} accepted={} draining={} sweeps={} busy={} bad={} \
+             cells_ok={} cells_timeout={} cells_err={} hits={} computed={}",
             self.active.load(Ordering::SeqCst),
             self.conns.load(Ordering::SeqCst),
+            c.accepted.load(Ordering::Relaxed),
             u64::from(self.draining()),
             c.sweeps.load(Ordering::Relaxed),
             c.busy.load(Ordering::Relaxed),
@@ -270,6 +281,7 @@ impl Server {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
                     let shared = Arc::clone(&self.shared);
+                    shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
                     shared.conns.fetch_add(1, Ordering::SeqCst);
                     std::thread::spawn(move || {
                         let _guard = ConnGuard(Arc::clone(&shared));
@@ -282,7 +294,7 @@ impl Server {
                     if e.kind() == std::io::ErrorKind::WouldBlock
                         || e.kind() == std::io::ErrorKind::Interrupted =>
                 {
-                    std::thread::sleep(Duration::from_millis(25));
+                    wait_for_connection(&self.listener, Duration::from_millis(25));
                 }
                 Err(e) => return Err(e),
             }
@@ -299,6 +311,49 @@ impl Server {
         }
         Ok(())
     }
+}
+
+/// Blocks until `listener` has a connection to accept or `timeout`
+/// passes, whichever is first. An error or a signal just ends the wait
+/// early: the accept loop re-checks drain and retries the accept.
+#[cfg(unix)]
+fn wait_for_connection(listener: &TcpListener, timeout: Duration) {
+    use std::ffi::{c_int, c_short};
+    use std::os::fd::AsRawFd;
+
+    #[repr(C)]
+    struct PollFd {
+        fd: c_int,
+        events: c_short,
+        revents: c_short,
+    }
+    #[cfg(target_os = "linux")]
+    type NFds = std::ffi::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type NFds = std::ffi::c_uint;
+    // Bound like `signal` above: libc is already linked by std.
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: NFds, timeout_ms: c_int) -> c_int;
+    }
+    const POLLIN: c_short = 0x1;
+    let mut fd = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    let timeout_ms = c_int::try_from(timeout.as_millis()).unwrap_or(c_int::MAX);
+    // SAFETY: `fd` is one live, initialised `pollfd` that outlives the
+    // call, `nfds` is 1 to match, and the listener keeps its descriptor
+    // open for the whole call.
+    unsafe {
+        poll(&mut fd, 1, timeout_ms);
+    }
+}
+
+/// Off Unix there is no `poll` binding: sleep out the interval.
+#[cfg(not(unix))]
+fn wait_for_connection(_listener: &TcpListener, timeout: Duration) {
+    std::thread::sleep(timeout);
 }
 
 fn is_timeout(e: &std::io::Error) -> bool {

@@ -11,7 +11,11 @@
 //!   finishes in-flight work, flushes a valid journal, and exits 0;
 //! * crash recovery: `kill -9` mid-batch, restart, resubmit — the
 //!   reply is bit-identical to a local computation and mostly served
-//!   warm (verified through `STATS`/`DONE` hit counters).
+//!   warm (verified through `STATS`/`DONE` hit counters);
+//! * connections: a client's repeat requests and `BUSY` retries travel
+//!   on one kept connection (counted by `STATS accepted=`), a kept
+//!   connection a drain closed is replaced without spending a retry,
+//!   and one-shot clients are accepted without a fixed wait.
 
 use std::io::Write;
 use std::sync::Arc;
@@ -85,6 +89,7 @@ fn spawn_server(
 
 /// `max_inflight=0` sheds every sweep with `BUSY` — and the connection
 /// survives to serve the next request (a `PING` on the same socket).
+/// The retrying client sends its retries on that same connection.
 #[test]
 fn full_queue_answers_busy_without_dropping_the_connection() {
     let (server, addr, handle) = spawn_server(ServerConfig {
@@ -109,10 +114,23 @@ fn full_queue_answers_busy_without_dropping_the_connection() {
     assert_eq!(reader.read_line().unwrap().as_deref(), Some("PONG"));
 
     // The retrying client gives up with an availability error, not a
-    // transport error.
+    // transport error, after three attempts on one connection.
+    let probe = Client::new(addr.to_string(), 0);
+    let before = probe.stats().unwrap();
     let client = Client::new(addr.to_string(), 1).with_backoff(tight_backoff());
     let err = client.sweep(&request(2, 2, None)).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock, "{err}");
+    let after = probe.stats().unwrap();
+    assert_eq!(
+        after["busy"] - before["busy"],
+        3,
+        "the first try and two retries"
+    );
+    assert_eq!(
+        after["accepted"] - before["accepted"],
+        1,
+        "the BUSY retries travel on the client's first connection"
+    );
 
     server.request_shutdown();
     handle.join().unwrap().unwrap();
@@ -350,6 +368,80 @@ fn server_batch_width_is_transparent_to_clients() {
             "cell {i}: batch-8 server must match batch-1 bit for bit"
         );
     }
+}
+
+/// A client keeps its connection between sweeps: five sweeps cost the
+/// server one accepted connection, not five.
+#[test]
+fn one_client_sends_its_sweeps_on_one_connection() {
+    let (server, addr, handle) = spawn_server(ServerConfig::default());
+    let probe = Client::new(addr.to_string(), 0);
+    let before = probe.stats().unwrap()["accepted"];
+
+    let client = Client::new(addr.to_string(), 41);
+    for id in 0..5 {
+        let reply = client.sweep(&request(id, 2, None)).unwrap();
+        assert_eq!(reply.done["ok"], 2, "sweep {id}");
+    }
+    let after = probe.stats().unwrap()["accepted"];
+    assert_eq!(after - before, 1, "five sweeps, one connection");
+
+    server.request_shutdown();
+    handle.join().unwrap().unwrap();
+}
+
+/// A drain closes a client's idle kept connection. The client's next
+/// sweep finds it closed before any reply and resends at once on a new
+/// connection, which reaches a server re-bound on the same address —
+/// even when the client is allowed no retries at all.
+#[test]
+fn connection_closed_by_a_drain_is_replaced_without_a_retry() {
+    let (server, addr, handle) = spawn_server(ServerConfig::default());
+    let no_retries = Backoff::new(Duration::from_millis(1), Duration::from_millis(1), 0, 7);
+    let client = Client::new(addr.to_string(), 42).with_backoff(no_retries);
+    assert_eq!(client.sweep(&request(1, 1, None)).unwrap().done["ok"], 1);
+
+    // The drain waits for the idle kept connection to close; dropping
+    // the server then releases the address.
+    server.request_shutdown();
+    handle.join().unwrap().unwrap();
+    drop(server);
+
+    let (server2, _, handle2) = spawn_server(ServerConfig {
+        addr: addr.to_string(),
+        ..ServerConfig::default()
+    });
+    assert_eq!(client.sweep(&request(2, 1, None)).unwrap().done["ok"], 1);
+    assert_eq!(
+        client.stats().unwrap()["accepted"],
+        1,
+        "the sweep and this STATS share the one new connection"
+    );
+
+    server2.request_shutdown();
+    handle2.join().unwrap().unwrap();
+}
+
+/// The accept loop wakes when a connection arrives instead of after a
+/// fixed sleep, so one-shot clients (a new connection per request, as
+/// `rat-client` makes) are not held up: 50 sequential one-shot `PING`s
+/// take a few milliseconds, where a 25-ms accept sleep costs over a
+/// second.
+#[test]
+fn one_shot_pings_are_accepted_without_a_fixed_wait() {
+    let (server, addr, handle) = spawn_server(ServerConfig::default());
+    let started = std::time::Instant::now();
+    for seed in 0..50 {
+        Client::new(addr.to_string(), seed).ping().unwrap();
+    }
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_millis(500),
+        "50 one-shot PINGs took {took:?}"
+    );
+
+    server.request_shutdown();
+    handle.join().unwrap().unwrap();
 }
 
 // ---------------------------------------------------------------------
