@@ -10,16 +10,12 @@
 //! numbers — every result is bit-identical to the plain per-cell path
 //! at any batch width (`tests/batch_lockstep.rs`).
 //!
-//! Where the throughput comes from on a single core:
-//!
-//! * **Image sharing** — a policy matrix simulates the same
-//!   `(benchmark, seed)` thread images once per policy; the engine
-//!   generates each unique image once per queue and rebuilds CPUs from
-//!   the cache (a memcpy) instead of regenerating.
-//! * **Wide generation** — cache misses generate through the
-//!   lane-parallel RNG block path ([`ThreadImage::generate_wide`]),
-//!   bit-identical to the scalar oracle but several times faster on the
-//!   multi-megabyte MEM working sets.
+//! **Image sharing**: a policy matrix simulates the same
+//! `(benchmark, seed)` thread images once per policy; the engine
+//! generates each unique image once per queue and rebuilds CPUs from
+//! the cache instead of regenerating. Images compute their arrays on
+//! demand, so what sharing saves is the code emission and the eager
+//! pointer-chase list (mcf's 2 MiB list is the largest).
 //!
 //! Fault containment matches the non-batch path exactly: each slot's
 //! admission and every slice run under `catch_unwind`, so a panicking
@@ -38,9 +34,9 @@ use rat_workload::{Benchmark, ThreadImage};
 
 use crate::sweep::SweepCell;
 
-/// How [`run_batch`] schedules and generates. The ablation knobs exist
-/// for perfbench (`sweep12_batch8_noshare` / `_scalargen` cells); sweeps
-/// always run with both on.
+/// How [`run_batch`] schedules and generates. The `share_images` knob
+/// exists for perfbench's `sweep12_batch8_noshare` ablation cell; sweeps
+/// always run with it on.
 #[derive(Clone, Copy, Debug)]
 pub struct BatchOptions {
     /// Simulations advanced in lockstep per worker (≥ 1).
@@ -49,9 +45,6 @@ pub struct BatchOptions {
     /// whole queue (bit-identical: CPUs are rebuilt per cell from the
     /// cached image, exactly what regeneration would produce).
     pub share_images: bool,
-    /// Generate cache misses through the lane-parallel wide path
-    /// (bit-identical to the scalar oracle).
-    pub wide_gen: bool,
 }
 
 impl BatchOptions {
@@ -60,7 +53,6 @@ impl BatchOptions {
         BatchOptions {
             width: width.max(1),
             share_images: true,
-            wide_gen: true,
         }
     }
 }
@@ -195,13 +187,6 @@ fn admit<'a>(
         }
         let cell = &cells[ci];
         let seed = cell.runner.run_config().seed;
-        let generate = |b: Benchmark, s: u64| {
-            if opts.wide_gen {
-                ThreadImage::generate_wide(b, s)
-            } else {
-                ThreadImage::generate(b, s)
-            }
-        };
         let cpus = cell
             .mix
             .benchmarks
@@ -212,10 +197,10 @@ fn admit<'a>(
                 if opts.share_images {
                     cache
                         .entry(key)
-                        .or_insert_with(|| generate(b, key.1))
+                        .or_insert_with(|| ThreadImage::generate(b, key.1))
                         .build_cpu()
                 } else {
-                    generate(b, key.1).build_cpu()
+                    ThreadImage::generate(b, key.1).build_cpu()
                 }
             })
             .collect();

@@ -12,24 +12,18 @@
 //! `{bench_name: {"wall_ms": .., "cycles_simulated": .., "cycles_per_sec": ..}}`
 //! so the perf trajectory is tracked in the repository.
 //!
-//! Three further regime families time the sweep layer rather than one
+//! Two further regime families time the sweep layer rather than one
 //! simulation:
 //!
 //! * `sweep12_batch{1,4,8}` run a fig1-style 12-cell matrix
 //!   ({ILP4, MEM4, MIX4} × {ICOUNT, STALL, FLUSH, RaT}, first mix) on
 //!   one worker thread through [`rat_bench::run_cells`] at the given
-//!   `--batch` width, at a fortieth of the configured quota — the regime
-//!   that makes per-cell setup (workload-image generation) a visible
-//!   fraction of the sweep, which is exactly what the lockstep batch
-//!   engine amortizes. Results are bit-identical across widths, so the
-//!   cycles/sec ratio *is* the orchestration speedup.
-//! * `sweep12_batch8_noshare` / `sweep12_batch8_scalargen` are the
-//!   ablation cells: the same batch-8 sweep with the image cache or the
-//!   wide generator disabled, isolating each lever's contribution.
-//! * `gen_scalar` / `gen_wide` time raw workload-image generation over
-//!   every benchmark profile; for these cells `cycles_simulated` counts
-//!   resident 64-bit memory words generated (there is no simulation),
-//!   so cycles/sec reads as words/sec.
+//!   `--batch` width, at a fortieth of the configured quota — small
+//!   cells, where per-cell setup weighs most, which is what the
+//!   lockstep batch engine amortizes. Results are bit-identical across
+//!   widths, so the cycles/sec ratio *is* the orchestration speedup.
+//! * `sweep12_batch8_noshare` is the ablation cell: the same batch-8
+//!   sweep with the image cache disabled.
 //!
 //! The simulated *numbers* are identical with and without `noskip`
 //! (enforced by `tests/cycle_skip.rs`); only wall-clock differs, which
@@ -54,7 +48,7 @@ use std::time::Instant;
 use rat_bench::{run_batch, run_cells, BatchOptions, SweepCell, SweepSession, TableWriter};
 use rat_core::{RunConfig, Runner};
 use rat_smt::{PolicyKind, SmtConfig, SmtSimulator};
-use rat_workload::{mixes_for_group, ThreadImage, WorkloadGroup, ALL_BENCHMARKS};
+use rat_workload::{mixes_for_group, ThreadImage, WorkloadGroup};
 
 /// One benchmark cell: a Table 2 mix under a policy, with or without
 /// cycle skipping / post-quota drain.
@@ -344,9 +338,9 @@ fn run_sweep_bench(name: &'static str, batch: usize, args: &Args) -> BenchResult
     sweep_result(name, results, wall)
 }
 
-/// Times the 12-cell matrix through the batch engine directly with one
-/// amortization lever disabled — the ablation cells. Best of three
-/// repetitions, like [`run_sweep_bench`].
+/// Times the 12-cell matrix through the batch engine directly with
+/// `opts` — the ablation cell. Best of three repetitions, like
+/// [`run_sweep_bench`].
 fn run_sweep_ablation(name: &'static str, opts: BatchOptions, args: &Args) -> BenchResult {
     let runner = sweep_runner(args);
     let cells = sweep_cells(&runner);
@@ -374,39 +368,6 @@ fn run_sweep_ablation(name: &'static str, opts: BatchOptions, args: &Args) -> Be
     }
     let (results, wall) = best.unwrap();
     sweep_result(name, results, wall)
-}
-
-/// Times raw workload-image generation over every benchmark profile.
-/// `cycles_simulated` counts resident memory words generated, so the
-/// scalar/wide ratio reads directly as the generator speedup.
-fn run_gen_bench(name: &'static str, wide: bool, args: &Args) -> BenchResult {
-    let reps: u64 = if args.smoke { 1 } else { 3 };
-    let mut words = 0u64;
-    let mut images = 0u64;
-    let started = Instant::now();
-    for rep in 0..reps {
-        for &b in ALL_BENCHMARKS {
-            let seed = args.seed + rep;
-            let img = if wide {
-                ThreadImage::generate_wide(b, seed)
-            } else {
-                ThreadImage::generate(b, seed)
-            };
-            words += img.memory_words();
-            images += 1;
-            std::hint::black_box(&img);
-        }
-    }
-    let wall = started.elapsed();
-    BenchResult {
-        name,
-        wall_ms: wall.as_secs_f64() * 1e3,
-        cycles: words,
-        cycles_per_sec: words as f64 / wall.as_secs_f64().max(1e-9),
-        skipped: 0,
-        replayed: 0,
-        committed: images,
-    }
 }
 
 /// Serializes the results as the tracked JSON artifact (hand-rolled;
@@ -526,16 +487,6 @@ fn main() {
         },
         &args,
     ));
-    results.push(run_sweep_ablation(
-        "sweep12_batch8_scalargen",
-        BatchOptions {
-            wide_gen: false,
-            ..BatchOptions::new(8)
-        },
-        &args,
-    ));
-    results.push(run_gen_bench("gen_scalar", false, &args));
-    results.push(run_gen_bench("gen_wide", true, &args));
     let results = results;
 
     let mut t = TableWriter::new(&[
@@ -595,18 +546,6 @@ fn main() {
         "sweep12_batch8",
         "sweep12_batch8_noshare",
         "batch 8, image-cache ablation",
-    );
-    speedup_line(
-        &results,
-        "sweep12_batch8",
-        "sweep12_batch8_scalargen",
-        "batch 8, wide-generator ablation",
-    );
-    speedup_line(
-        &results,
-        "gen_wide",
-        "gen_scalar",
-        "image generation, wide RNG",
     );
 
     let json = to_json(&results);

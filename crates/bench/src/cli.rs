@@ -61,8 +61,8 @@ pub struct HarnessArgs {
     /// each figure's full default set.
     pub policies: Option<Vec<String>>,
     /// Lockstep batch width: each sweep worker advances up to this many
-    /// cells concurrently in `rat_core::SLICE_CYCLES` quanta, amortizing
-    /// workload-image generation across the batch. `1` (the default)
+    /// cells concurrently in `rat_core::SLICE_CYCLES` quanta, sharing
+    /// workload images across the batch. `1` (the default)
     /// runs the plain one-cell-at-a-time path. Output is bit-identical
     /// at any width.
     pub batch: usize,

@@ -19,7 +19,10 @@
 //! model keeps the records of its in-flight instructions and re-fetches a
 //! squashed span (a runahead exit, a FLUSH) from them, so the emulator
 //! never checkpoints or rolls back, and its data memory
-//! ([`SparseMemory`]) has a single write path.
+//! ([`SparseMemory`]) has a single write path. Unwritten memory reads an
+//! optional initial-content source ([`MemorySource`]), or zero without
+//! one, and a page is materialized on its first write: a workload's
+//! multi-megabyte arrays are computed on demand, not filled up front.
 //!
 //! # Example
 //!
@@ -46,6 +49,6 @@ mod reg;
 
 pub use exec::{ArchState, Cpu, ExecRecord};
 pub use inst::{AluOp, BranchCond, FpOp, Instruction, InstructionKind, Operand};
-pub use memory::SparseMemory;
+pub use memory::{MemorySource, SparseMemory, PAGE_WORDS};
 pub use program::{Pc, Program};
 pub use reg::{ArchReg, FpReg, IntReg, NUM_FP_ARCH_REGS, NUM_INT_ARCH_REGS};

@@ -2,10 +2,13 @@
 
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::fmt;
+use std::sync::Arc;
 
 const PAGE_SHIFT: u64 = 12;
 const PAGE_BYTES: usize = 1 << PAGE_SHIFT;
-const PAGE_WORDS: usize = PAGE_BYTES / 8;
+/// 64-bit words per page.
+pub const PAGE_WORDS: usize = PAGE_BYTES / 8;
 
 /// Sentinel page number for an empty hot-cache slot. Real page numbers
 /// are `addr >> 12` of 64-bit addresses and never reach this value in
@@ -13,10 +16,31 @@ const PAGE_WORDS: usize = PAGE_BYTES / 8;
 /// address space).
 const NO_PAGE: u64 = u64::MAX;
 
+/// Sentinel frame index in a hot-cache slot: the page is known to have
+/// no frame (no write has reached it).
+const NO_FRAME: u32 = u32::MAX;
+
+/// The initial content of a [`SparseMemory`]: what a word holds before
+/// any write reaches its page.
+///
+/// Both methods must agree — `fill_page` is the bulk form of 512 `word`
+/// calls — and be pure functions of the address, so a memory reads the
+/// same whether or not a page has been materialized.
+pub trait MemorySource: Send + Sync + fmt::Debug {
+    /// The initial value of the 8-byte aligned word at `addr`.
+    fn word(&self, addr: u64) -> u64;
+
+    /// Writes the initial content of page number `page` (the words at
+    /// `(page << 12) + 8 * i`) into `out`.
+    fn fill_page(&self, page: u64, out: &mut [u64; PAGE_WORDS]);
+}
+
 /// A sparse, page-granular simulated data memory.
 ///
 /// * addresses are 64-bit, accesses are 8-byte aligned 64-bit words;
-/// * unwritten memory reads as zero;
+/// * unwritten memory reads its [`MemorySource`], or zero without one;
+/// * the first write to a page materializes it (filled from the source),
+///   so only written pages occupy memory;
 /// * a write overwrites its word and records nothing: the SMT front end
 ///   serves squashed spans from its replay buffer instead of
 ///   re-executing them, so no write is ever undone.
@@ -25,21 +49,44 @@ const NO_PAGE: u64 = u64::MAX;
 /// `page → frame` map, with a two-entry *hot-page cache* in front of the
 /// map: workload inner loops hammer one or two pages (a stream buffer, a
 /// chased list region), so the common load/store resolves its frame with
-/// two integer compares instead of a `HashMap` probe. The cache is pure
-/// memoization behind `Cell`s — reads stay `&self` and every path falls
-/// back to the map, so behavior is identical with the cache disabled.
+/// two integer compares instead of a `HashMap` probe. A slot also
+/// remembers a page that has no frame, so repeated reads of an unwritten
+/// page skip the map too. The cache is pure memoization behind `Cell`s —
+/// reads stay `&self` and every path falls back to the map, so behavior
+/// is identical with the cache disabled. Clones share the source and
+/// copy only the materialized pages.
 ///
 /// # Example
 ///
 /// ```
-/// use rat_isa::SparseMemory;
+/// use std::sync::Arc;
+/// use rat_isa::{MemorySource, SparseMemory, PAGE_WORDS};
 ///
-/// let mut m = SparseMemory::new();
-/// m.write_u64(0x1000, 7);
-/// m.write_block(0x2000, &[1, 2, 3]);
-/// assert_eq!(m.read_u64(0x1000), 7);
-/// assert_eq!(m.read_u64(0x2010), 3);
-/// assert_eq!(m.read_u64(0x3000), 0, "unwritten memory reads as zero");
+/// /// Every word initially holds its own address.
+/// #[derive(Debug)]
+/// struct Identity;
+///
+/// impl MemorySource for Identity {
+///     fn word(&self, addr: u64) -> u64 {
+///         addr
+///     }
+///     fn fill_page(&self, page: u64, out: &mut [u64; PAGE_WORDS]) {
+///         for (i, w) in out.iter_mut().enumerate() {
+///             *w = (page << 12) + 8 * i as u64;
+///         }
+///     }
+/// }
+///
+/// let mut zeros = SparseMemory::new();
+/// zeros.write_u64(0x1000, 7);
+/// assert_eq!(zeros.read_u64(0x1000), 7);
+/// assert_eq!(zeros.read_u64(0x3000), 0, "no source: unwritten memory reads as zero");
+///
+/// let mut m = SparseMemory::with_source(Arc::new(Identity));
+/// assert_eq!(m.read_u64(0x2008), 0x2008);
+/// m.write_u64(0x2000, 1);
+/// assert_eq!(m.read_u64(0x2008), 0x2008, "the rest of the page keeps its source values");
+/// assert_eq!(m.resident_pages(), 1);
 /// ```
 #[derive(Clone, Debug)]
 pub struct SparseMemory {
@@ -47,8 +94,11 @@ pub struct SparseMemory {
     page_map: HashMap<u64, u32>,
     /// The page frames themselves; never removed, so indices are stable.
     frames: Vec<Box<[u64; PAGE_WORDS]>>,
-    /// Most-recently-used `(page, frame)` pairs, hottest first.
+    /// Most-recently-used `(page, frame)` pairs, hottest first; the
+    /// frame is [`NO_FRAME`] for a page with none.
     hot: [Cell<(u64, u32)>; 2],
+    /// Initial content of unmaterialized pages (zero when `None`).
+    source: Option<Arc<dyn MemorySource>>,
 }
 
 impl Default for SparseMemory {
@@ -57,6 +107,7 @@ impl Default for SparseMemory {
             page_map: HashMap::new(),
             frames: Vec::new(),
             hot: [Cell::new((NO_PAGE, 0)), Cell::new((NO_PAGE, 0))],
+            source: None,
         }
     }
 }
@@ -67,43 +118,64 @@ impl SparseMemory {
         Self::default()
     }
 
+    /// Creates a memory whose unwritten words read `source`.
+    pub fn with_source(source: Arc<dyn MemorySource>) -> Self {
+        SparseMemory {
+            source: Some(source),
+            ..Self::default()
+        }
+    }
+
     #[inline]
     fn split(addr: u64) -> (u64, usize) {
         debug_assert_eq!(addr % 8, 0, "misaligned 64-bit access at {addr:#x}");
         (addr >> PAGE_SHIFT, ((addr as usize) & (PAGE_BYTES - 1)) / 8)
     }
 
-    /// Resolves `page` to its frame index through the hot cache, falling
-    /// back to (and refilling from) the page map.
+    /// Resolves `page` to its frame index ([`NO_FRAME`] if it has none)
+    /// through the hot cache, falling back to (and refilling from) the
+    /// page map.
     #[inline]
-    fn frame_of(&self, page: u64) -> Option<u32> {
+    fn frame_of(&self, page: u64) -> u32 {
         let h0 = self.hot[0].get();
         if h0.0 == page {
-            return Some(h0.1);
+            return h0.1;
         }
         let h1 = self.hot[1].get();
         if h1.0 == page {
             self.hot[1].set(h0);
             self.hot[0].set(h1);
-            return Some(h1.1);
+            return h1.1;
         }
-        let &frame = self.page_map.get(&page)?;
+        let frame = self.page_map.get(&page).copied().unwrap_or(NO_FRAME);
         self.hot[1].set(h0);
         self.hot[0].set((page, frame));
-        Some(frame)
+        frame
     }
 
-    /// Resolves `page` to its frame index, allocating a zeroed frame on
+    /// Resolves `page` to its frame index, materializing the page on
     /// first touch.
     #[inline]
     fn frame_of_or_alloc(&mut self, page: u64) -> usize {
-        if let Some(frame) = self.frame_of(page) {
-            return frame as usize;
+        match self.frame_of(page) {
+            NO_FRAME => self.materialize(page),
+            frame => frame as usize,
+        }
+    }
+
+    /// Allocates `page`'s frame, filled from the source. `frame_of` has
+    /// just put `page` in the first hot slot, so that slot is the one
+    /// to update.
+    #[cold]
+    #[inline(never)]
+    fn materialize(&mut self, page: u64) -> usize {
+        let mut data = Box::new([0u64; PAGE_WORDS]);
+        if let Some(source) = &self.source {
+            source.fill_page(page, &mut data);
         }
         let frame = u32::try_from(self.frames.len()).expect("page frame count fits u32");
-        self.frames.push(Box::new([0u64; PAGE_WORDS]));
+        self.frames.push(data);
         self.page_map.insert(page, frame);
-        self.hot[1].set(self.hot[0].get());
         self.hot[0].set((page, frame));
         frame as usize
     }
@@ -112,8 +184,16 @@ impl SparseMemory {
     #[inline]
     pub fn read_u64(&self, addr: u64) -> u64 {
         let (page, word) = Self::split(addr);
-        self.frame_of(page)
-            .map_or(0, |f| self.frames[f as usize][word])
+        match self.frame_of(page) {
+            NO_FRAME => self.initial(addr),
+            frame => self.frames[frame as usize][word],
+        }
+    }
+
+    /// The source's value for an unmaterialized word.
+    #[inline]
+    fn initial(&self, addr: u64) -> u64 {
+        self.source.as_ref().map_or(0, |s| s.word(addr))
     }
 
     /// Writes the 64-bit word at `addr` (must be 8-byte aligned).
@@ -122,47 +202,6 @@ impl SparseMemory {
         let (page, word) = Self::split(addr);
         let frame = self.frame_of_or_alloc(page);
         self.frames[frame][word] = value;
-    }
-
-    /// Bulk-writes `words.len()` consecutive 64-bit words starting at
-    /// `addr` (8-byte aligned) — the result is bit-identical to that
-    /// many [`write_u64`](Self::write_u64) calls, but each page frame is
-    /// resolved once and filled with a slice copy instead of per-word
-    /// hot-cache probes. Workload image generation fills multi-megabyte
-    /// regions through this.
-    pub fn write_block(&mut self, addr: u64, words: &[u64]) {
-        let mut addr = addr;
-        let mut rest = words;
-        while !rest.is_empty() {
-            let (page, word0) = Self::split(addr);
-            let frame = self.frame_of_or_alloc(page);
-            let n = (PAGE_WORDS - word0).min(rest.len());
-            self.frames[frame][word0..word0 + n].copy_from_slice(&rest[..n]);
-            rest = &rest[n..];
-            addr += (n as u64) * 8;
-        }
-    }
-
-    /// Deterministic FNV-1a digest of every allocated page's contents,
-    /// folded in page-number order (insertion order never matters).
-    /// Lets bit-identity tests compare whole memory images cheaply.
-    pub fn digest(&self) -> u64 {
-        let mut pages: Vec<(&u64, &u32)> = self.page_map.iter().collect();
-        pages.sort_unstable();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut fold = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        for (&page, &frame) in pages {
-            fold(page);
-            for &w in self.frames[frame as usize].iter() {
-                fold(w);
-            }
-        }
-        h
     }
 
     /// Reads the word at `addr` as an IEEE-754 binary64 value.
@@ -177,14 +216,13 @@ impl SparseMemory {
         self.write_u64(addr, value.to_bits());
     }
 
-    /// Number of resident (touched) pages; useful for footprint assertions
-    /// in tests.
+    /// Number of resident (materialized) pages; useful for footprint
+    /// assertions in tests.
     pub fn resident_pages(&self) -> usize {
         self.page_map.len()
     }
 
-    /// Number of resident 64-bit words (whole touched pages). Sizes the
-    /// generator-throughput cells in perfbench.
+    /// Number of resident 64-bit words (whole materialized pages).
     pub fn resident_words(&self) -> usize {
         self.page_map.len() * PAGE_WORDS
     }
@@ -244,33 +282,69 @@ mod tests {
         assert_eq!(b.read_u64(0x40), 8);
     }
 
-    #[test]
-    fn write_block_matches_word_writes() {
-        // Straddle a page boundary and start mid-page.
-        let words: Vec<u64> = (0..1200u64).map(|i| i.wrapping_mul(0x9E37)).collect();
-        let base = 0x1000_0000 + 8 * 100;
-        let mut blk = SparseMemory::new();
-        blk.write_block(base, &words);
-        let mut scalar = SparseMemory::new();
-        for (i, &w) in words.iter().enumerate() {
-            scalar.write_u64(base + 8 * i as u64, w);
+    /// A source whose words are a mix of their address.
+    #[derive(Debug)]
+    struct Scrambled;
+
+    impl MemorySource for Scrambled {
+        fn word(&self, addr: u64) -> u64 {
+            (addr ^ 0x5eed).wrapping_mul(0x9E37_79B9_7F4A_7C15)
         }
-        for i in 0..words.len() as u64 {
-            assert_eq!(blk.read_u64(base + 8 * i), scalar.read_u64(base + 8 * i));
+
+        fn fill_page(&self, page: u64, out: &mut [u64; PAGE_WORDS]) {
+            for (i, w) in out.iter_mut().enumerate() {
+                *w = self.word((page << PAGE_SHIFT) + 8 * i as u64);
+            }
         }
-        assert_eq!(blk.digest(), scalar.digest());
+    }
+
+    fn scrambled() -> SparseMemory {
+        SparseMemory::with_source(Arc::new(Scrambled))
     }
 
     #[test]
-    fn digest_ignores_insertion_order() {
-        let mut a = SparseMemory::new();
-        a.write_u64(0x1000, 1);
-        a.write_u64(0x9000, 2);
-        let mut b = SparseMemory::new();
-        b.write_u64(0x9000, 2);
-        b.write_u64(0x1000, 1);
-        assert_eq!(a.digest(), b.digest());
-        b.write_u64(0x9000, 3);
-        assert_ne!(a.digest(), b.digest());
+    fn unwritten_words_read_the_source() {
+        let m = scrambled();
+        for addr in [0, 8, 0x1ff8, 0x1000_0000, 0x0dea_dbee_f000] {
+            assert_eq!(m.read_u64(addr), Scrambled.word(addr), "{addr:#x}");
+        }
+        assert_eq!(m.resident_pages(), 0, "reads materialize nothing");
+    }
+
+    #[test]
+    fn first_write_keeps_the_rest_of_the_page() {
+        let mut m = scrambled();
+        let page = 0x3000_0000u64;
+        let before: Vec<u64> = (0..PAGE_WORDS as u64)
+            .map(|i| m.read_u64(page + 8 * i))
+            .collect();
+        m.write_u64(page + 8 * 17, 1);
+        assert_eq!(m.resident_pages(), 1);
+        for (i, &old) in before.iter().enumerate() {
+            let want = if i == 17 { 1 } else { old };
+            assert_eq!(m.read_u64(page + 8 * i as u64), want, "word {i}");
+        }
+        assert_eq!(
+            m.read_u64(page + PAGE_BYTES as u64),
+            Scrambled.word(page + 0x1000)
+        );
+    }
+
+    #[test]
+    fn clone_with_source_is_independent() {
+        let mut a = scrambled();
+        a.write_u64(0x40, 7);
+        let mut b = a.clone();
+        b.write_u64(0x48, 8);
+        b.write_u64(0x5000, 9);
+        a.write_u64(0x9000, 10);
+        assert_eq!((a.read_u64(0x40), b.read_u64(0x40)), (7, 7));
+        assert_eq!(a.read_u64(0x48), Scrambled.word(0x48));
+        assert_eq!(b.read_u64(0x48), 8);
+        assert_eq!(a.read_u64(0x5000), Scrambled.word(0x5000));
+        assert_eq!(b.read_u64(0x5000), 9);
+        assert_eq!(a.read_u64(0x9000), 10);
+        assert_eq!(b.read_u64(0x9000), Scrambled.word(0x9000));
+        assert_eq!((a.resident_pages(), b.resident_pages()), (2, 2));
     }
 }

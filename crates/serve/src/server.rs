@@ -99,7 +99,7 @@ pub struct ServerConfig {
     pub threads: usize,
     /// Lockstep batch width per sweep worker (`1` = plain per-cell
     /// path). Results are bit-identical at any width; wider batches
-    /// amortize workload-image generation across a request's cells.
+    /// share workload images across a request's cells.
     pub batch: usize,
     /// Injected worker faults (tests/drills): panics indexed by
     /// position in each request's cold-cell list.

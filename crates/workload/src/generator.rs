@@ -1,9 +1,11 @@
 //! Turns a [`BenchmarkProfile`] into an executable synthetic program plus
 //! its initialized memory image.
 
+use std::sync::Arc;
+
 use rat_isa::{
-    AluOp, BranchCond, Cpu, FpOp, FpReg, Instruction as I, IntReg, Operand, Pc, Program,
-    SparseMemory,
+    AluOp, BranchCond, Cpu, FpOp, FpReg, Instruction as I, IntReg, MemorySource, Operand, Pc,
+    Program, SparseMemory, PAGE_WORDS,
 };
 
 use crate::profile::{Benchmark, BenchmarkProfile, ThreadClass};
@@ -31,6 +33,7 @@ const STREAM_BASE: u64 = 0x1000_0000;
 const HOT_BASE: u64 = 0x3000_0000;
 const CHASE_BASE: u64 = 0x5000_0000;
 const LINE: u64 = 64;
+const PAGE_BYTES: u64 = (PAGE_WORDS * 8) as u64;
 
 const LCG_A: i64 = 6364136223846793005u64 as i64;
 const LCG_C: i64 = 1442695040888963407u64 as i64;
@@ -45,6 +48,14 @@ const BODY_TARGET: usize = 1024;
 ///
 /// Build one per hardware thread with [`ThreadImage::generate`], then turn
 /// it into a functional context with [`ThreadImage::build_cpu`].
+///
+/// The image is a pure function of `(benchmark, seed)`. Its random-valued
+/// stream and hot arrays (up to 12 MiB on the MEM benchmarks) are not
+/// filled: every word is computed from its address on demand, and a page
+/// is materialized only when a store first reaches it. Only the
+/// pointer-chase list is written at generation, so generating an image
+/// and building CPUs from it cost microseconds, not a multi-megabyte
+/// fill and copy.
 #[derive(Clone, Debug)]
 pub struct ThreadImage {
     bench: Benchmark,
@@ -61,47 +72,11 @@ impl ThreadImage {
         Generator::new(bench.profile(), seed).build()
     }
 
-    /// [`ThreadImage::generate`] with the memory regions filled through
-    /// the lane-parallel RNG block path ([`WorkloadRng::next_block`])
-    /// and bulk page writes — bit-identical output (the scalar path is
-    /// the oracle; see `crates/workload/tests/wide_rng.rs`), several
-    /// times faster on the multi-megabyte MEM working sets. The batch
-    /// engine's image cache generates through this.
-    pub fn generate_wide(bench: Benchmark, seed: u64) -> Self {
-        let mut g = Generator::new(bench.profile(), seed);
-        g.wide_fill = true;
-        g.build()
-    }
-
-    /// Number of resident 64-bit words in the initialized memory image
-    /// (whole touched pages) — the work unit the perfbench generator
-    /// cells report throughput over.
+    /// Number of 64-bit words materialized at generation (whole pages):
+    /// the pointer-chase list's pages. The stream and hot arrays are
+    /// computed on demand and count nothing here.
     pub fn memory_words(&self) -> u64 {
         self.memory.resident_words() as u64
-    }
-
-    /// Deterministic content digest over the program, memory image, and
-    /// planted registers — equal digests mean bit-identical images.
-    /// Used by the wide-generation bit-identity tests.
-    pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut fold_bytes = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        for i in self.program.iter() {
-            fold_bytes(format!("{i:?}").as_bytes());
-        }
-        fold_bytes(&self.memory.digest().to_le_bytes());
-        for &(r, v) in &self.init_regs {
-            fold_bytes(format!("{r:?}={v:#x}").as_bytes());
-        }
-        for &(f, v) in &self.init_fps {
-            fold_bytes(format!("{f:?}={:#x}", v.to_bits()).as_bytes());
-        }
-        h
     }
 
     /// The benchmark this image reproduces.
@@ -120,7 +95,8 @@ impl ThreadImage {
     }
 
     /// Instantiates a functional CPU context: program + copy of the memory
-    /// image + planted registers.
+    /// image (the chase pages and a shared handle to the on-demand
+    /// arrays) + planted registers.
     pub fn build_cpu(&self) -> Cpu {
         let mut cpu = Cpu::with_memory(self.program.clone(), self.memory.clone());
         for &(r, v) in &self.init_regs {
@@ -150,10 +126,6 @@ enum Token {
 struct Generator {
     prof: BenchmarkProfile,
     rng: WorkloadRng,
-    /// Fill data memory through the lane-parallel RNG block path and
-    /// bulk page writes (bit-identical to the scalar fill, which stays
-    /// the oracle).
-    wide_fill: bool,
     code: Vec<I>,
     stream_pos: u32,
     int_rot: u8,
@@ -178,7 +150,6 @@ impl Generator {
         Generator {
             prof,
             rng: WorkloadRng::seed_from_u64(seed ^ 0x5eed_0000),
-            wide_fill: false,
             code: Vec::with_capacity(BODY_TARGET + 64),
             stream_pos: 0,
             int_rot: 0,
@@ -452,7 +423,9 @@ impl Generator {
         }
     }
 
-    fn build(mut self) -> ThreadImage {
+    /// Emits the loop body: the profile's token mix, shuffled, then the
+    /// loop-closing branch.
+    fn emit_body(&mut self) {
         let prof = self.prof;
         let n_mem = (BODY_TARGET as f64 * prof.mem_fraction) as usize;
         let n_stores = (n_mem as f64 * prof.store_fraction) as usize;
@@ -507,7 +480,10 @@ impl Generator {
         ));
         self.code
             .push(I::branch(BranchCond::GeU, IntReg::ZERO, IntReg::ZERO, 0));
+    }
 
+    fn build(mut self) -> ThreadImage {
+        self.emit_body();
         let memory = self.build_memory();
         let init_regs = vec![
             (IntReg::new(R_STREAM_BASE), STREAM_BASE),
@@ -526,6 +502,7 @@ impl Generator {
             .map(|i| (FpReg::new(i), 1.0 + i as f64 * 0.125))
             .collect();
 
+        let prof = self.prof;
         let program = Program::with_entry(self.code, Pc::new(0), prof.bench.name());
         ThreadImage {
             bench: prof.bench,
@@ -537,59 +514,15 @@ impl Generator {
     }
 
     /// Lays out the three data regions: random-valued stream and hot
-    /// arrays, and a random cyclic pointer-chase list (one node per cache
-    /// line so every hop is a new line).
+    /// arrays, computed from the address on demand (see [`Region`]), and
+    /// a random cyclic pointer-chase list (one node per cache line so
+    /// every hop is a new line), written here.
     fn build_memory(&mut self) -> SparseMemory {
-        let mut mem = SparseMemory::new();
-        let scalar = |mem: &mut SparseMemory, base: u64, bytes: u64, rng: &mut WorkloadRng| {
-            for w in 0..(bytes / 8) {
-                // Values double as FP data and as branch-noise sources.
-                let v: u64 = if w % 2 == 0 {
-                    rng.next_u64()
-                } else {
-                    (1.0 + (w % 1024) as f64 / 1024.0_f64).to_bits()
-                };
-                mem.write_u64(base + w * 8, v);
-            }
-        };
-        // The wide fill processes the region one page at a time in
-        // stack buffers (no heap traffic): it draws the page's random
-        // words (consumed at even word offsets only) as one
-        // lane-parallel block, assembles the page, and lands it with a
-        // bulk write. `next_block` is compositional — any chunking
-        // produces the same draws in the same order — so the stream
-        // position after each region matches the scalar fill exactly.
-        let wide = |mem: &mut SparseMemory, base: u64, bytes: u64, rng: &mut WorkloadRng| {
-            const PAGE: usize = 512;
-            let words = (bytes / 8) as usize;
-            let mut draws = [0u64; PAGE / 2 + 1];
-            let mut block = [0u64; PAGE];
-            let mut w0 = 0usize;
-            while w0 < words {
-                let n = (words - w0).min(PAGE);
-                // Even offsets within [w0, w0 + n); page size is even,
-                // so chunk starts keep the region's draw parity.
-                let ndraws = n.div_ceil(2);
-                rng.next_block(&mut draws[..ndraws]);
-                for (i, v) in block[..n].iter_mut().enumerate() {
-                    let w = w0 + i;
-                    *v = if w.is_multiple_of(2) {
-                        draws[i / 2]
-                    } else {
-                        (1.0 + (w % 1024) as f64 / 1024.0_f64).to_bits()
-                    };
-                }
-                mem.write_block(base + (w0 as u64) * 8, &block[..n]);
-                w0 += n;
-            }
-        };
-        let fill: &dyn Fn(&mut SparseMemory, u64, u64, &mut WorkloadRng) =
-            if self.wide_fill { &wide } else { &scalar };
-        fill(&mut mem, STREAM_BASE, self.stream_bytes, &mut self.rng);
-        fill(&mut mem, HOT_BASE, self.hot_bytes, &mut self.rng);
+        let mut mem = SparseMemory::with_source(Arc::new(self.image_source()));
 
         // Random cyclic permutation via Sattolo's algorithm: guarantees a
-        // single cycle visiting every node.
+        // single cycle visiting every node. The permutation is sequential,
+        // so it is drawn here, from the stream position after the arrays.
         let n = self.chase_nodes as usize;
         let mut perm: Vec<usize> = (0..n).collect();
         for i in (1..n).rev() {
@@ -603,6 +536,109 @@ impl Generator {
         }
         mem
     }
+
+    /// Records the stream and hot arrays at the RNG's current position and
+    /// skips the RNG past their draws.
+    fn image_source(&mut self) -> ImageSource {
+        ImageSource {
+            regions: [
+                self.region(STREAM_BASE, self.stream_bytes),
+                self.region(HOT_BASE, self.hot_bytes),
+            ],
+        }
+    }
+
+    /// One random-valued array of `bytes` at `base`, drawing from the
+    /// RNG's current position; the RNG skips the array's draws.
+    fn region(&mut self, base: u64, bytes: u64) -> Region {
+        assert!(
+            base.is_multiple_of(PAGE_BYTES) && bytes.is_multiple_of(PAGE_BYTES),
+            "a region covers whole pages"
+        );
+        let region = Region {
+            base,
+            words: bytes / 8,
+            rng: self.rng.clone(),
+        };
+        self.rng.advance(region.words / 2);
+        region
+    }
+}
+
+/// A random-valued array of a thread image: its word `w` (counted from
+/// `base`) is draw `w / 2` of the generator's stream from `rng` when `w`
+/// is even, and an FP value in `[1, 2)` when odd (values double as FP
+/// data and as branch-noise sources). Any word is computable in O(1),
+/// because splitmix64's draw `k` is a pure function of the state.
+#[derive(Debug)]
+struct Region {
+    base: u64,
+    words: u64,
+    /// The generator's RNG before the region's first draw.
+    rng: WorkloadRng,
+}
+
+impl Region {
+    fn contains(&self, addr: u64) -> bool {
+        addr.wrapping_sub(self.base) / 8 < self.words
+    }
+
+    /// The RNG positioned just before the draw of even word `w`.
+    fn rng_at(&self, w: u64) -> WorkloadRng {
+        let mut rng = self.rng.clone();
+        rng.advance(w / 2);
+        rng
+    }
+}
+
+/// The value of a region's odd word `w`.
+fn odd_word(w: u64) -> u64 {
+    (1.0 + (w % 1024) as f64 / 1024.0_f64).to_bits()
+}
+
+/// The initial content of an image's stream and hot arrays; every other
+/// word is zero until written.
+#[derive(Debug)]
+struct ImageSource {
+    regions: [Region; 2],
+}
+
+impl ImageSource {
+    fn region_of(&self, addr: u64) -> Option<&Region> {
+        self.regions.iter().find(|r| r.contains(addr))
+    }
+}
+
+impl MemorySource for ImageSource {
+    fn word(&self, addr: u64) -> u64 {
+        let Some(r) = self.region_of(addr) else {
+            return 0;
+        };
+        let w = (addr - r.base) / 8;
+        if w.is_multiple_of(2) {
+            r.rng_at(w).next_u64()
+        } else {
+            odd_word(w)
+        }
+    }
+
+    /// Draws the page's 256 random words (its even offsets; regions are
+    /// page-aligned, so a page starts at an even word) as one
+    /// lane-parallel block and interleaves the odd words' FP values.
+    fn fill_page(&self, page: u64, out: &mut [u64; PAGE_WORDS]) {
+        let addr = page * PAGE_BYTES;
+        let Some(r) = self.region_of(addr) else {
+            out.fill(0);
+            return;
+        };
+        let w0 = (addr - r.base) / 8;
+        let mut draws = [0u64; PAGE_WORDS / 2];
+        r.rng_at(w0).next_block(&mut draws);
+        for (i, (pair, &draw)) in out.chunks_exact_mut(2).zip(&draws).enumerate() {
+            pair[0] = draw;
+            pair[1] = odd_word(w0 + 2 * i as u64 + 1);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -610,6 +646,120 @@ mod tests {
     use super::*;
     use rat_isa::InstructionKind;
     use std::collections::HashSet;
+
+    impl Generator {
+        /// The eager fill images used before their arrays became
+        /// on-demand: every word of the stream and hot arrays written from
+        /// sequential draws, then the chase list. The reference the
+        /// on-demand image must match word for word.
+        fn build_memory_eager(&mut self) -> SparseMemory {
+            let mut mem = SparseMemory::new();
+            for (base, bytes) in [(STREAM_BASE, self.stream_bytes), (HOT_BASE, self.hot_bytes)] {
+                for w in 0..(bytes / 8) {
+                    let v: u64 = if w % 2 == 0 {
+                        self.rng.next_u64()
+                    } else {
+                        (1.0 + (w % 1024) as f64 / 1024.0_f64).to_bits()
+                    };
+                    mem.write_u64(base + w * 8, v);
+                }
+            }
+            let n = self.chase_nodes as usize;
+            let mut perm: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                let j = self.rng.below(i as u64) as usize;
+                perm.swap(i, j);
+            }
+            for (i, &next_idx) in perm.iter().enumerate() {
+                let node = CHASE_BASE + (i as u64) * LINE;
+                let next = CHASE_BASE + (next_idx as u64) * LINE;
+                mem.write_u64(node, next);
+            }
+            mem
+        }
+    }
+
+    /// A generator positioned where image generation lays out memory.
+    fn at_memory(bench: Benchmark, seed: u64) -> Generator {
+        let mut g = Generator::new(bench.profile(), seed);
+        g.emit_body();
+        g
+    }
+
+    /// Checks one image against the eager reference: every word of the
+    /// three regions and of one page on either side, through both the
+    /// per-word read and the page fill, then 50k steps of execution.
+    fn assert_matches_eager(bench: Benchmark, seed: u64) {
+        let image = ThreadImage::generate(bench, seed);
+        let mut g = at_memory(bench, seed);
+        let reference = g.build_memory_eager();
+        let source = at_memory(bench, seed).image_source();
+        // (base, bytes, whether the source computes the span)
+        let spans = [
+            (STREAM_BASE, g.stream_bytes, true),
+            (HOT_BASE, g.hot_bytes, true),
+            (CHASE_BASE, g.chase_nodes * LINE, false),
+        ];
+        let mut filled = [0u64; PAGE_WORDS];
+        for (base, bytes, computed) in spans {
+            let end = base + bytes.next_multiple_of(PAGE_BYTES);
+            for page in (base - PAGE_BYTES..end + PAGE_BYTES).step_by(PAGE_BYTES as usize) {
+                source.fill_page(page / PAGE_BYTES, &mut filled);
+                for (i, &fill) in filled.iter().enumerate() {
+                    let addr = page + 8 * i as u64;
+                    let want = reference.read_u64(addr);
+                    let got = image.memory.read_u64(addr);
+                    assert_eq!(got, want, "{bench} seed {seed}: read at {addr:#x}");
+                    if computed {
+                        assert_eq!(fill, want, "{bench} seed {seed}: page fill at {addr:#x}");
+                    }
+                }
+            }
+        }
+        let mut eager = ThreadImage {
+            memory: reference,
+            ..image.clone()
+        }
+        .build_cpu();
+        let mut lazy = image.build_cpu();
+        for step in 0..50_000 {
+            let (a, b) = (lazy.step(), eager.step());
+            assert!(
+                (a.pc, a.eff_addr, a.result, a.taken) == (b.pc, b.eff_addr, b.result, b.taken),
+                "{bench} seed {seed} step {step}: {a:?} vs {b:?}"
+            );
+        }
+    }
+
+    fn assert_seeds_match_eager(seeds: &[u64]) {
+        for &seed in seeds {
+            for &bench in crate::ALL_BENCHMARKS {
+                assert_matches_eager(bench, seed);
+            }
+        }
+    }
+
+    #[test]
+    fn on_demand_images_match_the_eager_fill_small_seeds() {
+        assert_seeds_match_eager(&[0, 1, 42]);
+    }
+
+    #[test]
+    fn on_demand_images_match_the_eager_fill_large_seeds() {
+        assert_seeds_match_eager(&[0xDEAD_BEEF, u64::MAX - 3, u64::MAX]);
+    }
+
+    #[test]
+    fn generation_materializes_only_the_chase_list() {
+        for seed in [0, 7, u64::MAX] {
+            let image = ThreadImage::generate(Benchmark::Art, seed);
+            assert!(
+                image.memory_words() <= 1024,
+                "art seed {seed}: {} words materialized at generation",
+                image.memory_words()
+            );
+        }
+    }
 
     #[test]
     fn generation_is_deterministic() {

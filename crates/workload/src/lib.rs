@@ -22,6 +22,15 @@
 //!   and runahead cannot prefetch the chain, exactly the hard case for
 //!   runahead execution.
 //!
+//! An image is a pure function of `(benchmark, seed)`. Its stream and
+//! hot arrays are never filled: the generator's splitmix64 draw `k` is a
+//! pure function of the state, so every word is computed from its
+//! address when read, and a page is materialized on its first write.
+//! Only the pointer-chase list is written at generation
+//! ([`ThreadImage::memory_words`] counts its pages), so generating an
+//! image and building CPUs from it take microseconds even for the
+//! 12 MiB MEM working sets.
+//!
 //! # Example
 //!
 //! ```
@@ -43,4 +52,4 @@ mod rng;
 pub use generator::ThreadImage;
 pub use mixes::{mixes_for_group, Mix, WorkloadGroup, ALL_GROUPS};
 pub use profile::{Benchmark, BenchmarkProfile, ThreadClass, ALL_BENCHMARKS};
-pub use rng::{WideRng, WorkloadRng};
+pub use rng::WorkloadRng;

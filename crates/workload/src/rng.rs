@@ -6,19 +6,18 @@
 //! pair must produce the identical program on every host and toolchain,
 //! which a fully specified in-repo generator guarantees.
 //!
-//! Two lane-parallel forms ride on the same algorithm (the batch
-//! engine's image generator uses them; `crates/workload/tests/wide_rng.rs`
-//! proves both bit-identical to the scalar stream):
+//! splitmix64 advances its state by a fixed odd gamma per draw, so the
+//! `k`-th upcoming output is a pure function `mix(state + k·GAMMA)` of
+//! the current state. Two operations ride on that:
 //!
-//! * [`WorkloadRng::next_block`] — the next `k` outputs of *one* stream,
-//!   computed lane-parallel. splitmix64 advances its state by a fixed
-//!   odd gamma per draw, so the `i`-th upcoming output is a pure
-//!   function `mix(state + i·GAMMA)` of the current state: a block of
-//!   consecutive outputs has no loop-carried dependence and the
-//!   autovectorizer can lower the per-lane mix to SIMD.
-//! * [`WideRng`] — `L` *independent* streams advanced in lockstep, one
-//!   array of states mixed per call; lane `i` is bit-identical to a
-//!   scalar [`WorkloadRng`] seeded with lane `i`'s seed.
+//! * [`WorkloadRng::advance`] skips `n` draws in O(1). A workload image
+//!   records the state at the start of each random-valued region and
+//!   skips past it, so any word of the region can be computed later
+//!   from its address alone.
+//! * [`WorkloadRng::next_block`] computes the next `k` outputs of the
+//!   stream lane-parallel: a block of consecutive outputs has no
+//!   loop-carried dependence, so the autovectorizer can lower the
+//!   per-lane mix to SIMD. An image fills a page through it.
 
 /// splitmix64's fixed odd state increment (2⁶⁴/φ, Weyl sequence).
 const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -49,12 +48,18 @@ impl WorkloadRng {
         mix(self.0)
     }
 
+    /// Skips the next `n` draws: afterwards the stream continues
+    /// exactly as after `n` [`WorkloadRng::next_u64`] calls.
+    pub fn advance(&mut self, n: u64) {
+        self.0 = self.0.wrapping_add(GAMMA.wrapping_mul(n));
+    }
+
     /// Fills `out` with the stream's next `out.len()` outputs —
     /// bit-identical to that many [`WorkloadRng::next_u64`] calls, but
     /// without a loop-carried dependence: within each chunk the lane
     /// states are `state + (i+1)·GAMMA` and the mix applies per lane,
-    /// a shape the autovectorizer lowers to SIMD. Used by the batch
-    /// engine's wide image-generation path.
+    /// a shape the autovectorizer lowers to SIMD. Workload images fill
+    /// a page through this.
     pub fn next_block(&mut self, out: &mut [u64]) {
         const LANES: usize = 8;
         let mut chunks = out.chunks_exact_mut(LANES);
@@ -107,44 +112,6 @@ impl WorkloadRng {
             let j = self.below(i as u64 + 1) as usize;
             items.swap(i, j);
         }
-    }
-}
-
-/// `L` independent splitmix64 streams advanced in lockstep: one call
-/// steps every lane's state and mixes them as an array (no cross-lane
-/// dependence, so the loop autovectorizes). Lane `i` emits exactly the
-/// stream of `WorkloadRng::seed_from_u64(seeds[i])`.
-#[derive(Clone, Debug)]
-pub struct WideRng<const L: usize> {
-    states: [u64; L],
-}
-
-impl<const L: usize> WideRng<L> {
-    /// One stream per seed.
-    pub fn from_seeds(seeds: [u64; L]) -> Self {
-        WideRng { states: seeds }
-    }
-
-    /// Streams seeded `base, base+1, …, base+L-1` — the workload
-    /// convention (thread `i` of a mix uses `seed + i`).
-    pub fn seed_offsets(base: u64) -> Self {
-        let mut states = [0u64; L];
-        for (i, s) in states.iter_mut().enumerate() {
-            *s = base.wrapping_add(i as u64);
-        }
-        WideRng { states }
-    }
-
-    /// Advances every lane one draw and returns the `L` outputs.
-    pub fn next_lanes(&mut self) -> [u64; L] {
-        let mut out = [0u64; L];
-        for s in self.states.iter_mut() {
-            *s = s.wrapping_add(GAMMA);
-        }
-        for (dst, s) in out.iter_mut().zip(self.states) {
-            *dst = mix(s);
-        }
-        out
     }
 }
 
@@ -206,14 +173,55 @@ mod tests {
         assert_eq!(wide.next_u64(), scalar.next_u64(), "state resumes");
     }
 
+    const SEEDS: [u64; 6] = [0, 1, 42, 0xDEAD_BEEF, u64::MAX - 3, u64::MAX];
+
     #[test]
-    fn wide_lanes_match_scalars() {
-        let mut wide = WideRng::<4>::seed_offsets(100);
-        let mut scalars: Vec<WorkloadRng> = (100..104).map(WorkloadRng::seed_from_u64).collect();
-        for _ in 0..64 {
-            let lanes = wide.next_lanes();
-            for (lane, s) in lanes.iter().zip(scalars.iter_mut()) {
-                assert_eq!(*lane, s.next_u64());
+    fn next_block_matches_scalar_for_every_length() {
+        for &seed in &SEEDS {
+            for len in 0..=33usize {
+                let mut blocked = WorkloadRng::seed_from_u64(seed);
+                let mut scalar = WorkloadRng::seed_from_u64(seed);
+                let mut buf = vec![0u64; len];
+                blocked.next_block(&mut buf);
+                for (i, &v) in buf.iter().enumerate() {
+                    assert_eq!(v, scalar.next_u64(), "seed {seed} len {len} draw {i}");
+                }
+                // The stream must resume at the same position.
+                for _ in 0..4 {
+                    assert_eq!(blocked.next_u64(), scalar.next_u64());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn next_block_interleaves_with_scalar_draws() {
+        let mut blocked = WorkloadRng::seed_from_u64(9);
+        let mut scalar = WorkloadRng::seed_from_u64(9);
+        for round in 0..8 {
+            let len = (round * 5) % 17;
+            let mut buf = vec![0u64; len];
+            blocked.next_block(&mut buf);
+            for &v in &buf {
+                assert_eq!(v, scalar.next_u64());
+            }
+            assert_eq!(blocked.next_u64(), scalar.next_u64());
+        }
+    }
+
+    #[test]
+    fn advance_skips_exactly_n_draws() {
+        for &seed in &SEEDS {
+            for n in [0u64, 1, 2, 7, 256, 1 << 20] {
+                let mut skipped = WorkloadRng::seed_from_u64(seed);
+                skipped.advance(n);
+                let mut drawn = WorkloadRng::seed_from_u64(seed);
+                for _ in 0..n {
+                    drawn.next_u64();
+                }
+                for _ in 0..4 {
+                    assert_eq!(skipped.next_u64(), drawn.next_u64(), "seed {seed} n {n}");
+                }
             }
         }
     }
