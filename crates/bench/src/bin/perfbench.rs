@@ -12,18 +12,11 @@
 //! `{bench_name: {"wall_ms": .., "cycles_simulated": .., "cycles_per_sec": ..}}`
 //! so the perf trajectory is tracked in the repository.
 //!
-//! Two further regime families time the sweep layer rather than one
-//! simulation:
-//!
-//! * `sweep12_batch{1,4,8}` run a fig1-style 12-cell matrix
-//!   ({ILP4, MEM4, MIX4} × {ICOUNT, STALL, FLUSH, RaT}, first mix) on
-//!   one worker thread through [`rat_bench::run_cells`] at the given
-//!   `--batch` width, at a fortieth of the configured quota — small
-//!   cells, where per-cell setup weighs most, which is what the
-//!   lockstep batch engine amortizes. Results are bit-identical across
-//!   widths, so the cycles/sec ratio *is* the orchestration speedup.
-//! * `sweep12_batch8_noshare` is the ablation cell: the same batch-8
-//!   sweep with the image cache disabled.
+//! One further regime, `sweep12`, times the sweep layer rather than one
+//! simulation: a fig1-style 12-cell matrix ({ILP4, MEM4, MIX4} ×
+//! {ICOUNT, STALL, FLUSH, RaT}, first mix) on one worker thread through
+//! [`rat_bench::run_cells`], at a fortieth of the configured quota —
+//! small cells, where per-cell setup weighs most.
 //!
 //! The simulated *numbers* are identical with and without `noskip`
 //! (enforced by `tests/cycle_skip.rs`); only wall-clock differs, which
@@ -45,7 +38,7 @@
 
 use std::time::Instant;
 
-use rat_bench::{run_batch, run_cells, BatchOptions, SweepCell, SweepSession, TableWriter};
+use rat_bench::{run_cells, SweepCell, SweepSession, TableWriter};
 use rat_core::{RunConfig, Runner};
 use rat_smt::{PolicyKind, SmtConfig, SmtSimulator};
 use rat_workload::{mixes_for_group, ThreadImage, WorkloadGroup};
@@ -241,11 +234,10 @@ fn run_bench(s: &BenchSpec, args: &Args) -> BenchResult {
     }
 }
 
-/// The sweep regimes run at a fortieth of the single-cell quota: a
+/// The sweep regime runs at a fortieth of the single-cell quota: a
 /// many-small-cells sweep (the `--quick` figure-sweep shape) is where
-/// per-cell setup is a measurable slice of the wall clock, which is
-/// the overhead the batch engine exists to amortize (at full quota the
-/// simulation loop drowns it below the timing noise).
+/// per-cell setup is a measurable slice of the wall clock (at full
+/// quota the simulation loop drowns it below the timing noise).
 fn sweep_runner(args: &Args) -> Runner {
     Runner::new(
         SmtConfig::hpca2008_baseline(),
@@ -258,7 +250,7 @@ fn sweep_runner(args: &Args) -> Runner {
     )
 }
 
-/// The fig1-style 12-cell matrix the sweep regimes time.
+/// The fig1-style 12-cell matrix the sweep regime times.
 fn sweep_cells(runner: &Runner) -> Vec<SweepCell<'_>> {
     let groups = [
         WorkloadGroup::Ilp4,
@@ -285,49 +277,19 @@ fn sweep_cells(runner: &Runner) -> Vec<SweepCell<'_>> {
     cells
 }
 
-/// Folds a sweep's results into one [`BenchResult`] row. The simulated
-/// numbers are bit-identical at every batch width, so two rows' cycle
-/// counts always match and their cycles/sec ratio is purely the
-/// orchestration (setup amortization) speedup.
-fn sweep_result(
-    name: &'static str,
-    results: Vec<Option<rat_core::MixResult>>,
-    wall: std::time::Duration,
-) -> BenchResult {
-    let mut cycles = 0u64;
-    let mut committed = 0u64;
-    for r in results.iter().map(|r| r.as_ref().expect("cell completed")) {
-        cycles += r.cycles;
-        committed += r.thread_stats.iter().map(|t| t.committed).sum::<u64>();
-    }
-    BenchResult {
-        name,
-        wall_ms: wall.as_secs_f64() * 1e3,
-        cycles,
-        cycles_per_sec: cycles as f64 / wall.as_secs_f64().max(1e-9),
-        skipped: 0,
-        replayed: 0,
-        committed,
-    }
-}
-
 /// Times the 12-cell matrix through the production sweep path
-/// ([`run_cells`], one worker thread) at the given `--batch` width.
-/// Best of three repetitions (results are identical each rep, so only
-/// the wall clock varies): one rep's scheduling noise is on the order
-/// of the setup cost the regimes measure.
-fn run_sweep_bench(name: &'static str, batch: usize, args: &Args) -> BenchResult {
+/// ([`run_cells`], one worker thread). Best of three repetitions
+/// (results are identical each rep, so only the wall clock varies):
+/// one rep's scheduling noise is on the order of the setup cost the
+/// regime measures.
+fn run_sweep_bench(args: &Args) -> BenchResult {
     let runner = sweep_runner(args);
     let cells = sweep_cells(&runner);
-    let session = SweepSession {
-        batch,
-        ..SweepSession::none()
-    };
     let reps = if args.smoke { 1 } else { 3 };
     let mut best: Option<(Vec<Option<rat_core::MixResult>>, std::time::Duration)> = None;
     for _ in 0..reps {
         let started = Instant::now();
-        let report = run_cells(&cells, 1, &session);
+        let report = run_cells(&cells, 1, &SweepSession::none());
         let wall = started.elapsed();
         assert!(report.failures.is_empty(), "sweep bench cell failed");
         if best.as_ref().is_none_or(|(_, w)| wall < *w) {
@@ -335,39 +297,21 @@ fn run_sweep_bench(name: &'static str, batch: usize, args: &Args) -> BenchResult
         }
     }
     let (results, wall) = best.unwrap();
-    sweep_result(name, results, wall)
-}
-
-/// Times the 12-cell matrix through the batch engine directly with
-/// `opts` — the ablation cell. Best of three repetitions, like
-/// [`run_sweep_bench`].
-fn run_sweep_ablation(name: &'static str, opts: BatchOptions, args: &Args) -> BenchResult {
-    let runner = sweep_runner(args);
-    let cells = sweep_cells(&runner);
-    let queue: Vec<usize> = (0..cells.len()).collect();
-    let reps = if args.smoke { 1 } else { 3 };
-    let mut best: Option<(Vec<Option<rat_core::MixResult>>, std::time::Duration)> = None;
-    for _ in 0..reps {
-        let mut results: Vec<Option<rat_core::MixResult>> = vec![None; cells.len()];
-        let started = Instant::now();
-        run_batch(
-            &cells,
-            &queue,
-            &opts,
-            None,
-            None,
-            None,
-            &mut |ci, outcome| {
-                results[ci] = Some(outcome.expect("sweep bench cell failed"));
-            },
-        );
-        let wall = started.elapsed();
-        if best.as_ref().is_none_or(|(_, w)| wall < *w) {
-            best = Some((results, wall));
-        }
+    let mut cycles = 0u64;
+    let mut committed = 0u64;
+    for r in results.iter().map(|r| r.as_ref().expect("cell completed")) {
+        cycles += r.cycles;
+        committed += r.thread_stats.iter().map(|t| t.committed).sum::<u64>();
     }
-    let (results, wall) = best.unwrap();
-    sweep_result(name, results, wall)
+    BenchResult {
+        name: "sweep12",
+        wall_ms: wall.as_secs_f64() * 1e3,
+        cycles,
+        cycles_per_sec: cycles as f64 / wall.as_secs_f64().max(1e-9),
+        skipped: 0,
+        replayed: 0,
+        committed,
+    }
 }
 
 /// Serializes the results as the tracked JSON artifact (hand-rolled;
@@ -471,23 +415,7 @@ fn main() {
     }
 
     let mut results: Vec<BenchResult> = BENCHES.iter().map(|s| run_bench(s, &args)).collect();
-    // One untimed sweep first: the sweep regimes have a much larger
-    // allocation footprint than the single-cell benches above, and the
-    // first one otherwise pays one-time page-fault/frequency-ramp costs
-    // that would bias the batch1-vs-batchN ratios.
-    std::hint::black_box(run_sweep_bench("sweep_warmup", 8, &args));
-    results.push(run_sweep_bench("sweep12_batch1", 1, &args));
-    results.push(run_sweep_bench("sweep12_batch4", 4, &args));
-    results.push(run_sweep_bench("sweep12_batch8", 8, &args));
-    results.push(run_sweep_ablation(
-        "sweep12_batch8_noshare",
-        BatchOptions {
-            share_images: false,
-            ..BatchOptions::new(8)
-        },
-        &args,
-    ));
-    let results = results;
+    results.push(run_sweep_bench(&args));
 
     let mut t = TableWriter::new(&[
         "bench",
@@ -534,18 +462,6 @@ fn main() {
         "mix4_rat",
         "mix4_rat_nodrain",
         "MIX4, RaT, post-quota drain",
-    );
-    speedup_line(
-        &results,
-        "sweep12_batch8",
-        "sweep12_batch1",
-        "12-cell sweep, lockstep batch 8",
-    );
-    speedup_line(
-        &results,
-        "sweep12_batch8",
-        "sweep12_batch8_noshare",
-        "batch 8, image-cache ablation",
     );
 
     let json = to_json(&results);

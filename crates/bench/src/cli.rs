@@ -13,8 +13,7 @@ use rat_smt::PolicyKind;
 /// the cycle-skipping ablation), `--no-drain` (keep every thread at full
 /// fidelity past its quota — the FAME-overshoot ablation),
 /// `--cell-timeout SECS` (wall-clock watchdog per sweep cell),
-/// `--batch N` (lockstep batch width per worker), `--quick` (tiny
-/// preset).
+/// `--quick` (tiny preset).
 #[derive(Clone, Debug)]
 pub struct HarnessArgs {
     /// Per-thread committed-instruction quota for measurement.
@@ -60,12 +59,6 @@ pub struct HarnessArgs {
     /// policy names resolved by [`PolicyKind::from_name`]. `None` keeps
     /// each figure's full default set.
     pub policies: Option<Vec<String>>,
-    /// Lockstep batch width: each sweep worker advances up to this many
-    /// cells concurrently in `rat_core::SLICE_CYCLES` quanta, sharing
-    /// workload images across the batch. `1` (the default)
-    /// runs the plain one-cell-at-a-time path. Output is bit-identical
-    /// at any width.
-    pub batch: usize,
 }
 
 impl Default for HarnessArgs {
@@ -84,7 +77,6 @@ impl Default for HarnessArgs {
             fault_plan: None,
             cell_timeout: None,
             policies: None,
-            batch: 1,
         }
     }
 }
@@ -162,13 +154,6 @@ impl HarnessArgs {
                     }
                     out.policies = Some(names);
                 }
-                "--batch" => {
-                    let width = num(&mut args) as usize;
-                    if width == 0 {
-                        panic!("expected a width >= 1 after --batch");
-                    }
-                    out.batch = width;
-                }
                 "--quick" => {
                     out.insts = 8_000;
                     out.warmup = 3_000;
@@ -182,7 +167,6 @@ impl HarnessArgs {
                          --fault-plan SPEC (panic@C,flip@R,torn@R,enospc@R or seed:N)  \
                          --cell-timeout SECS (abandon a cell still simulating after SECS)  \
                          --policies A,B,.. (restrict the policy set)  \
-                         --batch N (lockstep cells per worker; output identical at any width)  \
                          --no-skip  --no-drain  --quick"
                     );
                     std::process::exit(0);
@@ -328,19 +312,6 @@ mod tests {
     #[should_panic(expected = "--fault-plan")]
     fn bad_fault_plan_fails_fast() {
         HarnessArgs::parse(["--fault-plan", "explode@9"].iter().map(|s| s.to_string()));
-    }
-
-    #[test]
-    fn batch_flag() {
-        assert_eq!(HarnessArgs::default().batch, 1);
-        let a = HarnessArgs::parse(["--batch", "8"].iter().map(|s| s.to_string()));
-        assert_eq!(a.batch, 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "--batch")]
-    fn zero_batch_fails_fast() {
-        HarnessArgs::parse(["--batch", "0"].iter().map(|s| s.to_string()));
     }
 
     #[test]

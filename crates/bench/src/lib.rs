@@ -6,8 +6,9 @@
 //! orchestration ([`policy_matrix`], [`run_cells`]), and table
 //! formatting ([`TableWriter`], aligned text or `--csv` machine-readable
 //! output). Sweeps run the experiment matrix over all cores by default
-//! (`--threads N` to restrict); output is deterministic at any thread
-//! count.
+//! (`--threads N` to restrict): each worker claims the next cell from a
+//! shared cursor and simulates it to completion, so uneven cells
+//! balance across workers. Output is deterministic at any thread count.
 //!
 //! Sweeps are crash-safe: workers are panic-isolated (a failing cell is
 //! reported with its full identity while every healthy cell completes),
@@ -16,12 +17,10 @@
 //! kill, and `--fault-plan` drives the deterministic fault-injection
 //! harness that tests all of the above.
 
-pub mod batch;
 pub mod cli;
 pub mod sweep;
 pub mod table;
 
-pub use batch::{run_batch, BatchOptions};
 pub use cli::HarnessArgs;
 pub use sweep::{
     emit_truncation_note, mark_row_label, policy_matrix, report_failures, run_cells,

@@ -87,12 +87,6 @@ pub struct SweepSession {
     /// running, and a running cell's budget is clipped to the time
     /// remaining. Journal replays are exempt — warm cells are free.
     pub deadline: Option<Instant>,
-    /// Lockstep batch width (`--batch N`): each sweep worker advances up
-    /// to this many cells in lockstep through the batch engine
-    /// ([`crate::batch::run_batch`]). `0` or `1` runs the plain
-    /// one-cell-at-a-time path. Results, journals, and failure reports
-    /// are bit-identical at any width (`tests/batch_lockstep.rs`).
-    pub batch: usize,
 }
 
 impl SweepSession {
@@ -131,7 +125,6 @@ impl SweepSession {
             fault_plan,
             cell_timeout: args.cell_timeout.map(Duration::from_secs_f64),
             deadline: None,
-            batch: args.batch,
         }
     }
 }
@@ -196,12 +189,11 @@ pub fn run_cells(cells: &[SweepCell<'_>], threads: usize, session: &SweepSession
 
 /// [`run_cells`] with a per-cell delivery callback: `on_cell(i, outcome)`
 /// fires the moment cell `i`'s outcome is known — replayed from the
-/// journal, computed, timed out, or (on the batch path) panicked — from
-/// whichever worker thread produced it, after the result has been
-/// journaled. The sweep server streams `RESULT` lines from here. On the
-/// plain path a *panicking* cell's failure is only known once the
-/// worker pool unwinds, so it is reported in the returned
-/// [`SweepReport`] but not through the callback.
+/// journal, computed, or timed out — from whichever worker thread
+/// produced it, after the result has been journaled. The sweep server
+/// streams `RESULT` lines from here. A *panicking* cell's failure is
+/// only known once the worker pool unwinds, so it is reported in the
+/// returned [`SweepReport`] but not through the callback.
 pub fn run_cells_streaming(
     cells: &[SweepCell<'_>],
     threads: usize,
@@ -235,88 +227,61 @@ pub fn run_cells_streaming(
         outcome
     };
 
+    let computed_results = parallel::par_map_isolated(threads, &missing, |_, &ci| {
+        if let Some(plan) = &session.fault_plan {
+            if plan.should_panic(ci) {
+                panic!("injected fault: worker panic at cell {ci}");
+            }
+        }
+        // The cell's wall-clock budget: the watchdog, clipped to
+        // whatever is left of the request deadline. A cell that cannot
+        // even start before the deadline times out without simulating.
+        let mut budget = session.cell_timeout;
+        if let Some(deadline) = session.deadline {
+            let now = Instant::now();
+            if now >= deadline {
+                return settle(
+                    ci,
+                    Err(parallel::CellError::timeout(
+                        ci,
+                        "request deadline expired before the cell started",
+                    )),
+                );
+            }
+            let left = deadline - now;
+            budget = Some(budget.map_or(left, |b| b.min(left)));
+        }
+        let outcome = cells[ci]
+            .runner
+            .run_mix_budgeted(&cells[ci].mix, cells[ci].policy, budget)
+            .map_err(|elapsed| {
+                parallel::CellError::timeout(
+                    ci,
+                    format!(
+                        "abandoned after {:.3}s of wall clock",
+                        elapsed.as_secs_f64()
+                    ),
+                )
+            });
+        settle(ci, outcome)
+    });
+
     let mut failures = Vec::new();
     let mut computed = 0usize;
-    if session.batch > 1 {
-        run_cells_batched(
-            cells,
-            threads,
-            session,
-            &missing,
-            &settle,
-            |ci, outcome| match outcome {
-                Ok(r) => {
-                    results[ci] = Some(r);
-                    computed += 1;
-                }
-                Err(e) => failures.push(CellFailure {
-                    index: ci,
-                    identity: keys[ci].identity(),
-                    kind: e.kind,
-                    error: e.message,
-                }),
-            },
-        );
-        // The plain path reports failures in cell order (it collects in
-        // `missing` order); batch completion order is scheduling-
-        // dependent, so sort to keep the report identical at any width.
-        failures.sort_by_key(|f| f.index);
-    } else {
-        let computed_results = parallel::par_map_isolated(threads, &missing, |_, &ci| {
-            if let Some(plan) = &session.fault_plan {
-                if plan.should_panic(ci) {
-                    panic!("injected fault: worker panic at cell {ci}");
-                }
+    for (&ci, outcome) in missing.iter().zip(computed_results) {
+        // Two failure layers: the panic isolation wrapper (outer) and
+        // the watchdog/deadline result (inner) — flatten to one.
+        match outcome {
+            Ok(Ok(r)) => {
+                results[ci] = Some(r);
+                computed += 1;
             }
-            // The cell's wall-clock budget: the watchdog, clipped to
-            // whatever is left of the request deadline. A cell that
-            // cannot even start before the deadline times out without
-            // simulating.
-            let mut budget = session.cell_timeout;
-            if let Some(deadline) = session.deadline {
-                let now = Instant::now();
-                if now >= deadline {
-                    return settle(
-                        ci,
-                        Err(parallel::CellError::timeout(
-                            ci,
-                            "request deadline expired before the cell started",
-                        )),
-                    );
-                }
-                let left = deadline - now;
-                budget = Some(budget.map_or(left, |b| b.min(left)));
-            }
-            let outcome = cells[ci]
-                .runner
-                .run_mix_budgeted(&cells[ci].mix, cells[ci].policy, budget)
-                .map_err(|elapsed| {
-                    parallel::CellError::timeout(
-                        ci,
-                        format!(
-                            "abandoned after {:.3}s of wall clock",
-                            elapsed.as_secs_f64()
-                        ),
-                    )
-                });
-            settle(ci, outcome)
-        });
-
-        for (&ci, outcome) in missing.iter().zip(computed_results) {
-            // Two failure layers: the panic isolation wrapper (outer)
-            // and the watchdog/deadline result (inner) — flatten to one.
-            match outcome {
-                Ok(Ok(r)) => {
-                    results[ci] = Some(r);
-                    computed += 1;
-                }
-                Ok(Err(e)) | Err(e) => failures.push(CellFailure {
-                    index: ci,
-                    identity: keys[ci].identity(),
-                    kind: e.kind,
-                    error: e.message,
-                }),
-            }
+            Ok(Err(e)) | Err(e) => failures.push(CellFailure {
+                index: ci,
+                identity: keys[ci].identity(),
+                kind: e.kind,
+                error: e.message,
+            }),
         }
     }
     SweepReport {
@@ -324,72 +289,6 @@ pub fn run_cells_streaming(
         failures,
         replayed,
         computed,
-    }
-}
-
-/// The batch path of [`run_cells_streaming`]: the missing cells are
-/// split into contiguous chunks (one queue per worker, each chunk at
-/// least one batch wide) and each worker drives its queue through the
-/// lockstep engine. `settle` journals/streams from the workers;
-/// `collect` assembles the report on the caller's thread afterwards.
-fn run_cells_batched(
-    cells: &[SweepCell<'_>],
-    threads: usize,
-    session: &SweepSession,
-    missing: &[usize],
-    settle: &(dyn Fn(
-        usize,
-        Result<MixResult, parallel::CellError>,
-    ) -> Result<MixResult, parallel::CellError>
-          + Sync),
-    mut collect: impl FnMut(usize, Result<MixResult, parallel::CellError>),
-) {
-    if missing.is_empty() {
-        return;
-    }
-    let workers = parallel::resolve_threads(threads)
-        .min(missing.len().div_ceil(session.batch))
-        .max(1);
-    let chunk_len = missing.len().div_ceil(workers);
-    let chunks: Vec<&[usize]> = missing.chunks(chunk_len).collect();
-    let opts = crate::batch::BatchOptions::new(session.batch);
-    let per_chunk = parallel::par_map_isolated(threads, &chunks, |_, chunk| {
-        let mut out: Vec<(usize, Result<MixResult, parallel::CellError>)> =
-            Vec::with_capacity(chunk.len());
-        crate::batch::run_batch(
-            cells,
-            chunk,
-            &opts,
-            session.fault_plan.as_ref(),
-            session.cell_timeout,
-            session.deadline,
-            &mut |ci, outcome| out.push((ci, settle(ci, outcome))),
-        );
-        out
-    });
-    for (chunk, outcome) in chunks.iter().zip(per_chunk) {
-        match outcome {
-            Ok(list) => {
-                for (ci, cell_outcome) in list {
-                    collect(ci, cell_outcome);
-                }
-            }
-            // A panic outside any slot's catch_unwind — engine bug, not
-            // a cell fault. Charge every cell of the chunk; journaled
-            // results are not lost, a --resume replays them.
-            Err(e) => {
-                for &ci in chunk.iter() {
-                    collect(
-                        ci,
-                        Err(parallel::CellError {
-                            index: ci,
-                            kind: e.kind,
-                            message: e.message.clone(),
-                        }),
-                    );
-                }
-            }
-        }
     }
 }
 
@@ -572,65 +471,48 @@ mod tests {
     }
 
     #[test]
-    fn batch_path_is_bit_identical_to_plain() {
-        let runner = tiny_runner();
-        let mixes = select_mixes(WorkloadGroup::Mix2, 3);
-        let cells: Vec<SweepCell<'_>> = mixes
-            .iter()
-            .map(|m| SweepCell {
-                runner: &runner,
-                mix: m.clone(),
-                policy: PolicyKind::Rat,
-            })
-            .collect();
-        let plain = run_cells(&cells, 1, &SweepSession::none());
-        for width in [2, 8] {
-            let session = SweepSession {
-                batch: width,
-                ..SweepSession::none()
-            };
-            let batched = run_cells(&cells, 1, &session);
-            assert!(plain.failures.is_empty() && batched.failures.is_empty());
-            for (a, b) in plain.results.iter().zip(&batched.results) {
-                let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-                assert_eq!(
-                    a.throughput().to_bits(),
-                    b.throughput().to_bits(),
-                    "batch {width} must be bit-identical to the plain path"
-                );
-                assert_eq!(a.cycles, b.cycles);
-                assert_eq!(a.ipcs, b.ipcs);
-            }
-        }
-    }
-
-    #[test]
-    fn batch_streaming_delivers_every_cell_once() {
+    fn streamed_cells_are_journaled_before_delivery() {
         use std::sync::Mutex;
         let runner = tiny_runner();
-        let mixes = select_mixes(WorkloadGroup::Ilp2, 3);
-        let cells: Vec<SweepCell<'_>> = mixes
-            .iter()
-            .map(|m| SweepCell {
+        let cells: Vec<SweepCell<'_>> = select_mixes(WorkloadGroup::Ilp2, 4)
+            .into_iter()
+            .map(|mix| SweepCell {
                 runner: &runner,
-                mix: m.clone(),
+                mix,
                 policy: PolicyKind::Icount,
             })
             .collect();
-        let session = SweepSession {
-            batch: 2,
-            fault_plan: Some(FaultPlan::parse("panic@1").unwrap()),
+        let path = std::env::temp_dir().join(format!("rat_sweep_stream_{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let store = Arc::new(ResultStore::open(&path));
+        let journaled = SweepSession {
+            store: Some(Arc::clone(&store)),
             ..SweepSession::none()
         };
+        assert_eq!(run_cells(&cells[..1], 1, &journaled).computed, 1);
+
+        // Cell 0 replays, 1 and 3 compute, 2 panics. Every delivered
+        // cell must already be in the journal when its callback fires:
+        // the server streams `RESULT` lines from the callback.
+        let session = SweepSession {
+            fault_plan: Some(FaultPlan::parse("panic@2").unwrap()),
+            ..journaled
+        };
         let seen = Mutex::new(Vec::new());
-        let report = run_cells_streaming(&cells, 1, &session, &|i, outcome| {
-            seen.lock().unwrap().push((i, outcome.is_ok()));
+        let report = run_cells_streaming(&cells, 2, &session, &|i, outcome| {
+            let stored = store.get(&cells[i].key()).is_some();
+            seen.lock().unwrap().push((i, outcome.is_ok(), stored));
         });
+        let _ = std::fs::remove_file(&path);
         let mut seen = seen.into_inner().unwrap();
         seen.sort_unstable();
-        assert_eq!(seen, vec![(0, true), (1, false), (2, true)]);
-        assert_eq!(report.failures.len(), 1);
-        assert_eq!(report.failures[0].index, 1);
+        assert_eq!(
+            seen,
+            vec![(0, true, true), (1, true, true), (3, true, true)]
+        );
+        assert_eq!((report.replayed, report.computed), (1, 2));
+        let failed: Vec<usize> = report.failures.iter().map(|f| f.index).collect();
+        assert_eq!(failed, vec![2]);
     }
 
     #[test]

@@ -70,10 +70,8 @@ impl std::fmt::Display for CellError {
 }
 
 /// Renders a caught panic payload as the message a [`CellError`]
-/// carries — shared by [`par_map_isolated`] and the batch engine's
-/// per-slot isolation, so a cell fails with the identical report on
-/// either path.
-pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// carries.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -3,8 +3,8 @@
 use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
-use rat_isa::Cpu;
 use rat_mem::MemEventStats;
 use rat_smt::{PolicyKind, SmtConfig, SmtSimulator, ThreadStats};
 use rat_workload::{Benchmark, Mix, ThreadImage};
@@ -112,95 +112,11 @@ pub struct GroupSummary {
     pub incomplete: usize,
 }
 
-/// Cycles simulated between watchdog/scheduler checks (~0.1 s of wall
-/// clock at the simulator's typical Mcycles/s). Both the `--cell-timeout`
-/// watchdog and the batch engine's lockstep round-robin use this as
-/// their scheduling quantum.
+/// Cycles simulated between wall-clock checks of the `--cell-timeout`
+/// watchdog (~0.1 s of wall clock at the simulator's typical
+/// Mcycles/s): [`Runner::run_mix_budgeted`] advances a budgeted cell in
+/// slices of this many cycles and checks its clock before each one.
 pub const SLICE_CYCLES: u64 = 100_000;
-
-/// Which phase a [`MixRun`] is in.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum MixPhase {
-    /// Full-fidelity cache/predictor warmup; statistics are discarded.
-    Warmup,
-    /// The measurement window (post-quota drain active unless
-    /// `no_drain`).
-    Measure,
-    /// Finished; `step` must not be called again.
-    Done,
-}
-
-/// What one [`MixRun::step`] produced.
-pub enum StepOutcome {
-    /// The run needs more slices.
-    Running,
-    /// The run completed (quota reached, or `max_cycles` exhausted —
-    /// the result's `complete` flag distinguishes them).
-    Finished(MixResult),
-}
-
-/// An in-flight simulation of one mix under one policy, advanced in
-/// caller-bounded cycle slices — the resumable form of
-/// [`Runner::run_mix`]. Slicing is free: `run_until_quota` is resumable,
-/// so the finished [`MixResult`] is bit-identical at any slice schedule
-/// (the property the `--cell-timeout` watchdog already relied on, now
-/// shared with the batch engine's lockstep scheduler).
-pub struct MixRun<'a> {
-    runner: &'a Runner,
-    sim: SmtSimulator,
-    mix: Mix,
-    policy: PolicyKind,
-    phase: MixPhase,
-    /// Cycles left in the current phase's `max_cycles` budget.
-    cycles_left: u64,
-}
-
-impl MixRun<'_> {
-    /// Advances the simulation by at most `slice_cycles` (clamped to the
-    /// phase's remaining `max_cycles` budget). Phase transitions happen
-    /// between slices, exactly where the unsliced runner puts them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called again after returning
-    /// [`StepOutcome::Finished`].
-    pub fn step(&mut self, slice_cycles: u64) -> StepOutcome {
-        let quota = match self.phase {
-            MixPhase::Warmup => self.runner.run.warmup_insts,
-            MixPhase::Measure => self.runner.run.insts_per_thread,
-            MixPhase::Done => panic!("MixRun::step after Finished"),
-        };
-        let slice = slice_cycles.min(self.cycles_left);
-        let reached = self.sim.run_until_quota(quota, slice);
-        self.cycles_left = self.cycles_left.saturating_sub(slice);
-        match self.phase {
-            MixPhase::Warmup => {
-                // Warmup that exhausts max_cycles proceeds to the
-                // measurement window regardless (as in the unsliced
-                // runner); only the measurement phase sets `complete`.
-                if reached || self.cycles_left == 0 {
-                    self.sim.reset_stats();
-                    self.sim.set_quota_drain(!self.runner.run.no_drain);
-                    self.phase = MixPhase::Measure;
-                    self.cycles_left = self.runner.run.max_cycles;
-                }
-                StepOutcome::Running
-            }
-            MixPhase::Measure => {
-                if reached || self.cycles_left == 0 {
-                    self.phase = MixPhase::Done;
-                    let r = self
-                        .runner
-                        .finish_mix(&self.sim, &self.mix, self.policy, reached);
-                    StepOutcome::Finished(r)
-                } else {
-                    StepOutcome::Running
-                }
-            }
-            MixPhase::Done => unreachable!(),
-        }
-    }
-}
 
 /// Runs experiments and caches single-thread reference IPCs.
 ///
@@ -399,47 +315,11 @@ impl Runner {
             .enumerate()
             .map(|(i, &b)| ThreadImage::generate(b, seed + i as u64).build_cpu())
             .collect();
-        self.sim_from_cpus(policy, cpus)
-    }
-
-    fn sim_from_cpus(&self, policy: PolicyKind, cpus: Vec<Cpu>) -> SmtSimulator {
         let mut cfg = self.smt;
         cfg.policy = policy;
         let mut sim = SmtSimulator::new(cfg, cpus);
         sim.set_cycle_skip(!self.run.no_skip);
         sim
-    }
-
-    /// Starts `mix` under `policy` as a resumable [`MixRun`]: the caller
-    /// advances it in bounded cycle slices with [`MixRun::step`]. The
-    /// finished result is bit-identical to [`Runner::run_mix`] at any
-    /// slicing (`run_until_quota` is resumable; `tests/cell_timeout.rs`
-    /// and `tests/batch_lockstep.rs` enforce this), which is what lets
-    /// the batch engine round-robin many cells on one thread.
-    pub fn begin_mix(&self, mix: &Mix, policy: PolicyKind) -> MixRun<'_> {
-        let sim = self.build_sim(&mix.benchmarks, policy, self.run.seed);
-        self.mix_run(sim, mix, policy)
-    }
-
-    /// [`Runner::begin_mix`] over caller-built CPU contexts. For a
-    /// bit-identical run, `cpus` must be what [`ThreadImage::generate`]
-    /// `(bench_i, seed + i)` + `build_cpu()` would produce — the batch
-    /// engine guarantees that by building from a cache of exactly those
-    /// images (generated via the bit-identical wide path).
-    pub fn begin_mix_with_cpus(&self, mix: &Mix, policy: PolicyKind, cpus: Vec<Cpu>) -> MixRun<'_> {
-        let sim = self.sim_from_cpus(policy, cpus);
-        self.mix_run(sim, mix, policy)
-    }
-
-    fn mix_run(&self, sim: SmtSimulator, mix: &Mix, policy: PolicyKind) -> MixRun<'_> {
-        MixRun {
-            runner: self,
-            sim,
-            mix: mix.clone(),
-            policy,
-            phase: MixPhase::Warmup,
-            cycles_left: self.run.max_cycles,
-        }
     }
 
     /// Simulates `mix` under `policy`: warmup, stats reset, measurement
@@ -454,19 +334,15 @@ impl Runner {
     /// spent 1847 and 2442 ms in warmup against 1678 and 2797 ms in the
     /// measurement window (quota tail included).
     pub fn run_mix(&self, mix: &Mix, policy: PolicyKind) -> MixResult {
-        let mut run = self.begin_mix(mix, policy);
-        loop {
-            // One maximal slice per phase: exactly the unsliced calls.
-            if let StepOutcome::Finished(r) = run.step(u64::MAX) {
-                return r;
-            }
-        }
+        self.run_mix_budgeted(mix, policy, None)
+            .expect("a run without a budget cannot time out")
     }
 
     /// [`Runner::run_mix`] under a wall-clock watchdog: the simulation
-    /// advances in bounded cycle slices and the elapsed time is checked
-    /// between slices, so a pathological or hung cell is abandoned with
-    /// `Err(elapsed)` instead of wedging its sweep worker forever.
+    /// advances in [`SLICE_CYCLES`]-cycle slices and the elapsed time is
+    /// checked between slices, so a pathological or hung cell is
+    /// abandoned with `Err(elapsed)` instead of wedging its sweep worker
+    /// forever. Without a budget each phase is one `max_cycles` call.
     ///
     /// A run that finishes within its budget is **bit-identical** to
     /// [`Runner::run_mix`]: `run_until_quota` is resumable, so slicing
@@ -478,22 +354,42 @@ impl Runner {
         &self,
         mix: &Mix,
         policy: PolicyKind,
-        budget: Option<std::time::Duration>,
-    ) -> Result<MixResult, std::time::Duration> {
-        let Some(budget) = budget else {
-            return Ok(self.run_mix(mix, policy));
+        budget: Option<Duration>,
+    ) -> Result<MixResult, Duration> {
+        let started = Instant::now();
+        let slice = if budget.is_some() {
+            SLICE_CYCLES
+        } else {
+            u64::MAX
         };
-        let started = std::time::Instant::now();
-        let mut run = self.begin_mix(mix, policy);
-        loop {
-            let elapsed = started.elapsed();
-            if elapsed >= budget {
-                return Err(elapsed);
+        // One phase: slices until every thread reaches `quota` or the
+        // phase's `max_cycles` budget runs out; returns whether the
+        // quota was reached.
+        let phase = |sim: &mut SmtSimulator, quota: u64| -> Result<bool, Duration> {
+            let mut left = self.run.max_cycles;
+            loop {
+                if let Some(budget) = budget {
+                    let elapsed = started.elapsed();
+                    if elapsed >= budget {
+                        return Err(elapsed);
+                    }
+                }
+                let step = slice.min(left);
+                let reached = sim.run_until_quota(quota, step);
+                left -= step;
+                if reached || left == 0 {
+                    return Ok(reached);
+                }
             }
-            if let StepOutcome::Finished(r) = run.step(SLICE_CYCLES) {
-                return Ok(r);
-            }
-        }
+        };
+        let mut sim = self.build_sim(&mix.benchmarks, policy, self.run.seed);
+        // Warmup that exhausts max_cycles proceeds to the measurement
+        // window regardless; only the measurement phase sets `complete`.
+        phase(&mut sim, self.run.warmup_insts)?;
+        sim.reset_stats();
+        sim.set_quota_drain(!self.run.no_drain);
+        let complete = phase(&mut sim, self.run.insts_per_thread)?;
+        Ok(self.finish_mix(&sim, mix, policy, complete))
     }
 
     /// Collects a finished simulation into a [`MixResult`] (warning on a

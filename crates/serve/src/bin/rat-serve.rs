@@ -3,7 +3,7 @@
 //! ```text
 //! rat-serve [--addr HOST:PORT] [--journal PATH] [--max-inflight N]
 //!           [--retry-after-ms N] [--cell-timeout SECS] [--threads N]
-//!           [--batch N] [--fault-plan SPEC]
+//!           [--fault-plan SPEC]
 //! ```
 //!
 //! Prints `LISTENING <addr>` on stdout once bound (with the real port
@@ -49,13 +49,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> ServerConfig {
                     .parse()
                     .unwrap_or_else(|_| panic!("bad --threads"));
             }
-            "--batch" => {
-                cfg.batch = value(&mut args)
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n >= 1)
-                    .unwrap_or_else(|| panic!("bad --batch (want a width >= 1)"));
-            }
             "--fault-plan" => {
                 cfg.fault_plan =
                     Some(FaultPlan::parse(&value(&mut args)).unwrap_or_else(|e| panic!("{e}")));
@@ -64,9 +57,7 @@ fn parse_args(args: impl Iterator<Item = String>) -> ServerConfig {
                 eprintln!(
                     "options: --addr HOST:PORT (default 127.0.0.1:0)  --journal PATH  \
                      --max-inflight N  --retry-after-ms N  --cell-timeout SECS  \
-                     --threads N (0=all cores)  \
-                     --batch N (lockstep cells per worker; results identical at any width)  \
-                     --fault-plan SPEC"
+                     --threads N (0=all cores)  --fault-plan SPEC"
                 );
                 std::process::exit(0);
             }

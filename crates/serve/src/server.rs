@@ -3,12 +3,12 @@
 //! One process owns the shared [`ResultStore`] journal and serves
 //! `SWEEP` batches over TCP: warm cells (already journaled) are
 //! answered from memory, cold cells fan out over the crash-safe sweep
-//! engine ([`rat_bench::run_cells_streaming`], optionally through the
-//! lockstep batch engine at `--batch N`) and are journaled the moment
-//! they complete — so a killed-and-restarted server resumes warm, and a
-//! resubmitted batch is served mostly from cache. Each cell's `RESULT`
-//! line is written as the cell finishes (progressive delivery), with
-//! failure lines and the `DONE` summary after the sweep settles.
+//! engine ([`rat_bench::run_cells_streaming`], one cell per worker at a
+//! time) and are journaled the moment they complete — so a
+//! killed-and-restarted server resumes warm, and a resubmitted batch is
+//! served mostly from cache. Each cell's `RESULT` line is written as
+//! the cell finishes (progressive delivery), with failure lines and the
+//! `DONE` summary after the sweep settles.
 //!
 //! Connections are persistent: one handler thread per connection serves
 //! its requests in turn until the client closes it, sends `SHUTDOWN`,
@@ -97,12 +97,11 @@ pub struct ServerConfig {
     pub cell_timeout: Option<Duration>,
     /// Worker threads per sweep (`0` = all cores).
     pub threads: usize,
-    /// Lockstep batch width per sweep worker (`1` = plain per-cell
-    /// path). Results are bit-identical at any width; wider batches
-    /// share workload images across a request's cells.
-    pub batch: usize,
-    /// Injected worker faults (tests/drills): panics indexed by
-    /// position in each request's cold-cell list.
+    /// Injected worker faults (tests/drills). A request's valid cells
+    /// are grouped by seed, keeping request order, and each group runs
+    /// as its own sweep: `panic@C` fires on the cell at index `C` of
+    /// each seed's group, and only when that cell is cold (a journal
+    /// hit is served, never simulated).
     pub fault_plan: Option<FaultPlan>,
 }
 
@@ -115,7 +114,6 @@ impl Default for ServerConfig {
             retry_after_ms: 200,
             cell_timeout: None,
             threads: 0,
-            batch: 1,
             fault_plan: None,
         }
     }
@@ -494,8 +492,9 @@ fn sanitize(msg: &str) -> String {
 /// computed, from whichever worker finished it) — a client watching the
 /// connection sees results trickle in instead of waiting for the whole
 /// batch. Failure lines (`TIMEOUT`/`ERR`) and the final `DONE` summary
-/// are written after the sweep settles, since a panicking cell on the
-/// plain path is only known once the worker pool unwinds.
+/// are written after the sweep settles: [`run_cells_streaming`] reports
+/// a panicked cell in its returned report, not through the callback.
+/// The request's valid cells run as one sweep per seed, in seed order.
 ///
 /// A write error mid-stream (client vanished) is swallowed per line:
 /// completed cells are already journaled, so the only loss is the dead
@@ -563,7 +562,6 @@ fn run_sweep(
             fault_plan: shared.cfg.fault_plan.clone(),
             cell_timeout: shared.cfg.cell_timeout,
             deadline,
-            batch: shared.cfg.batch,
         };
         let on_cell = |ci: usize, outcome: &Result<MixResult, CellError>| {
             // Stream completions; failures wait for the settled report.

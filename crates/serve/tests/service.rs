@@ -326,7 +326,7 @@ fn results_stream_progressively_as_cells_complete() {
     // Buffered delivery lands every line within microseconds of DONE;
     // with 4 similar serial cells the first result leads DONE by about
     // three quarters of the reply window. Demand a quarter — far above
-    // buffering, far below lockstep noise.
+    // buffering, far below scheduling noise.
     assert!(
         tail > total / 4,
         "first RESULT must lead DONE: lead {tail:?} of {total:?}"
@@ -334,40 +334,6 @@ fn results_stream_progressively_as_cells_complete() {
 
     server.request_shutdown();
     handle.join().unwrap().unwrap();
-}
-
-/// The server's `--batch` width is invisible to clients: the same
-/// request against a batch-8 server yields bit-identical results (and
-/// the same protocol shape) as against a plain batch-1 server.
-#[test]
-fn server_batch_width_is_transparent_to_clients() {
-    let mut replies = Vec::new();
-    for (id, batch) in [(31u64, 1usize), (32, 8)] {
-        let (server, addr, handle) = spawn_server(ServerConfig {
-            batch,
-            ..ServerConfig::default()
-        });
-        let client = Client::new(addr.to_string(), id);
-        let reply = client.sweep(&request(id, 4, None)).unwrap();
-        assert_eq!(reply.done["ok"], 4, "batch {batch}");
-        assert_eq!(reply.computed(), 4, "batch {batch}");
-        replies.push(reply);
-        server.request_shutdown();
-        handle.join().unwrap().unwrap();
-    }
-    for (i, (a, b)) in replies[0]
-        .outcomes
-        .iter()
-        .zip(&replies[1].outcomes)
-        .enumerate()
-    {
-        let (a, b) = (a.result().unwrap(), b.result().unwrap());
-        assert_eq!(
-            encode_result(a),
-            encode_result(b),
-            "cell {i}: batch-8 server must match batch-1 bit for bit"
-        );
-    }
 }
 
 /// A client keeps its connection between sweeps: five sweeps cost the
