@@ -20,10 +20,7 @@ const POLICIES: [PolicyKind; 4] = [
 
 fn main() {
     let args = HarnessArgs::from_env();
-    let mut runner = Runner::new(SmtConfig::hpca2008_baseline(), args.run_config());
-    if let Some(p) = &args.st_cache {
-        runner.set_st_cache_path(p.as_str());
-    }
+    let runner = Runner::new(SmtConfig::hpca2008_baseline(), args.run_config());
     let policies = args.filter_policies(&POLICIES);
     let session = SweepSession::from_args(&args);
 

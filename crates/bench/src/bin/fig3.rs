@@ -23,10 +23,7 @@ const POLICIES: [PolicyKind; 6] = [
 
 fn main() {
     let args = HarnessArgs::from_env();
-    let mut runner = Runner::new(SmtConfig::hpca2008_baseline(), args.run_config());
-    if let Some(p) = &args.st_cache {
-        runner.set_st_cache_path(p.as_str());
-    }
+    let runner = Runner::new(SmtConfig::hpca2008_baseline(), args.run_config());
     // ED² is normalized to ICOUNT, so the baseline always occupies
     // column 0 even when --policies narrows the technique set.
     let mut policies = args.filter_policies(&POLICIES);

@@ -55,20 +55,12 @@ fn main() {
     let args = HarnessArgs::from_env();
     let run = args.run_config();
 
-    let mut runners = [
+    let runners = [
         Runner::new(variant_config(RunaheadVariant::Full), run),
         Runner::new(variant_config(RunaheadVariant::NoPrefetch), run),
         Runner::new(variant_config(RunaheadVariant::NoFetch), run),
         Runner::new(SmtConfig::hpca2008_baseline(), run),
     ];
-    if let Some(p) = &args.st_cache {
-        // One file per variant: the configs differ, so the fingerprints
-        // would invalidate a shared file on every save.
-        for (runner, tag) in runners.iter_mut().zip(["full", "nopf", "nofetch", "base"]) {
-            runner.set_st_cache_path(format!("{p}.{tag}"));
-        }
-    }
-    let runners = runners;
     let policy_of = |which: usize| {
         if which == BASE {
             PolicyKind::Icount

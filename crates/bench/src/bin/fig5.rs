@@ -14,10 +14,7 @@ use rat_workload::{Mix, ALL_GROUPS};
 
 fn main() {
     let args = HarnessArgs::from_env();
-    let mut runner = Runner::new(SmtConfig::hpca2008_baseline(), args.run_config());
-    if let Some(p) = &args.st_cache {
-        runner.set_st_cache_path(p.as_str());
-    }
+    let runner = Runner::new(SmtConfig::hpca2008_baseline(), args.run_config());
     let session = SweepSession::from_args(&args);
 
     let tasks: Vec<(usize, Mix)> = ALL_GROUPS

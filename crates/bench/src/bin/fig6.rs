@@ -10,13 +10,15 @@
 //!
 //! One `Runner` is built *per register-file size* and shared by every
 //! (group, policy) cell of that size — including across the 2-thread and
-//! 4-thread sweeps — so the single-thread reference IPCs behind Eq. 2
-//! fairness are simulated once per (benchmark, size) instead of once per
-//! cell. Cells still run in parallel over all cores.
+//! 4-thread sweeps. Each sweep appends the single-thread reference runs
+//! behind Eq. 2 fairness to its cell list as ordinary journaled cells,
+//! one per (benchmark, size) its runner does not hold yet, so a
+//! reference the 2-thread sweep ran is not run again by the 4-thread
+//! sweep. Cells run in parallel over all cores.
 
 use rat_bench::{
-    emit_truncation_note, mark_row_label, report_failures, run_cells, select_mixes, CellFailure,
-    HarnessArgs, SweepCell, SweepSession, TableWriter,
+    emit_truncation_note, mark_row_label, report_failures, run_cells_with_st_references,
+    select_mixes, CellFailure, HarnessArgs, SweepCell, SweepSession, TableWriter,
 };
 use rat_core::{GroupSummary, MixResult, RunConfig, Runner};
 use rat_smt::{PolicyKind, SmtConfig};
@@ -60,8 +62,8 @@ fn sweep(
 
     // One row per (group, policy, register size); each row fans out into
     // one cell per mix, so panic isolation and journaling are per mix.
-    // Each cell borrows the shared per-size runner, so concurrent cells
-    // of the same size hit one ST-reference cache.
+    // Each cell borrows the shared per-size runner, which records the
+    // references of that size.
     let mixes_of: Vec<Vec<Mix>> = groups
         .iter()
         .map(|&g| select_mixes(g, args.mixes))
@@ -85,7 +87,7 @@ fn sweep(
             });
         }
     }
-    let report = run_cells(&cells, args.threads, session);
+    let report = run_cells_with_st_references(cells, args.threads, session);
     let mut buckets: Vec<Vec<MixResult>> = vec![Vec::new(); tasks.len()];
     for (&row, result) in cell_rows.iter().zip(report.results) {
         if let Some(r) = result {
@@ -136,15 +138,7 @@ fn main() {
     all_sizes.dedup();
     let runners: Vec<(usize, Runner)> = all_sizes
         .iter()
-        .map(|&s| {
-            let mut runner = runner_for_size(s, run);
-            if let Some(p) = &args.st_cache {
-                // One file per register-file size: the references depend
-                // on the hardware, so a shared file would thrash.
-                runner.set_st_cache_path(format!("{p}.{s}r"));
-            }
-            (s, runner)
-        })
+        .map(|&s| (s, runner_for_size(s, run)))
         .collect();
 
     let groups_2t = [
@@ -157,28 +151,6 @@ fn main() {
         WorkloadGroup::Mix4,
         WorkloadGroup::Mem4,
     ];
-
-    // Prewarm every (benchmark, size) ST reference once, in parallel, so
-    // the sweep cells only read the shared caches. Each size only needs
-    // the benchmarks of the sweeps that actually visit it (96/128 are
-    // 2-thread-only, 160 is 4-thread-only, the rest are shared).
-    let benches_of = |groups: &[WorkloadGroup]| -> Vec<_> {
-        groups
-            .iter()
-            .flat_map(|&g| select_mixes(g, args.mixes))
-            .flat_map(|m| m.benchmarks)
-            .collect()
-    };
-    let benches_2t: Vec<_> = benches_of(&groups_2t);
-    let benches_4t: Vec<_> = benches_of(&groups_4t);
-    for (size, runner) in &runners {
-        if SIZES_2T.contains(size) {
-            runner.prewarm_st_references(benches_2t.iter().copied(), args.threads);
-        }
-        if SIZES_4T.contains(size) {
-            runner.prewarm_st_references(benches_4t.iter().copied(), args.threads);
-        }
-    }
 
     let session = SweepSession::from_args(&args);
     let (t2, f2, trunc2, fail2) = sweep(&groups_2t, &SIZES_2T, &runners, &args, &session);

@@ -8,12 +8,12 @@ use rat_smt::PolicyKind;
 /// Flags: `--insts N` (per-thread measurement quota), `--warmup N`,
 /// `--mixes N` (mixes per group), `--seed N`, `--threads N` (simulation
 /// worker threads, 0 = all cores, 1 = serial), `--csv` (machine-readable
-/// output for plotting), `--st-cache PATH` (persist single-thread
-/// reference IPCs across invocations), `--no-skip` (step every cycle —
-/// the cycle-skipping ablation), `--no-drain` (keep every thread at full
-/// fidelity past its quota — the FAME-overshoot ablation),
-/// `--cell-timeout SECS` (wall-clock watchdog per sweep cell),
-/// `--quick` (tiny preset).
+/// output for plotting), `--no-skip` (step every cycle — the
+/// cycle-skipping ablation), `--no-drain` (keep every thread at full
+/// fidelity past its quota — the FAME-overshoot ablation), `--resume
+/// PATH` (result journal, single-thread references included),
+/// `--fault-plan SPEC`, `--cell-timeout SECS` (wall-clock watchdog per
+/// sweep cell), `--policies A,B,..`, `--quick` (tiny preset).
 #[derive(Clone, Debug)]
 pub struct HarnessArgs {
     /// Per-thread committed-instruction quota for measurement.
@@ -29,9 +29,6 @@ pub struct HarnessArgs {
     pub threads: usize,
     /// Emit CSV (titles as `#` comment lines) instead of aligned text.
     pub csv: bool,
-    /// Persist the single-thread reference IPC cache at this path, so
-    /// repeated invocations skip the ST reference simulations.
-    pub st_cache: Option<String>,
     /// Disable event-driven cycle skipping (wall-clock ablation; the
     /// simulated numbers are bit-identical either way).
     pub no_skip: bool,
@@ -41,10 +38,11 @@ pub struct HarnessArgs {
     /// bit-identical either way; post-overlap shared-resource timing
     /// drifts within the bound measured by `tests/quota_drain.rs`.
     pub no_drain: bool,
-    /// Journal path for the crash-safe result store: completed cells
-    /// persist here the moment they finish, and a re-invocation with the
-    /// same path replays them and recomputes only missing/failed cells —
-    /// output is bit-identical to an uninterrupted run.
+    /// Journal path for the crash-safe result store: completed cells —
+    /// the single-thread reference runs among them — persist here the
+    /// moment they finish, and a re-invocation with the same path
+    /// replays them and recomputes only missing/failed cells — output is
+    /// bit-identical to an uninterrupted run.
     pub resume: Option<String>,
     /// Deterministic fault-injection plan
     /// (see [`rat_core::FaultPlan::parse`]): `panic@CELL`, `flip@REC`,
@@ -70,7 +68,6 @@ impl Default for HarnessArgs {
             seed: 42,
             threads: 0,
             csv: false,
-            st_cache: None,
             no_skip: false,
             no_drain: false,
             resume: None,
@@ -103,12 +100,6 @@ impl HarnessArgs {
                 "--seed" => out.seed = num(&mut args),
                 "--threads" => out.threads = num(&mut args) as usize,
                 "--csv" => out.csv = true,
-                "--st-cache" => {
-                    out.st_cache = Some(
-                        args.next()
-                            .unwrap_or_else(|| panic!("expected a path after --st-cache")),
-                    );
-                }
                 "--no-skip" => out.no_skip = true,
                 "--no-drain" => out.no_drain = true,
                 "--resume" => {
@@ -162,7 +153,7 @@ impl HarnessArgs {
                 "--help" | "-h" => {
                     eprintln!(
                         "options: --insts N  --warmup N  --mixes N (0=all)  --seed N  \
-                         --threads N (0=all cores, 1=serial)  --csv  --st-cache PATH  \
+                         --threads N (0=all cores, 1=serial)  --csv  \
                          --resume PATH (crash-safe result journal; replay + recompute)  \
                          --fault-plan SPEC (panic@C,flip@R,torn@R,enospc@R or seed:N)  \
                          --cell-timeout SECS (abandon a cell still simulating after SECS)  \
@@ -220,7 +211,6 @@ mod tests {
         assert!(a.insts > 0 && a.warmup > 0);
         assert_eq!(a.mixes, 0);
         assert_eq!(a.threads, 0, "default uses all cores");
-        assert!(a.st_cache.is_none());
         assert!(!a.no_skip);
         assert!(!a.no_drain, "drain mode is on by default");
     }
@@ -264,13 +254,8 @@ mod tests {
     }
 
     #[test]
-    fn st_cache_and_no_skip_flags() {
-        let a = HarnessArgs::parse(
-            ["--st-cache", "/tmp/st.txt", "--no-skip", "--no-drain"]
-                .iter()
-                .map(|s| s.to_string()),
-        );
-        assert_eq!(a.st_cache.as_deref(), Some("/tmp/st.txt"));
+    fn no_skip_and_no_drain_flags() {
+        let a = HarnessArgs::parse(["--no-skip", "--no-drain"].iter().map(|s| s.to_string()));
         assert!(a.no_skip);
         assert!(a.run_config().no_skip);
         assert!(a.no_drain);

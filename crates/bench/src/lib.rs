@@ -15,7 +15,9 @@
 //! `--resume PATH` journals completed cells to a checksummed
 //! [`rat_core::ResultStore`] for bit-identical replay after a crash or
 //! kill, and `--fault-plan` drives the deterministic fault-injection
-//! harness that tests all of the above.
+//! harness that tests all of the above. The single-thread reference
+//! runs behind Eq. 2 fairness are cells like any other
+//! ([`run_cells_with_st_references`]).
 
 pub mod cli;
 pub mod sweep;
@@ -24,6 +26,7 @@ pub mod table;
 pub use cli::HarnessArgs;
 pub use sweep::{
     emit_truncation_note, mark_row_label, policy_matrix, report_failures, run_cells,
-    run_cells_streaming, select_mixes, CellFailure, SweepCell, SweepReport, SweepSession,
+    run_cells_streaming, run_cells_with_st_references, select_mixes, CellFailure, SweepCell,
+    SweepReport, SweepSession,
 };
 pub use table::TableWriter;

@@ -13,6 +13,10 @@
 //! * journals each completed cell the moment it finishes, so a killed
 //!   sweep resumes where it died.
 //!
+//! [`run_cells_with_st_references`] adds the single-thread reference
+//! runs behind Eq. 2 fairness to a sweep as ordinary cells, so they get
+//! the same replay, isolation, watchdog and journal.
+//!
 //! [`policy_matrix`] builds the standard group × policy matrix on top
 //! and reassembles per-group summaries in deterministic order — the
 //! printed tables are bit-identical at any thread count and across
@@ -132,8 +136,8 @@ impl SweepSession {
 /// One sweep cell: a mix simulated under a policy on a runner's
 /// hardware/methodology configuration.
 pub struct SweepCell<'a> {
-    /// The runner whose configuration (and ST-reference cache) this
-    /// cell uses.
+    /// The runner whose configuration this cell uses (and, for a
+    /// single-thread reference cell, records its result).
     pub runner: &'a Runner,
     /// The simulated mix.
     pub mix: Mix,
@@ -292,6 +296,51 @@ pub fn run_cells_streaming(
     }
 }
 
+/// [`run_cells`] over `cells` plus the single-thread references their
+/// Eq. 2 fairness needs. For each distinct benchmark whose reference a
+/// cell's runner does not hold yet, one reference cell — the
+/// benchmark's [`Mix::single_thread`] mix under ICOUNT on that runner —
+/// is appended to the **tail** of the list, so every given cell keeps
+/// its index and fault plans mean what they meant without references.
+/// The references run through the same executor, journal, watchdog
+/// and panic isolation as the other cells, and each one that completes
+/// (or replays) is recorded in its runner.
+///
+/// The report covers the appended cells too: `results[cells.len()..]`
+/// are the references, and a failed reference is listed in `failures`
+/// as `ST(bench) under ICOUNT`. A summary that later needs a failed
+/// reference simulates it in place, unjournaled.
+pub fn run_cells_with_st_references<'a>(
+    mut cells: Vec<SweepCell<'a>>,
+    threads: usize,
+    session: &SweepSession,
+) -> SweepReport {
+    let given = cells.len();
+    let mut refs: Vec<SweepCell<'a>> = Vec::new();
+    for cell in &cells {
+        for &bench in &cell.mix.benchmarks {
+            let queued = refs
+                .iter()
+                .any(|r| std::ptr::eq(r.runner, cell.runner) && r.mix.benchmarks[0] == bench);
+            if !queued && !cell.runner.has_st_reference(bench) {
+                refs.push(SweepCell {
+                    runner: cell.runner,
+                    mix: Mix::single_thread(bench),
+                    policy: PolicyKind::Icount,
+                });
+            }
+        }
+    }
+    cells.extend(refs);
+    let report = run_cells(&cells, threads, session);
+    for (cell, result) in cells[given..].iter().zip(&report.results[given..]) {
+        if let Some(r) = result {
+            cell.runner.record_st_reference(r);
+        }
+    }
+    report
+}
+
 /// Prints the end-of-sweep failure report (after all healthy cells have
 /// finished) and returns the process exit code: `1` if any cell failed,
 /// `0` otherwise. The caller emits its tables first so partial results
@@ -319,9 +368,10 @@ pub fn report_failures(failures: &[CellFailure]) -> i32 {
 
 /// Runs every Table 2 group under every policy in parallel and returns
 /// `(group, per-policy summary)` rows in `ALL_GROUPS` × `policies`
-/// order, plus the failed cells (empty on a healthy run). ST references
-/// for Eq. 2 fairness are prewarmed (in parallel) first so sweep
-/// workers hit the cache.
+/// order, plus the failed cells (empty on a healthy run). The ST
+/// references for Eq. 2 fairness run as journaled cells after the
+/// matrix cells ([`run_cells_with_st_references`]), so a warm
+/// `--resume` run simulates nothing.
 ///
 /// A `(group, policy)` bucket that lost cells to failures is summarized
 /// over its surviving mixes (an all-failed bucket reports a zeroed
@@ -341,16 +391,10 @@ pub fn policy_matrix(
         .map(|&g| (g, select_mixes(g, mixes_cap)))
         .collect();
 
-    runner.prewarm_st_references(
-        groups
-            .iter()
-            .flat_map(|(_, ms)| ms.iter().flat_map(|m| m.benchmarks.iter().copied())),
-        threads,
-    );
-
     // One task per (group, policy, mix) cell for even load balance.
-    // This group → policy → mix order is the sweep's deterministic cell
-    // list: fault-plan indices and journal replay both refer to it.
+    // This group → policy → mix order, then the references, is the
+    // sweep's deterministic cell list: fault-plan indices and journal
+    // replay both refer to it.
     let mut indices: Vec<(usize, usize)> = Vec::new();
     let mut cells: Vec<SweepCell<'_>> = Vec::new();
     for (gi, (_, mixes)) in groups.iter().enumerate() {
@@ -365,10 +409,11 @@ pub fn policy_matrix(
             }
         }
     }
-    let report = run_cells(&cells, threads, session);
+    let report = run_cells_with_st_references(cells, threads, session);
 
     // Reassemble: cells and results share indices, so grouping is
-    // deterministic regardless of which worker ran what.
+    // deterministic regardless of which worker ran what. The zip stops
+    // before the reference cells at the tail.
     let mut buckets: Vec<Vec<Vec<MixResult>>> =
         vec![vec![Vec::new(); policies.len()]; groups.len()];
     for (&(gi, pi), result) in indices.iter().zip(report.results) {
@@ -414,12 +459,6 @@ pub fn policy_matrix(
             ));
         }
     }
-    if runner.st_cache_rejections() > 0 {
-        line.push_str(&format!(
-            ", st-cache: {} stale record(s) rejected",
-            runner.st_cache_rejections()
-        ));
-    }
     eprintln!("{line}");
     (matrix, report.failures)
 }
@@ -429,6 +468,7 @@ mod tests {
     use super::*;
     use rat_core::RunConfig;
     use rat_smt::SmtConfig;
+    use rat_workload::Benchmark;
 
     fn tiny_runner() -> Runner {
         Runner::new(
@@ -470,6 +510,134 @@ mod tests {
         }
     }
 
+    /// A fresh journal at a per-test temporary path.
+    fn temp_store(tag: &str) -> (std::path::PathBuf, Arc<ResultStore>) {
+        let path = std::env::temp_dir().join(format!("rat_sweep_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let store = Arc::new(ResultStore::open(&path));
+        (path, store)
+    }
+
+    fn journaled(store: &Arc<ResultStore>) -> SweepSession {
+        SweepSession {
+            store: Some(Arc::clone(store)),
+            ..SweepSession::none()
+        }
+    }
+
+    /// The distinct benchmarks of a one-mix-per-group matrix.
+    fn matrix_benchmarks() -> std::collections::BTreeSet<Benchmark> {
+        ALL_GROUPS
+            .iter()
+            .flat_map(|&g| select_mixes(g, 1).remove(0).benchmarks)
+            .collect()
+    }
+
+    fn summary_bits(m: &[(WorkloadGroup, Vec<GroupSummary>)]) -> Vec<[u64; 3]> {
+        m.iter()
+            .flat_map(|(_, ss)| ss.iter())
+            .map(|s| [s.throughput, s.fairness, s.ed2].map(f64::to_bits))
+            .collect()
+    }
+
+    #[test]
+    fn references_replay_from_the_journal_under_their_fingerprint() {
+        let (path, store) = temp_store("st_replay");
+        let policies = [PolicyKind::Icount];
+        let (cold, f1) = policy_matrix(&tiny_runner(), &policies, 1, 2, &journaled(&store));
+        let appended = store.stats().appended;
+        let benches = matrix_benchmarks();
+        assert_eq!(appended as usize, ALL_GROUPS.len() + benches.len());
+
+        // A fresh runner, as a `--resume` run has: every cell, its
+        // references included, replays from the journal.
+        let (warm, f2) = policy_matrix(&tiny_runner(), &policies, 1, 2, &journaled(&store));
+        assert!(f1.is_empty() && f2.is_empty());
+        assert_eq!(
+            store.stats().appended,
+            appended,
+            "the warm run computes nothing"
+        );
+        assert_eq!(summary_bits(&cold), summary_bits(&warm));
+
+        let journal = std::fs::read_to_string(&path).unwrap();
+        let st_records = journal
+            .lines()
+            .filter(|l| l.starts_with("rec ") && l.split(' ').nth(2) == Some("ST"))
+            .count();
+        assert_eq!(st_records, benches.len(), "one ST record per benchmark");
+
+        // The same configuration replays a cell and its two references;
+        // other hardware or another quota is another fingerprint, so
+        // nothing replays. Replayed or computed, the helper records every
+        // reference in its runner before any fairness is asked for.
+        let mut hw = SmtConfig::hpca2008_baseline();
+        hw.int_regs = 256;
+        let mut quota = *tiny_runner().run_config();
+        quota.insts_per_thread += 1;
+        let ilp2 = select_mixes(WorkloadGroup::Ilp2, 1).remove(0);
+        for (runner, replayed_computed) in [
+            (tiny_runner(), (3, 0)),
+            (Runner::new(hw, *tiny_runner().run_config()), (0, 3)),
+            (Runner::new(SmtConfig::hpca2008_baseline(), quota), (0, 3)),
+        ] {
+            let cell = SweepCell {
+                runner: &runner,
+                mix: ilp2.clone(),
+                policy: PolicyKind::Icount,
+            };
+            let report = run_cells_with_st_references(vec![cell], 2, &journaled(&store));
+            assert_eq!((report.replayed, report.computed), replayed_computed);
+            assert!(ilp2.benchmarks.iter().all(|&b| runner.has_st_reference(b)));
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_panicking_reference_fails_alone_and_reruns_alone() {
+        let (path, store) = temp_store("st_panic");
+        let runner = tiny_runner();
+        let policies = [PolicyKind::Icount];
+        // The matrix holds one cell per group, so the first reference
+        // sits at index `ALL_GROUPS.len()`.
+        let session = SweepSession {
+            fault_plan: Some(FaultPlan::parse(&format!("panic@{}", ALL_GROUPS.len())).unwrap()),
+            ..journaled(&store)
+        };
+        let (matrix, failures) = policy_matrix(&runner, &policies, 1, 2, &session);
+        assert_eq!(failures.len(), 1);
+        assert_eq!(failures[0].index, ALL_GROUPS.len());
+        assert_eq!(failures[0].kind, CellErrorKind::Panic);
+        assert!(
+            failures[0].identity.starts_with("ST(")
+                && failures[0].identity.contains(") under ICOUNT [seed 11,"),
+            "{}",
+            failures[0].identity
+        );
+        for (g, summaries) in &matrix {
+            let key = CellKey::new(
+                runner.config_fingerprint(),
+                &select_mixes(*g, 1)[0],
+                PolicyKind::Icount,
+                11,
+            );
+            assert!(store.get(&key).is_some(), "{g} cell journaled");
+            assert_eq!(summaries[0].mixes, 1);
+            assert!(summaries[0].fairness > 0.0, "{g} summary still comes out");
+        }
+
+        let before = store.stats().appended;
+        let (rerun, failures) = policy_matrix(&tiny_runner(), &policies, 1, 2, &journaled(&store));
+        assert!(failures.is_empty());
+        assert_eq!(
+            store.stats().appended,
+            before + 1,
+            "only the reference reruns"
+        );
+        assert_eq!(summary_bits(&matrix), summary_bits(&rerun));
+        let _ = std::fs::remove_file(&path);
+    }
+
     #[test]
     fn streamed_cells_are_journaled_before_delivery() {
         use std::sync::Mutex;
@@ -482,21 +650,16 @@ mod tests {
                 policy: PolicyKind::Icount,
             })
             .collect();
-        let path = std::env::temp_dir().join(format!("rat_sweep_stream_{}", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let store = Arc::new(ResultStore::open(&path));
-        let journaled = SweepSession {
-            store: Some(Arc::clone(&store)),
-            ..SweepSession::none()
-        };
-        assert_eq!(run_cells(&cells[..1], 1, &journaled).computed, 1);
+        let (path, store) = temp_store("stream");
+        let clean = journaled(&store);
+        assert_eq!(run_cells(&cells[..1], 1, &clean).computed, 1);
 
         // Cell 0 replays, 1 and 3 compute, 2 panics. Every delivered
         // cell must already be in the journal when its callback fires:
         // the server streams `RESULT` lines from the callback.
         let session = SweepSession {
             fault_plan: Some(FaultPlan::parse("panic@2").unwrap()),
-            ..journaled
+            ..clean
         };
         let seen = Mutex::new(Vec::new());
         let report = run_cells_streaming(&cells, 2, &session, &|i, outcome| {

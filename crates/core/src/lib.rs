@@ -17,7 +17,8 @@
 //! truncate slow ones.
 //!
 //! Sweeps parallelize over the experiment matrix: [`Runner`] methods take
-//! `&self` (the ST-reference cache is internally synchronized), and
+//! `&self` (the map of single-thread reference IPCs is internally
+//! synchronized), and
 //! [`parallel::par_map`] distributes independent `(mix, policy, config)`
 //! cells over all cores with results in deterministic input order.
 //!

@@ -1,16 +1,15 @@
 //! Experiment execution: mixes, warmup, measurement, ST reference runs.
 
 use std::collections::{BTreeSet, HashMap};
-use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use rat_mem::MemEventStats;
 use rat_smt::{PolicyKind, SmtConfig, SmtSimulator, ThreadStats};
-use rat_workload::{Benchmark, Mix, ThreadImage};
+use rat_workload::{Benchmark, Mix, ThreadImage, WorkloadGroup};
 
 use crate::lock::{get_mut_recover, lock_recover};
-use crate::store::{atomic_write, fnv1a};
+use crate::store::fnv1a;
 use crate::{metrics, parallel};
 
 /// Measurement methodology parameters (instruction quotas, cycle bounds).
@@ -118,33 +117,33 @@ pub struct GroupSummary {
 /// slices of this many cycles and checks its clock before each one.
 pub const SLICE_CYCLES: u64 = 100_000;
 
-/// Runs experiments and caches single-thread reference IPCs.
+/// Runs experiments and holds single-thread reference IPCs.
 ///
 /// The ST references (denominators of Eq. 2) are measured on the same
-/// hardware configuration with the ICOUNT policy, as in the paper.
+/// hardware configuration with the ICOUNT policy, as in the paper: a
+/// reference is the [`Mix::single_thread`] cell of its benchmark,
+/// simulated by [`Runner::run_mix`] like any other cell. A sweep runs
+/// the references it needs as ordinary journaled cells and hands each
+/// result to [`Runner::record_st_reference`]; a reference asked for
+/// and not held is simulated in place. The hardware and the seed are
+/// fixed at construction, so the map is keyed by benchmark alone and
+/// never needs clearing.
 ///
 /// Every measurement method takes `&self`, so one `Runner` can drive a
 /// whole sweep from [`crate::parallel::par_map`] workers concurrently;
-/// the ST-reference cache is internally synchronized. Results are
+/// the reference map is internally synchronized. Results are
 /// deterministic functions of `(mix, policy, config, seed)`, so the
 /// sweep output is identical at any thread count.
 pub struct Runner {
     smt: SmtConfig,
     run: RunConfig,
-    st_cache: Mutex<HashMap<(Benchmark, u64), f64>>,
-    /// Optional persistence for the ST-reference cache (see
-    /// [`Runner::set_st_cache_path`]).
-    st_cache_path: Option<PathBuf>,
+    st_ipcs: Mutex<HashMap<Benchmark, f64>>,
     /// Serialized warning channel: `run_mix` may fire its truncation
     /// warning from concurrent `par_map` workers, so every warning is
     /// emitted (or captured) under this lock — one intact line each,
     /// never interleaved. `Some` captures instead of printing (see
     /// [`Runner::capture_warnings`]).
     warnings: Mutex<Option<Vec<String>>>,
-    /// Persistent-cache records rejected at load (fingerprint mismatch
-    /// or corruption) instead of being silently served; see
-    /// [`Runner::st_cache_rejections`].
-    st_cache_rejected: u64,
 }
 
 impl Runner {
@@ -153,10 +152,8 @@ impl Runner {
         Runner {
             smt,
             run,
-            st_cache: Mutex::new(HashMap::new()),
-            st_cache_path: None,
+            st_ipcs: Mutex::new(HashMap::new()),
             warnings: Mutex::new(None),
-            st_cache_rejected: 0,
         }
     }
 
@@ -189,73 +186,14 @@ impl Runner {
         }
     }
 
-    /// Persists the ST-reference cache at `path`: entries already in the
-    /// file (written by an earlier invocation with the *same hardware
-    /// and methodology* — a fingerprint line guards against mismatches)
-    /// are loaded now, and every reference IPC computed later is saved
-    /// back, so repeated figure invocations skip the single-thread
-    /// reference simulations entirely.
-    ///
-    /// I/O failures are non-fatal: a missing or stale file just means an
-    /// empty starting cache, and a failed save is reported to stderr.
-    pub fn set_st_cache_path(&mut self, path: impl Into<PathBuf>) {
-        let path = path.into();
-        let loaded = load_st_cache(&path, self.st_fingerprint());
-        if loaded.rejected > 0 {
-            self.st_cache_rejected += loaded.rejected as u64;
-            let reason = if loaded.stale {
-                "written for a different hardware/methodology configuration"
-            } else {
-                "malformed or corrupt"
-            };
-            self.warn(format!(
-                "warning: st-cache: rejected {} record(s) in {} ({reason}); \
-                 they will be recomputed, not served stale",
-                loaded.rejected,
-                path.display()
-            ));
-        }
-        if !loaded.entries.is_empty() {
-            eprintln!(
-                "st-cache: loaded {} reference IPC(s) from {}",
-                loaded.entries.len(),
-                path.display()
-            );
-        }
-        get_mut_recover(&mut self.st_cache).extend(loaded.entries);
-        self.st_cache_path = Some(path);
-    }
-
-    /// Number of persistent ST-cache records rejected at load instead of
-    /// being silently served (stale fingerprint or corruption). Sweep
-    /// front ends surface this in their run summary.
-    pub fn st_cache_rejections(&self) -> u64 {
-        self.st_cache_rejected
-    }
-
-    /// Fingerprint of everything a cached ST-reference IPC depends on:
-    /// the hardware configuration (with the policy pinned to ICOUNT,
-    /// which every reference run uses) and the measurement methodology.
-    /// The cycle-skip ablation is excluded on purpose — results are
-    /// bit-identical with and without skipping.
-    fn st_fingerprint(&self) -> u64 {
-        let mut cfg = self.smt;
-        cfg.policy = PolicyKind::Icount;
-        let repr = format!(
-            "{cfg:?}/insts={}/warmup={}/max_cycles={}",
-            self.run.insts_per_thread, self.run.warmup_insts, self.run.max_cycles
-        );
-        fnv1a(repr.as_bytes())
-    }
-
-    /// Fingerprint of everything a multithreaded cell result depends on
-    /// besides its `(mix, policy, seed)` identity: the hardware
-    /// configuration (policy pinned — the cell's policy is a separate
+    /// Fingerprint of everything a cell result depends on besides its
+    /// `(mix, policy, seed)` identity: the hardware configuration
+    /// (policy pinned — the cell's policy is a separate
     /// [`crate::store::CellKey`] component) and the measurement
-    /// methodology. Differs from the ST fingerprint in covering the
-    /// drain ablation, which changes multithreaded (but not
-    /// single-thread) timing; the bit-identical `no_skip` ablation stays
-    /// excluded.
+    /// methodology. It covers the drain ablation, which changes
+    /// multithreaded timing, so `--no-drain` recomputes the
+    /// single-thread references too even though drain never moves them;
+    /// the bit-identical `no_skip` ablation stays excluded.
     pub fn config_fingerprint(&self) -> u64 {
         let mut cfg = self.smt;
         cfg.policy = PolicyKind::Icount;
@@ -269,39 +207,9 @@ impl Runner {
         fnv1a(repr.as_bytes())
     }
 
-    /// Rewrites the persistent cache file from the in-memory map. Call
-    /// with the cache lock held (entries passed in) to keep file and map
-    /// consistent. The write is atomic (tmp file + rename) so a kill
-    /// mid-save can never leave a torn cache file behind.
-    fn save_st_cache(&self, entries: &HashMap<(Benchmark, u64), f64>) {
-        let Some(path) = &self.st_cache_path else {
-            return;
-        };
-        let mut lines: Vec<String> = entries
-            .iter()
-            .map(|(&(b, seed), &ipc)| format!("{} {} {:016x}", b.name(), seed, ipc.to_bits()))
-            .collect();
-        lines.sort(); // deterministic file contents
-        let body = format!(
-            "# rat single-thread reference IPC cache (bench seed ipc-bits-hex)\nfingerprint {:016x}\n{}\n",
-            self.st_fingerprint(),
-            lines.join("\n")
-        );
-        if let Err(e) = atomic_write(path, body.as_bytes()) {
-            eprintln!("st-cache: failed to write {}: {e}", path.display());
-        }
-    }
-
     /// The hardware configuration (policy field is overridden per run).
     pub fn smt_config(&self) -> &SmtConfig {
         &self.smt
-    }
-
-    /// Mutable access (e.g. for the Figure 6 register-file sweep). Clears
-    /// the ST cache since references depend on the hardware.
-    pub fn smt_config_mut(&mut self) -> &mut SmtConfig {
-        get_mut_recover(&mut self.st_cache).clear();
-        &mut self.smt
     }
 
     /// The methodology parameters.
@@ -309,11 +217,11 @@ impl Runner {
         &self.run
     }
 
-    fn build_sim(&self, benches: &[Benchmark], policy: PolicyKind, seed: u64) -> SmtSimulator {
+    fn build_sim(&self, benches: &[Benchmark], policy: PolicyKind) -> SmtSimulator {
         let cpus = benches
             .iter()
             .enumerate()
-            .map(|(i, &b)| ThreadImage::generate(b, seed + i as u64).build_cpu())
+            .map(|(i, &b)| ThreadImage::generate(b, self.run.seed + i as u64).build_cpu())
             .collect();
         let mut cfg = self.smt;
         cfg.policy = policy;
@@ -382,7 +290,7 @@ impl Runner {
                 }
             }
         };
-        let mut sim = self.build_sim(&mix.benchmarks, policy, self.run.seed);
+        let mut sim = self.build_sim(&mix.benchmarks, policy);
         // Warmup that exhausts max_cycles proceeds to the measurement
         // window regardless; only the measurement phase sets `complete`.
         phase(&mut sim, self.run.warmup_insts)?;
@@ -424,30 +332,48 @@ impl Runner {
     }
 
     /// The single-thread reference IPC of `bench` on this hardware
-    /// (ICOUNT policy), cached across calls.
+    /// (ICOUNT policy): the IPC of its [`Mix::single_thread`] cell,
+    /// simulated on first use unless a sweep already recorded it.
     pub fn single_thread_ipc(&self, bench: Benchmark) -> f64 {
-        let key = (bench, self.run.seed);
-        if let Some(&ipc) = lock_recover(&self.st_cache).get(&key) {
+        if let Some(&ipc) = lock_recover(&self.st_ipcs).get(&bench) {
             return ipc;
         }
         // Simulate outside the lock: concurrent callers may duplicate a
-        // reference run, but the value is deterministic so the cache
-        // stays consistent whichever insert lands last.
-        let mut sim = self.build_sim(&[bench], PolicyKind::Icount, self.run.seed);
-        sim.run_until_quota(self.run.warmup_insts, self.run.max_cycles);
-        sim.reset_stats();
-        sim.run_until_quota(self.run.insts_per_thread, self.run.max_cycles);
-        let ipc = sim.stats().thread_ipc(0);
-        let cache = &mut *lock_recover(&self.st_cache);
-        cache.insert(key, ipc);
-        self.save_st_cache(cache);
-        ipc
+        // reference run, but the value is deterministic so the map stays
+        // consistent whichever insert lands last.
+        let r = self.run_mix(&Mix::single_thread(bench), PolicyKind::Icount);
+        self.record_st_reference(&r);
+        r.ipcs[0]
     }
 
-    /// Computes (and caches) the ST reference IPC of every distinct
-    /// benchmark in `benches`, using up to `threads` worker threads.
-    /// Call before a parallel sweep so concurrent [`Runner::fairness`]
-    /// lookups hit the cache instead of duplicating reference runs.
+    /// Whether the reference IPC of `bench` is already held, so
+    /// [`Runner::single_thread_ipc`] will not simulate it.
+    pub fn has_st_reference(&self, bench: Benchmark) -> bool {
+        lock_recover(&self.st_ipcs).contains_key(&bench)
+    }
+
+    /// Records a reference cell's result — the [`Mix::single_thread`]
+    /// mix of a benchmark under ICOUNT, simulated (or replayed from a
+    /// journal) on this runner — as that benchmark's reference IPC.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `result` is not a reference cell's.
+    pub fn record_st_reference(&self, result: &MixResult) {
+        assert!(
+            result.mix.group == WorkloadGroup::St && result.policy == PolicyKind::Icount,
+            "{} under {} is not a single-thread reference",
+            result.mix,
+            result.policy
+        );
+        lock_recover(&self.st_ipcs).insert(result.mix.benchmarks[0], result.ipcs[0]);
+    }
+
+    /// Computes the ST reference IPC of every distinct benchmark in
+    /// `benches`, using up to `threads` worker threads. Unlike a sweep's
+    /// reference cells these runs are unjournaled, not panic-isolated
+    /// and not watched; no figure binary calls this. It stays for the
+    /// repository benchmark's (`ratbench/`) reference probes.
     pub fn prewarm_st_references(
         &self,
         benches: impl IntoIterator<Item = Benchmark>,
@@ -461,12 +387,17 @@ impl Runner {
         parallel::par_map(threads, &unique, |_, &b| self.single_thread_ipc(b));
     }
 
-    /// Equation 2 fairness for a mix result, using cached ST references.
+    /// Equation 2 fairness for a mix result, against the ST references
+    /// of [`Runner::single_thread_ipc`].
     ///
-    /// Note: a mix's thread `i` is generated with seed `seed + i`, while
-    /// the ST reference uses seed `seed`; synthetic programs are
-    /// statistically stationary so the seed offset does not bias the
-    /// reference.
+    /// Known bias: a mix's thread `i` is generated with seed `seed + i`,
+    /// while every reference uses seed `seed`. The synthetic programs
+    /// are not stationary across seeds, so thread `i > 0` is divided by
+    /// another image's IPC. At default quotas art's reference IPC at
+    /// seeds 43/44/45 is 39/52/30% above its seed-42 value, and twelve
+    /// benchmarks move by 4% or more at some offset. Keying references
+    /// by each thread's own seed is an open ROADMAP item, because it
+    /// changes published values.
     pub fn fairness(&self, result: &MixResult) -> f64 {
         let st: Vec<f64> = result
             .mix
@@ -505,68 +436,6 @@ impl Runner {
         let results: Vec<MixResult> = mixes.iter().map(|mix| self.run_mix(mix, policy)).collect();
         self.summarize(&results)
     }
-}
-
-/// What [`load_st_cache`] found at a persistent-cache path.
-#[derive(Default)]
-struct StCacheLoad {
-    /// Entries whose fingerprint matched and whose line parsed.
-    entries: HashMap<(Benchmark, u64), f64>,
-    /// Records rejected instead of silently served: every entry line
-    /// that did not make it into `entries`.
-    rejected: usize,
-    /// Whether rejections came from a fingerprint mismatch (a stale
-    /// file for a different configuration) rather than corruption.
-    stale: bool,
-}
-
-/// Parses a persistent ST-cache file, keeping entries only when the
-/// file's fingerprint matches `fingerprint`. Nothing untrusted is ever
-/// served: records under a mismatched (or missing) fingerprint and
-/// malformed lines are counted as rejected so the caller can warn and
-/// surface the count in its run summary.
-fn load_st_cache(path: &Path, fingerprint: u64) -> StCacheLoad {
-    let mut out = StCacheLoad::default();
-    let Ok(body) = std::fs::read_to_string(path) else {
-        return out;
-    };
-    let mut fingerprint_ok = false;
-    for line in body.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if let Some(hex) = line.strip_prefix("fingerprint ") {
-            fingerprint_ok = u64::from_str_radix(hex.trim(), 16) == Ok(fingerprint);
-            if !fingerprint_ok {
-                out.stale = true;
-            }
-            continue;
-        }
-        if !fingerprint_ok {
-            // Entries before (or without) a matching fingerprint line
-            // are untrusted — likely a stale file for other hardware or
-            // methodology. Count, never serve.
-            out.rejected += 1;
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let (Some(bench), Some(seed), Some(bits)) = (parts.next(), parts.next(), parts.next())
-        else {
-            out.rejected += 1;
-            continue;
-        };
-        let (Some(bench), Ok(seed), Ok(bits)) = (
-            Benchmark::from_name(bench),
-            seed.parse::<u64>(),
-            u64::from_str_radix(bits, 16),
-        ) else {
-            out.rejected += 1;
-            continue;
-        };
-        out.entries.insert((bench, seed), f64::from_bits(bits));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -610,6 +479,26 @@ mod tests {
     }
 
     #[test]
+    fn recorded_reference_is_served_without_simulating() {
+        let runner = Runner::new(SmtConfig::hpca2008_baseline(), quick());
+        let mut r = runner.run_mix(&Mix::single_thread(Benchmark::Gzip), PolicyKind::Icount);
+        assert!(!runner.has_st_reference(Benchmark::Gzip));
+        // A value no simulation produces: serving it proves the lookup.
+        r.ipcs[0] = 1234.5;
+        runner.record_st_reference(&r);
+        assert!(runner.has_st_reference(Benchmark::Gzip));
+        assert_eq!(runner.single_thread_ipc(Benchmark::Gzip), 1234.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a single-thread reference")]
+    fn only_reference_cells_are_recorded() {
+        let runner = Runner::new(SmtConfig::hpca2008_baseline(), quick());
+        let r = runner.run_mix(&Mix::single_thread(Benchmark::Gzip), PolicyKind::Rat);
+        runner.record_st_reference(&r);
+    }
+
+    #[test]
     fn fairness_bounded_for_ilp_mix() {
         let runner = Runner::new(SmtConfig::hpca2008_baseline(), quick());
         let mix = &mixes_for_group(WorkloadGroup::Ilp2)[0];
@@ -619,108 +508,10 @@ mod tests {
     }
 
     #[test]
-    fn changing_hardware_clears_st_cache() {
-        let mut runner = Runner::new(SmtConfig::hpca2008_baseline(), quick());
-        let _ = runner.single_thread_ipc(Benchmark::Gzip);
-        runner.smt_config_mut().int_regs = 256;
-        assert!(runner.st_cache.lock().unwrap().is_empty());
-    }
-
-    #[test]
     fn prewarm_fills_cache() {
         let runner = Runner::new(SmtConfig::hpca2008_baseline(), quick());
         runner.prewarm_st_references([Benchmark::Gzip, Benchmark::Gzip, Benchmark::Eon], 2);
-        assert_eq!(runner.st_cache.lock().unwrap().len(), 2);
-    }
-
-    #[test]
-    fn st_cache_persists_across_runners() {
-        let path =
-            std::env::temp_dir().join(format!("rat_st_cache_test_{}.txt", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-
-        let mut r1 = Runner::new(SmtConfig::hpca2008_baseline(), quick());
-        r1.set_st_cache_path(&path);
-        let ipc = r1.single_thread_ipc(Benchmark::Gzip);
-        assert!(path.exists(), "save must create the cache file");
-
-        // Same hardware + methodology: the entry loads bit-exactly, so
-        // no reference re-simulation is needed.
-        let mut r2 = Runner::new(SmtConfig::hpca2008_baseline(), quick());
-        r2.set_st_cache_path(&path);
-        let cached = r2
-            .st_cache
-            .lock()
-            .unwrap()
-            .get(&(Benchmark::Gzip, quick().seed))
-            .copied();
-        assert_eq!(cached.map(f64::to_bits), Some(ipc.to_bits()));
-
-        // Different hardware: the fingerprint mismatch rejects the file.
-        let mut cfg = SmtConfig::hpca2008_baseline();
-        cfg.int_regs = 256;
-        let mut r3 = Runner::new(cfg, quick());
-        r3.set_st_cache_path(&path);
-        assert!(r3.st_cache.lock().unwrap().is_empty());
-
-        // Different methodology rejects it too.
-        let mut other = quick();
-        other.insts_per_thread += 1;
-        let mut r4 = Runner::new(SmtConfig::hpca2008_baseline(), other);
-        r4.set_st_cache_path(&path);
-        assert!(r4.st_cache.lock().unwrap().is_empty());
-
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn st_cache_ignores_garbage_files() {
-        let path =
-            std::env::temp_dir().join(format!("rat_st_cache_garbage_{}.txt", std::process::id()));
-        std::fs::write(&path, "not a cache\nfingerprint zzz\ngzip nan nan\n").unwrap();
-        let mut r = Runner::new(SmtConfig::hpca2008_baseline(), quick());
-        r.capture_warnings();
-        r.set_st_cache_path(&path);
-        assert!(r.st_cache.lock().unwrap().is_empty());
-        assert_eq!(
-            r.st_cache_rejections(),
-            2,
-            "both entry lines must be counted as rejected"
-        );
-        let warnings = r.take_warnings();
-        assert_eq!(warnings.len(), 1);
-        assert!(
-            warnings[0].contains("rejected 2 record(s)"),
-            "rejection must warn, not be silent: {warnings:?}"
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn stale_st_cache_warns_and_counts_instead_of_silently_serving() {
-        let path =
-            std::env::temp_dir().join(format!("rat_st_cache_stale_{}.txt", std::process::id()));
-        // Write a valid cache on one hardware configuration…
-        let mut writer = Runner::new(SmtConfig::hpca2008_baseline(), quick());
-        writer.set_st_cache_path(&path);
-        let _ = writer.single_thread_ipc(Benchmark::Gzip);
-        // …then load it on different hardware: the fingerprint
-        // mismatches, so the record must be rejected with a warning and
-        // a counter bump, never used.
-        let mut cfg = SmtConfig::hpca2008_baseline();
-        cfg.int_regs = 256;
-        let mut reader = Runner::new(cfg, quick());
-        reader.capture_warnings();
-        reader.set_st_cache_path(&path);
-        assert!(reader.st_cache.lock().unwrap().is_empty());
-        assert_eq!(reader.st_cache_rejections(), 1);
-        let warnings = reader.take_warnings();
-        assert_eq!(warnings.len(), 1);
-        assert!(
-            warnings[0].contains("different hardware/methodology"),
-            "stale-file rejections must say why: {warnings:?}"
-        );
-        let _ = std::fs::remove_file(&path);
+        assert_eq!(runner.st_ipcs.lock().unwrap().len(), 2);
     }
 
     #[test]
@@ -734,16 +525,16 @@ mod tests {
             let r = &runner;
             let _ = s
                 .spawn(move || {
-                    let _cache = r.st_cache.lock().unwrap();
+                    let _refs = r.st_ipcs.lock().unwrap();
                     let _sink = r.warnings.lock().unwrap();
                     panic!("worker dies holding both locks");
                 })
                 .join();
         });
-        assert!(runner.st_cache.is_poisoned());
+        assert!(runner.st_ipcs.is_poisoned());
         assert!(runner.warnings.is_poisoned());
         let ipc = runner.single_thread_ipc(Benchmark::Gzip);
-        assert!(ipc > 0.0, "cache path must survive poisoning");
+        assert!(ipc > 0.0, "the reference map must survive poisoning");
         runner.warn("still alive".to_string());
         assert_eq!(runner.take_warnings(), vec!["still alive".to_string()]);
     }

@@ -34,7 +34,6 @@
 //!   300-ms read timeout. A kill that skips all of that loses nothing
 //!   but in-flight work: the journal is append-only and checksummed.
 
-use std::collections::HashMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -136,10 +135,6 @@ struct Counters {
 struct Shared {
     cfg: ServerConfig,
     store: Option<Arc<ResultStore>>,
-    /// Runners keyed by `(insts, warmup, seed)` — the request knobs a
-    /// `MixResult` depends on. Sharing a runner shares its ST-reference
-    /// cache across requests.
-    runners: Mutex<HashMap<(u64, u64, u64), Arc<Runner>>>,
     /// Sweeps admitted and not yet finished.
     active: AtomicUsize,
     /// Live connection-handler threads.
@@ -165,30 +160,6 @@ impl Shared {
             return false;
         }
         true
-    }
-
-    fn runner_for(&self, insts: u64, warmup: u64, seed: u64) -> Arc<Runner> {
-        let mut runners = lock_recover(&self.runners);
-        if runners.len() > 64 {
-            // Crude bound: a hostile client cycling knobs must not
-            // grow the cache without limit. Dropping it only costs
-            // re-deriving ST references.
-            runners.clear();
-        }
-        runners
-            .entry((insts, warmup, seed))
-            .or_insert_with(|| {
-                Arc::new(Runner::new(
-                    SmtConfig::hpca2008_baseline(),
-                    RunConfig {
-                        insts_per_thread: insts,
-                        warmup_insts: warmup,
-                        seed,
-                        ..RunConfig::default()
-                    },
-                ))
-            })
-            .clone()
     }
 
     fn stats_line(&self) -> String {
@@ -248,7 +219,6 @@ impl Server {
             shared: Arc::new(Shared {
                 cfg,
                 store,
-                runners: Mutex::new(HashMap::new()),
                 active: AtomicUsize::new(0),
                 conns: AtomicUsize::new(0),
                 shutdown: AtomicBool::new(false),
@@ -547,7 +517,15 @@ fn run_sweep(
     }
 
     for (seed, group) in by_seed {
-        let runner = shared.runner_for(head.insts, head.warmup, seed);
+        let runner = Runner::new(
+            SmtConfig::hpca2008_baseline(),
+            RunConfig {
+                insts_per_thread: head.insts,
+                warmup_insts: head.warmup,
+                seed,
+                ..RunConfig::default()
+            },
+        );
         let fingerprint = runner.config_fingerprint();
         let cells: Vec<SweepCell<'_>> = group
             .iter()

@@ -2,9 +2,10 @@
 
 use std::fmt;
 
-use crate::profile::Benchmark;
+use crate::profile::{Benchmark, ALL_BENCHMARKS};
 
-/// The six workload groups of Table 2, named by thread type and count.
+/// The six workload groups of Table 2, named by thread type and count,
+/// plus the single-thread reference runs behind Eq. 2 fairness.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub enum WorkloadGroup {
     /// Two high-ILP threads.
@@ -19,9 +20,13 @@ pub enum WorkloadGroup {
     Mix4,
     /// Four memory-bound threads.
     Mem4,
+    /// One benchmark alone: the single-thread reference run whose IPC
+    /// is a denominator of Eq. 2 fairness. Not a Table 2 group, so
+    /// [`ALL_GROUPS`] leaves it out.
+    St,
 }
 
-/// All groups in Table 2 order.
+/// All Table 2 groups in Table 2 order.
 pub const ALL_GROUPS: &[WorkloadGroup] = &[
     WorkloadGroup::Ilp2,
     WorkloadGroup::Mix2,
@@ -41,15 +46,17 @@ impl WorkloadGroup {
             WorkloadGroup::Ilp4 => "ILP4",
             WorkloadGroup::Mix4 => "MIX4",
             WorkloadGroup::Mem4 => "MEM4",
+            WorkloadGroup::St => "ST",
         }
     }
 
-    /// Parses a Table 2 group name (as printed by [`Self::name`],
+    /// Parses a group name (as printed by [`Self::name`],
     /// case-insensitive) — the inverse needed to rebuild a mix from a
     /// persisted result-store record.
     pub fn from_name(name: &str) -> Option<WorkloadGroup> {
         ALL_GROUPS
             .iter()
+            .chain(&[WorkloadGroup::St])
             .copied()
             .find(|g| g.name().eq_ignore_ascii_case(name))
     }
@@ -57,6 +64,7 @@ impl WorkloadGroup {
     /// Number of threads in each mix of this group.
     pub fn thread_count(self) -> usize {
         match self {
+            WorkloadGroup::St => 1,
             WorkloadGroup::Ilp2 | WorkloadGroup::Mix2 | WorkloadGroup::Mem2 => 2,
             WorkloadGroup::Ilp4 | WorkloadGroup::Mix4 | WorkloadGroup::Mem4 => 4,
         }
@@ -80,6 +88,15 @@ pub struct Mix {
 }
 
 impl Mix {
+    /// `bench` alone: the [`WorkloadGroup::St`] mix of its
+    /// single-thread reference run.
+    pub fn single_thread(bench: Benchmark) -> Mix {
+        Mix {
+            group: WorkloadGroup::St,
+            benchmarks: vec![bench],
+        }
+    }
+
     /// A short label like `"art+mcf"`.
     pub fn label(&self) -> String {
         self.benchmarks
@@ -107,10 +124,15 @@ macro_rules! mix_list {
     };
 }
 
-/// The exact Table 2 mixes for `group`.
+/// The exact Table 2 mixes for `group` (for [`WorkloadGroup::St`],
+/// every benchmark alone).
 pub fn mixes_for_group(group: WorkloadGroup) -> Vec<Mix> {
     use WorkloadGroup as G;
     match group {
+        G::St => ALL_BENCHMARKS
+            .iter()
+            .map(|&b| Mix::single_thread(b))
+            .collect(),
         G::Ilp2 => mix_list!(
             G::Ilp2,
             [Apsi, Eon],
@@ -194,7 +216,7 @@ mod tests {
 
     #[test]
     fn thread_counts_match_group() {
-        for &g in ALL_GROUPS {
+        for &g in ALL_GROUPS.iter().chain(&[WorkloadGroup::St]) {
             for mix in mixes_for_group(g) {
                 assert_eq!(mix.benchmarks.len(), g.thread_count(), "{mix}");
             }
@@ -248,5 +270,16 @@ mod tests {
         let mix = &mixes_for_group(WorkloadGroup::Mem2)[1];
         assert_eq!(mix.label(), "art+mcf");
         assert_eq!(mix.to_string(), "MEM2(art+mcf)");
+        assert_eq!(Mix::single_thread(Benchmark::Gzip).to_string(), "ST(gzip)");
+    }
+
+    #[test]
+    fn reference_group_parses_but_is_not_a_table2_group() {
+        assert_eq!(WorkloadGroup::from_name("st"), Some(WorkloadGroup::St));
+        assert!(!ALL_GROUPS.contains(&WorkloadGroup::St));
+        assert_eq!(
+            mixes_for_group(WorkloadGroup::St).len(),
+            ALL_BENCHMARKS.len()
+        );
     }
 }
