@@ -37,15 +37,20 @@
 //! logged saying what was dropped. A clean journal is left untouched —
 //! opening a large healthy journal does not rewrite it.
 //!
+//! Each held record keeps its line next to its payload words: the line
+//! read at open, or the one [`ResultStore::put`] formatted for its
+//! append. [`ResultStore::get`] decodes the words, the sweep server sends
+//! the line as a `RESULT` payload ([`ResultStore::record_line`]), and
+//! compaction writes it, so a record is formatted at most once.
+//!
 //! The store is internally synchronized (poison-recovering mutex), so
 //! concurrent `par_map` workers can `put` as they finish. It is not
 //! designed for two *processes* appending to one journal concurrently.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use rat_smt::{PolicyKind, ThreadStats};
@@ -72,7 +77,12 @@ const APPEND_RETRIES: u32 = 3;
 
 /// FNV-1a, the repo's standard content fingerprint.
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_continue(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// FNV-1a's state after hashing `bytes` onto state `h`, so a hash can run
+/// on across separately scanned pieces of one input.
+fn fnv1a_continue(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -171,8 +181,15 @@ pub struct StoreStats {
     pub append_failures: u64,
 }
 
+/// One held record: its payload words and its line, without the
+/// newline (see the module docs).
+struct Record {
+    words: Vec<u64>,
+    line: Arc<str>,
+}
+
 struct StoreInner {
-    records: HashMap<CellKey, Vec<u64>>,
+    records: HashMap<CellKey, Record>,
     stats: StoreStats,
     /// Appends attempted so far (indexes the fault plan).
     append_attempts: u64,
@@ -211,7 +228,11 @@ impl ResultStore {
                         }
                         match parse_record_line(line) {
                             Some((key, words)) => {
-                                if records.insert(key, words).is_some() {
+                                let record = Record {
+                                    words,
+                                    line: Arc::from(line),
+                                };
+                                if records.insert(key, record).is_some() {
                                     stats.duplicates += 1;
                                 }
                                 stats.loaded += 1;
@@ -305,10 +326,21 @@ impl ResultStore {
     /// that slipped past the version header) counts as a miss.
     pub fn get(&self, key: &CellKey) -> Option<MixResult> {
         let mut inner = lock_recover(&self.inner);
-        let words = inner.records.get(key)?.clone();
-        let result = decode_result(&words, key)?;
+        let result = decode_result(&inner.records.get(key)?.words, key)?;
         inner.stats.hits += 1;
         Some(result)
+    }
+
+    /// The stored record line for `key`, without its newline: the line
+    /// read at open, or the one [`put`](Self::put) formatted for its
+    /// append (the intact line, even when a fault plan corrupted the
+    /// disk copy). The sweep server sends it verbatim as a `RESULT`
+    /// payload, so a replay is never re-encoded or re-formatted.
+    pub fn record_line(&self, key: &CellKey) -> Option<Arc<str>> {
+        lock_recover(&self.inner)
+            .records
+            .get(key)
+            .map(|r| Arc::clone(&r.line))
     }
 
     /// Persists `result` under `key`: one checksummed record appended to
@@ -324,11 +356,16 @@ impl ResultStore {
     /// concurrent workers briefly rather than reordering the journal.
     pub fn put(&self, key: &CellKey, result: &MixResult) -> bool {
         let words = encode_result(result);
-        let line = format_record(key, &words);
+        let mut line = format_record_line(key, &words);
+        let record = Record {
+            words,
+            line: Arc::from(line.as_str()),
+        };
+        line.push('\n');
         let mut inner = lock_recover(&self.inner);
         // The in-memory copy is installed regardless: within this run
         // the result is valid even if the disk copy is not.
-        inner.records.insert(key.clone(), words);
+        inner.records.insert(key.clone(), record);
 
         let backoff = Backoff::new(
             Duration::from_millis(1),
@@ -395,17 +432,14 @@ impl ResultStore {
         }
     }
 
-    /// Atomically rewrites the journal from the in-memory records
-    /// (deterministic order): used at open to compact quarantined lines
-    /// away, and available to callers as an explicit fsck.
+    /// Atomically rewrites the journal from the in-memory records' stored
+    /// lines (sorted, so the order is deterministic): used at open to
+    /// compact quarantined lines away, and available to callers as an
+    /// explicit fsck. Nothing is re-formatted.
     pub fn rewrite_journal(&self) {
         let inner = lock_recover(&self.inner);
-        let mut lines: Vec<String> = inner
-            .records
-            .iter()
-            .map(|(k, w)| format_record_line(k, w))
-            .collect();
-        lines.sort();
+        let mut lines: Vec<&str> = inner.records.values().map(|r| &*r.line).collect();
+        lines.sort_unstable();
         let mut body = String::with_capacity(lines.iter().map(|l| l.len() + 1).sum::<usize>() + 64);
         body.push_str(MAGIC);
         body.push('\n');
@@ -445,16 +479,65 @@ fn append_bytes(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 // FNV-1a over the canonical body (everything before " crc"). `f64`s
 // travel as `to_bits` words, so replays are bit-exact.
 
+/// The lowercase hex digits, indexed by nibble value.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Each byte's value as a lowercase hex digit, or `0xff` for any byte
+/// that is not one of [`HEX_DIGITS`].
+const HEX_VALUES: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[HEX_DIGITS[i] as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
+/// Appends `w` as 16 lowercase hex digits: the bytes `{w:016x}` would
+/// write, without the formatting machinery.
+fn push_hex_word(buf: &mut Vec<u8>, w: u64) {
+    let mut digits = [0u8; 16];
+    for (i, d) in digits.iter_mut().enumerate() {
+        *d = HEX_DIGITS[(w >> (60 - 4 * i)) as usize & 0xf];
+    }
+    buf.extend_from_slice(&digits);
+}
+
+/// Reads 16 lowercase hex digits from [`HEX_VALUES`]; `None` if any byte
+/// is not one.
+fn decode_hex16(digits: &[u8; 16]) -> Option<u64> {
+    let (mut w, mut bad) = (0u64, 0u8);
+    for &b in digits {
+        let v = HEX_VALUES[b as usize];
+        bad |= v;
+        w = (w << 4) | u64::from(v & 0xf);
+    }
+    (bad & 0xf0 == 0).then_some(w)
+}
+
+/// Decodes one hex word: a 16-digit lowercase token — every word
+/// [`format_record_line`] writes — through [`decode_hex16`], any other
+/// through `u64::from_str_radix`, so uppercase digits, a leading `+` and
+/// short words still parse.
+fn parse_hex_word(token: &str) -> Option<u64> {
+    <&[u8; 16]>::try_from(token.as_bytes())
+        .ok()
+        .and_then(decode_hex16)
+        .or_else(|| u64::from_str_radix(token, 16).ok())
+}
+
 /// Renders one journal record line (no trailing newline): the key, the
 /// [`encode_result`] payload words, and a trailing FNV-1a checksum. The
-/// sweep server reuses these lines verbatim as its `RESULT` payload, so
+/// sweep server sends these lines verbatim as its `RESULT` payload, so
 /// results travel the wire with the same bit-exactness and corruption
 /// detection the journal has.
 pub fn format_record_line(key: &CellKey, words: &[u64]) -> String {
-    // One buffer sized for the whole line: the header, 17 bytes a word
-    // and the 21-byte checksum tail. Writing into a `String` never fails.
+    // One buffer sized for the whole line: the header, 17 bytes a word,
+    // the 21-byte checksum tail and the newline `put` appends. Writing
+    // into a `Vec` never fails.
     let names = key.group.len() + key.mix.len() + key.policy.len();
-    let mut line = String::with_capacity(96 + names + 17 * words.len());
+    let mut line = Vec::with_capacity(96 + names + 17 * words.len());
     let _ = write!(
         line,
         "rec {:016x} {} {} {} {} {}",
@@ -465,43 +548,69 @@ pub fn format_record_line(key: &CellKey, words: &[u64]) -> String {
         key.seed,
         words.len()
     );
-    for w in words {
-        let _ = write!(line, " {w:016x}");
+    for &w in words {
+        line.push(b' ');
+        push_hex_word(&mut line, w);
     }
-    let crc = fnv1a(line.as_bytes());
-    let _ = write!(line, " crc {crc:016x}");
-    line
-}
-
-fn format_record(key: &CellKey, words: &[u64]) -> String {
-    let mut line = format_record_line(key, words);
-    line.push('\n');
-    line
+    let crc = fnv1a(&line);
+    line.extend_from_slice(b" crc ");
+    push_hex_word(&mut line, crc);
+    String::from_utf8(line).expect("a record line is its key's UTF-8 names and ASCII")
 }
 
 /// Parses one journal (or wire) record line into its key and payload
 /// words; `None` on any structural or checksum failure (the journal
-/// loader quarantines, the sweep client refuses the reply).
+/// loader quarantines, the sweep client refuses the reply). Tokens are
+/// separated by ASCII whitespace, the only kind [`format_record_line`]
+/// writes.
 pub fn parse_record_line(line: &str) -> Option<(CellKey, Vec<u64>)> {
     let (body, crc_part) = line.rsplit_once(" crc ")?;
     let crc = u64::from_str_radix(crc_part.trim(), 16).ok()?;
-    if fnv1a(body.as_bytes()) != crc {
-        return None;
-    }
-    let mut t = body.split_whitespace();
+    let mut t = body.split_ascii_whitespace();
     if t.next()? != "rec" {
         return None;
     }
-    let fingerprint = u64::from_str_radix(t.next()?, 16).ok()?;
+    let fingerprint = parse_hex_word(t.next()?)?;
     let group = t.next()?.to_string();
     let mix = t.next()?.to_string();
     let policy = t.next()?.to_string();
     let seed: u64 = t.next()?.parse().ok()?;
-    let n: usize = t.next()?.parse().ok()?;
-    let words: Vec<u64> = t
-        .map(|w| u64::from_str_radix(w, 16))
-        .collect::<Result<_, _>>()
-        .ok()?;
+    let count = t.next()?;
+    let n: usize = count.parse().ok()?;
+    // `n` is untrusted: the line bounds the buffer, since every word
+    // takes at least two of its bytes.
+    let mut words = Vec::with_capacity(n.min(body.len() / 2));
+
+    // The words follow the count token (`count` borrows from `body`, so
+    // the pointer difference is its offset). Each canonical word — a
+    // space, 16 lowercase digits, then whitespace or the end — is decoded
+    // and hashed in one pass, the decoding running alongside FNV's serial
+    // multiply chain. The first word of any other shape ends the pass:
+    // the rest is hashed, then tokenized word by word.
+    let words_at = count.as_ptr() as usize - body.as_ptr() as usize + count.len();
+    let (head, mut rest) = body.as_bytes().split_at(words_at);
+    let mut h = fnv1a(head);
+    while let Some((&b' ', after)) = rest.split_first() {
+        let Some((digits, tail)) = after.split_first_chunk::<16>() else {
+            break;
+        };
+        if !tail.first().is_none_or(u8::is_ascii_whitespace) {
+            break;
+        }
+        let Some(w) = decode_hex16(digits) else {
+            break;
+        };
+        h = fnv1a_continue(h, &rest[..17]);
+        words.push(w);
+        rest = tail;
+    }
+    if fnv1a_continue(h, rest) != crc {
+        return None;
+    }
+    let rest = body.get(body.len() - rest.len()..)?;
+    for w in rest.split_ascii_whitespace() {
+        words.push(parse_hex_word(w)?);
+    }
     if words.len() != n {
         return None;
     }
@@ -832,6 +941,276 @@ mod tests {
         assert_eq!(store.stats().quarantined, 2);
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(store.quarantine_path());
+    }
+
+    /// The record formatter before the digit tables: `{:016x}` words.
+    fn reference_format(key: &CellKey, words: &[u64]) -> String {
+        let mut line = format!(
+            "rec {:016x} {} {} {} {} {}",
+            key.fingerprint,
+            key.group,
+            key.mix,
+            key.policy,
+            key.seed,
+            words.len()
+        );
+        for w in words {
+            line.push_str(&format!(" {w:016x}"));
+        }
+        let crc = fnv1a(line.as_bytes());
+        line.push_str(&format!(" crc {crc:016x}"));
+        line
+    }
+
+    /// The record parser before the digit tables: Unicode-whitespace
+    /// tokens, every word through `u64::from_str_radix`.
+    fn reference_parse(line: &str) -> Option<(CellKey, Vec<u64>)> {
+        let (body, crc_part) = line.rsplit_once(" crc ")?;
+        let crc = u64::from_str_radix(crc_part.trim(), 16).ok()?;
+        if fnv1a(body.as_bytes()) != crc {
+            return None;
+        }
+        let mut t = body.split_whitespace();
+        if t.next()? != "rec" {
+            return None;
+        }
+        let fingerprint = u64::from_str_radix(t.next()?, 16).ok()?;
+        let group = t.next()?.to_string();
+        let mix = t.next()?.to_string();
+        let policy = t.next()?.to_string();
+        let seed: u64 = t.next()?.parse().ok()?;
+        let n: usize = t.next()?.parse().ok()?;
+        let words: Vec<u64> = t
+            .map(|w| u64::from_str_radix(w, 16))
+            .collect::<Result<_, _>>()
+            .ok()?;
+        if words.len() != n {
+            return None;
+        }
+        Some((
+            CellKey {
+                fingerprint,
+                group,
+                mix,
+                policy,
+                seed,
+            },
+            words,
+        ))
+    }
+
+    /// `body` with a valid checksum tail.
+    fn with_crc(body: &str) -> String {
+        format!("{body} crc {:016x}", fnv1a(body.as_bytes()))
+    }
+
+    fn test_key() -> CellKey {
+        CellKey {
+            fingerprint: 0x0123_4567_89ab_cdef,
+            group: "MEM2".to_string(),
+            mix: "art+mcf".to_string(),
+            policy: "RaT".to_string(),
+            seed: 42,
+        }
+    }
+
+    #[test]
+    fn formatter_matches_the_reference_byte_for_byte() {
+        let key = test_key();
+        let edges = [
+            0,
+            1,
+            u64::MAX,
+            0xa5a5_a5a5_a5a5_a5a5,
+            0x5a5a_5a5a_5a5a_5a5a,
+            0x0f0f_0f0f_0f0f_0f0f,
+            0xf0f0_f0f0_f0f0_f0f0,
+            0x0123_4567_89ab_cdef,
+            0xfedc_ba98_7654_3210,
+            1.5f64.to_bits(),
+        ];
+        let mut lines = vec![(key.clone(), edges.to_vec()), (key.clone(), Vec::new())];
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            x ^ (x >> 29)
+        };
+        for len in [1usize, 7, 33, 148, 300] {
+            // Mix full-width words with short ones (leading zeros).
+            let words: Vec<u64> = (0..len).map(|i| next() >> (i % 64)).collect();
+            let key = CellKey {
+                fingerprint: next(),
+                seed: next(),
+                ..test_key()
+            };
+            lines.push((key, words));
+        }
+        for (key, words) in &lines {
+            let line = format_record_line(key, words);
+            assert_eq!(line, reference_format(key, words));
+            assert_eq!(parse_record_line(&line), Some((key.clone(), words.clone())));
+            assert_eq!(parse_record_line(&line), reference_parse(&line));
+        }
+    }
+
+    #[test]
+    fn parser_agrees_with_the_reference_on_crafted_lines() {
+        let head = "rec 0123456789abcdef MEM2 art+mcf RaT 42";
+        // (body, accepted by the reference): each gets a valid checksum.
+        let cases = [
+            (format!("{head} 2 0000000000000001 a5a5a5a5a5a5a5a5"), true),
+            (format!("{head} 0"), true),
+            (format!("{head} 2 0000000000000001 FFFFFFFFFFFFFFFF"), true),
+            (
+                format!("{head} 3 0000000000000001 F 0000000000000002"),
+                true,
+            ),
+            (format!("{head} 2 0000000000000001  0000000000000002"), true),
+            (format!("{head} 1 0000000000000001 "), true),
+            (format!("{head} 1 A5a5a5a5a5a5a5a5"), true),
+            (
+                "rec 0123456789ABCDEF MEM2 art+mcf RaT 42 1 0000000000000001".into(),
+                true,
+            ),
+            (format!("{head} 1 +fffffffffffffff"), true),
+            (format!("{head} 1 +0000000000000001"), true),
+            (format!("{head} 2 fffffffffffffff 1"), true),
+            (format!("{head} 1 0ffffffffffffffff"), true),
+            (format!("{head} 1 1ffffffffffffffff"), false),
+            (format!("{head} 1 000000000000000g"), false),
+            (format!("{head} 1 -000000000000001"), false),
+            (format!("{head} 1 00000000000000 1"), false),
+            (format!("{head} 1 0000000000000001 0000000000000002"), false),
+            (format!("{head} 3 0000000000000001 0000000000000002"), false),
+            (format!("{head} {} 0000000000000001", u64::MAX), false),
+            (
+                format!("{head} 99999999999999999999 0000000000000001"),
+                false,
+            ),
+            (
+                "rec\t0123456789abcdef  MEM2 art+mcf\tRaT 42 1\t\t0000000000000001".into(),
+                true,
+            ),
+            ("rec 0123456789abcdef MEM2 art+mcf RaT x 0".into(), false),
+            ("ref 0123456789abcdef MEM2 art+mcf RaT 42 0".into(), false),
+        ];
+        for (body, accepted) in &cases {
+            let line = with_crc(body);
+            assert_eq!(reference_parse(&line).is_some(), *accepted, "{line}");
+            assert_eq!(parse_record_line(&line), reference_parse(&line), "{line}");
+        }
+        // A wrong checksum fails both.
+        let good = with_crc(&cases[0].0);
+        let wrong = format!("{} crc 0000000000000000", cases[0].0);
+        assert!(reference_parse(&good).is_some());
+        assert_eq!(parse_record_line(&wrong), None);
+        assert_eq!(reference_parse(&wrong), None);
+        // The one allowed difference: a separator outside ASCII
+        // whitespace (which `format_record_line` never writes).
+        let nbsp = with_crc(&format!("{head} 1\u{a0}0000000000000001"));
+        assert!(reference_parse(&nbsp).is_some());
+        assert_eq!(parse_record_line(&nbsp), None);
+    }
+
+    /// The journal's `rec` lines, in file order.
+    fn journal_lines(path: &Path) -> Vec<String> {
+        std::fs::read_to_string(path)
+            .unwrap()
+            .lines()
+            .filter(|l| l.starts_with("rec "))
+            .map(str::to_string)
+            .collect()
+    }
+
+    #[test]
+    fn stored_line_is_the_appended_and_the_loaded_line() {
+        let path = tmp("stored_line");
+        let _ = std::fs::remove_file(&path);
+        let (key, r) = sample_result();
+        let store = ResultStore::open(&path);
+        assert!(store.record_line(&key).is_none());
+        store.put(&key, &r);
+        let appended = journal_lines(&path);
+        assert_eq!(appended.len(), 1);
+        assert_eq!(
+            store.record_line(&key).as_deref(),
+            Some(appended[0].as_str())
+        );
+        assert_eq!(appended[0], format_record_line(&key, &encode_result(&r)));
+        drop(store);
+
+        // A valid but non-canonical line (uppercase words) is kept as
+        // read, not re-formatted.
+        let words = encode_result(&r);
+        let canonical = format_record_line(&key, &words);
+        let mut upper = format!(
+            "rec {:016x} {} {} {} {} {}",
+            key.fingerprint,
+            key.group,
+            key.mix,
+            key.policy,
+            key.seed,
+            words.len()
+        );
+        for w in &words {
+            upper.push_str(&format!(" {w:016X}"));
+        }
+        let upper = with_crc(&upper);
+        assert_ne!(upper, canonical, "the IPC words have letters");
+        std::fs::write(&path, format!("{MAGIC}\n{upper}\n")).unwrap();
+        let store = ResultStore::open(&path);
+        assert_eq!(store.stats().loaded, 1);
+        assert_eq!(store.record_line(&key).as_deref(), Some(upper.as_str()));
+        assert_eq!(journal_lines(&path), vec![upper.clone()]);
+        let back = store.get(&key).expect("replay");
+        assert_eq!(encode_result(&back), words);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn stored_line_stays_intact_under_record_faults() {
+        let (key, r) = sample_result();
+        let clean = format_record_line(&key, &encode_result(&r));
+        for spec in ["flip@0", "torn@0"] {
+            let path = tmp(&format!("fault_{}", &spec[..4]));
+            let _ = std::fs::remove_file(&path);
+            let store = ResultStore::open(&path);
+            store.set_fault_plan(FaultPlan::parse(spec).unwrap());
+            assert!(store.put(&key, &r), "{spec} looks like a success");
+            let line = store.record_line(&key).expect("held in memory");
+            assert_eq!(&*line, clean.as_str(), "{spec}");
+            assert_eq!(
+                parse_record_line(&line),
+                Some((key.clone(), encode_result(&r)))
+            );
+            assert_ne!(journal_lines(&path), vec![clean.clone()], "{spec}");
+            drop(store);
+            let reopened = ResultStore::open(&path);
+            assert_eq!(reopened.stats().quarantined, 1, "{spec}");
+            assert!(reopened.record_line(&key).is_none(), "{spec}");
+            let _ = std::fs::remove_file(&path);
+            let _ = std::fs::remove_file(reopened.quarantine_path());
+        }
+    }
+
+    #[test]
+    fn later_duplicate_wins_and_is_compacted() {
+        let path = tmp("duplicate");
+        let (key, r) = sample_result();
+        let mut later = r.clone();
+        later.cycles += 1;
+        let first = format_record_line(&key, &encode_result(&r));
+        let second = format_record_line(&key, &encode_result(&later));
+        std::fs::write(&path, format!("{MAGIC}\n{first}\n{second}\n")).unwrap();
+        let store = ResultStore::open(&path);
+        assert_eq!(store.stats().duplicates, 1);
+        assert_eq!(store.record_line(&key).as_deref(), Some(second.as_str()));
+        assert_eq!(store.get(&key).expect("replay").cycles, later.cycles);
+        // Open compacted the journal down to the winning line.
+        assert_eq!(journal_lines(&path), vec![second.clone()]);
+        store.rewrite_journal();
+        assert_eq!(journal_lines(&path), vec![second]);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -35,10 +35,13 @@
 //! DONE id=<u64> ok=<n> timeout=<n> err=<n> hits=<n> computed=<n>
 //! ```
 //!
-//! `RESULT` reuses the result journal's record line verbatim
+//! `RESULT` carries the result journal's record line verbatim
 //! ([`rat_core::format_record_line`]): f64s travel as `to_bits` hex
 //! words (bit-exact) and every line carries its own FNV-1a checksum, so
-//! wire corruption is detected exactly like journal corruption.
+//! wire corruption is detected exactly like journal corruption. A
+//! journaled server sends the record's stored line, as loaded from the
+//! journal or as appended to it ([`rat_core::ResultStore::record_line`]),
+//! so a replayed cell is never re-formatted.
 //! `deadline_ms` counts from request receipt; `deadline_ms=0` is an
 //! already-expired deadline (cold cells time out deterministically,
 //! warm cells are still served). Omitting it means no deadline.

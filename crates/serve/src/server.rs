@@ -461,7 +461,11 @@ fn sanitize(msg: &str) -> String {
 /// moment the cell completes (replayed from the journal or freshly
 /// computed, from whichever worker finished it) — a client watching the
 /// connection sees results trickle in instead of waiting for the whole
-/// batch. Failure lines (`TIMEOUT`/`ERR`) and the final `DONE` summary
+/// batch. A journaled server sends the record's stored line
+/// ([`ResultStore::record_line`]): the line loaded from the journal for
+/// a hit, the line appended for a computed cell (the sweep journals a
+/// cell before it reports it). Only a journal-less server formats one.
+/// Failure lines (`TIMEOUT`/`ERR`) and the final `DONE` summary
 /// are written after the sweep settles: [`run_cells_streaming`] reports
 /// a panicked cell in its returned report, not through the callback.
 /// The request's valid cells run as one sweep per seed, in seed order.
@@ -546,10 +550,10 @@ fn run_sweep(
             if let Ok(r) = outcome {
                 let (i, mix, policy) = &group[ci];
                 let key = CellKey::new(fingerprint, mix, *policy, seed);
-                send(format!(
-                    "RESULT {i} {}",
-                    format_record_line(&key, &encode_result(r))
-                ));
+                let stored = shared.store.as_ref().and_then(|s| s.record_line(&key));
+                let line =
+                    stored.unwrap_or_else(|| format_record_line(&key, &encode_result(r)).into());
+                send(format!("RESULT {i} {line}"));
                 lock_recover(&emitted)[*i] = true;
             }
         };

@@ -12,6 +12,8 @@
 //! * crash recovery: `kill -9` mid-batch, restart, resubmit — the
 //!   reply is bit-identical to a local computation and mostly served
 //!   warm (verified through `STATS`/`DONE` hit counters);
+//! * wire bytes: a journaled server's `RESULT` payload is the cell's
+//!   journal line, byte for byte;
 //! * connections: a client's repeat requests and `BUSY` retries travel
 //!   on one kept connection (counted by `STATS accepted=`), a kept
 //!   connection a drain closed is replaced without spending a retry,
@@ -334,6 +336,63 @@ fn results_stream_progressively_as_cells_complete() {
 
     server.request_shutdown();
     handle.join().unwrap().unwrap();
+}
+
+/// Sends `request` on a raw socket and returns each `RESULT` line's
+/// record payload by cell index, plus the `DONE` line.
+fn raw_result_payloads(
+    addr: std::net::SocketAddr,
+    request: &SweepRequest,
+) -> (Vec<Option<String>>, String) {
+    let stream = std::net::TcpStream::connect(addr).unwrap();
+    let mut reader = LineReader::new(stream.try_clone().unwrap(), MAX_LINE);
+    let mut writer = stream;
+    for line in request.to_lines() {
+        writeln!(writer, "{line}").unwrap();
+    }
+    writer.flush().unwrap();
+    let mut payloads = vec![None; request.cells.len()];
+    loop {
+        let line = reader.read_line().unwrap().expect("reply line");
+        if line.starts_with("DONE") {
+            return (payloads, line);
+        }
+        let rest = line.strip_prefix("RESULT ").expect("only RESULT lines");
+        let (idx, payload) = rest.split_once(' ').expect("RESULT <i> <record>");
+        payloads[idx.parse::<usize>().unwrap()] = Some(payload.to_string());
+    }
+}
+
+/// A journaled server's `RESULT` payload is the cell's journal line,
+/// byte for byte: the line appended for a computed cell, and — after a
+/// restart — the line loaded from the journal for a hit.
+#[test]
+fn result_payloads_are_the_journal_lines() {
+    let path = tmp_path("wire_journal");
+    let _cleanup = Cleanup(vec![path.clone(), path.with_extension("quarantine")]);
+    let req = request(31, 4, None);
+    for expect in ["hits=0 computed=4", "hits=4 computed=0"] {
+        let (server, addr, handle) = spawn_server(ServerConfig {
+            journal: Some(path.clone()),
+            ..ServerConfig::default()
+        });
+        let (payloads, done) = raw_result_payloads(addr, &req);
+        assert!(done.ends_with(expect), "{done}");
+        let journal = std::fs::read_to_string(&path).unwrap();
+        for (i, (spec, payload)) in req.cells.iter().zip(&payloads).enumerate() {
+            let cell = format!(
+                " {} {} {} {} ",
+                spec.group, spec.mix, spec.policy, spec.seed
+            );
+            let line = journal
+                .lines()
+                .find(|l| l.starts_with("rec ") && l.contains(&cell))
+                .unwrap_or_else(|| panic!("cell {i} is journaled"));
+            assert_eq!(payload.as_deref(), Some(line), "cell {i} ({expect})");
+        }
+        server.request_shutdown();
+        handle.join().unwrap().unwrap();
+    }
 }
 
 /// A client keeps its connection between sweeps: five sweeps cost the
