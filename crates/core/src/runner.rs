@@ -137,6 +137,9 @@ pub const SLICE_CYCLES: u64 = 100_000;
 pub struct Runner {
     smt: SmtConfig,
     run: RunConfig,
+    /// [`Runner::config_fingerprint`], derived in [`Runner::new`] from
+    /// `smt` and `run`, which never change afterwards.
+    fingerprint: u64,
     st_ipcs: Mutex<HashMap<Benchmark, f64>>,
     /// Serialized warning channel: `run_mix` may fire its truncation
     /// warning from concurrent `par_map` workers, so every warning is
@@ -149,9 +152,16 @@ pub struct Runner {
 impl Runner {
     /// Creates a runner over a hardware configuration and methodology.
     pub fn new(smt: SmtConfig, run: RunConfig) -> Self {
+        let mut pinned = smt;
+        pinned.policy = PolicyKind::Icount;
+        let repr = format!(
+            "{pinned:?}/insts={}/warmup={}/max_cycles={}/drain={}",
+            run.insts_per_thread, run.warmup_insts, run.max_cycles, !run.no_drain
+        );
         Runner {
             smt,
             run,
+            fingerprint: fnv1a(repr.as_bytes()),
             st_ipcs: Mutex::new(HashMap::new()),
             warnings: Mutex::new(None),
         }
@@ -194,17 +204,12 @@ impl Runner {
     /// multithreaded timing, so `--no-drain` recomputes the
     /// single-thread references too even though drain never moves them;
     /// the bit-identical `no_skip` ablation stays excluded.
+    ///
+    /// Computed once, in [`Runner::new`]: a runner's hardware and
+    /// methodology are fixed at construction. Journals on disk are keyed
+    /// by this value, so its derivation must never change.
     pub fn config_fingerprint(&self) -> u64 {
-        let mut cfg = self.smt;
-        cfg.policy = PolicyKind::Icount;
-        let repr = format!(
-            "{cfg:?}/insts={}/warmup={}/max_cycles={}/drain={}",
-            self.run.insts_per_thread,
-            self.run.warmup_insts,
-            self.run.max_cycles,
-            !self.run.no_drain
-        );
-        fnv1a(repr.as_bytes())
+        self.fingerprint
     }
 
     /// The hardware configuration (policy field is overridden per run).
@@ -442,6 +447,24 @@ impl Runner {
 mod tests {
     use super::*;
     use rat_workload::{mixes_for_group, WorkloadGroup};
+
+    #[test]
+    fn config_fingerprint_is_pinned() {
+        // Journals on disk are keyed by these values: a change here
+        // orphans every existing journal record.
+        let fingerprint =
+            |run: RunConfig| Runner::new(SmtConfig::hpca2008_baseline(), run).config_fingerprint();
+        assert_eq!(fingerprint(RunConfig::default()), 0xc81c_616e_9a05_a3ef);
+        for seed in [42, 99] {
+            let run = RunConfig {
+                insts_per_thread: 6_000,
+                warmup_insts: 2_000,
+                seed,
+                ..RunConfig::default()
+            };
+            assert_eq!(fingerprint(run), 0xc3d7_85a9_4dcc_043a, "seed {seed}");
+        }
+    }
 
     fn quick() -> RunConfig {
         RunConfig {

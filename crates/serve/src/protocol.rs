@@ -42,6 +42,13 @@
 //! journaled server sends the record's stored line, as loaded from the
 //! journal or as appended to it ([`rat_core::ResultStore::record_line`]),
 //! so a replayed cell is never re-formatted.
+//!
+//! A sweep reply is streamed: the server flushes each line as it writes
+//! it, so a `RESULT` reaches the client the moment its cell completes.
+//! The exception is a request whose every valid cell the journal
+//! already holds: nothing in it waits on a simulation, so its lines
+//! go out together, in one write, when `DONE` is flushed.
+//!
 //! `deadline_ms` counts from request receipt; `deadline_ms=0` is an
 //! already-expired deadline (cold cells time out deterministically,
 //! warm cells are still served). Omitting it means no deadline.
@@ -52,8 +59,9 @@ use std::io::{BufRead, BufReader, Read};
 use rat_core::{parse_record_line, CellKey};
 
 /// Longest accepted line, in bytes (newline excluded). Generous for
-/// real records (a 4-thread record line is < 2 KiB) and small enough
-/// that a hostile peer cannot balloon the server.
+/// real records (in a `fig1 --quick` journal a 2-thread record line is
+/// about 2.6 KB and a 4-thread one about 4.9 KB) and small enough that
+/// a hostile peer cannot balloon the server.
 pub const MAX_LINE: usize = 64 * 1024;
 
 /// Most cells accepted in one `SWEEP` batch.
@@ -62,10 +70,11 @@ pub const MAX_CELLS: usize = 1024;
 /// A bounded, interruption-tolerant line reader.
 ///
 /// Unlike [`BufRead::read_line`], the cap is enforced *while* reading
-/// (an over-long line errors without buffering it all), and a partial
-/// line survives a read timeout (`WouldBlock`/`TimedOut`): the caller
-/// can poll a shutdown flag and try again without losing bytes — which
-/// is how server connections stay responsive to drain.
+/// (an over-long line errors having buffered at most `max + 1` bytes of
+/// it), and a partial line survives a read timeout
+/// (`WouldBlock`/`TimedOut`): the caller can poll a shutdown flag and
+/// try again without losing bytes — which is how server connections
+/// stay responsive to drain.
 pub struct LineReader<R: Read> {
     inner: BufReader<R>,
     partial: Vec<u8>,
@@ -83,54 +92,39 @@ impl<R: Read> LineReader<R> {
     }
 
     /// Reads the next line (without its terminator; a trailing `\r` is
-    /// stripped). `Ok(None)` is clean end-of-stream. Errors:
-    /// over-long line or EOF mid-line (`InvalidData`), non-UTF-8 line
-    /// (`InvalidData`), or any transport error — including
-    /// `WouldBlock`/`TimedOut` from a read timeout, after which calling
-    /// again resumes the same line.
+    /// stripped, and counts toward the cap). `Ok(None)` is clean
+    /// end-of-stream. Errors: over-long line or EOF mid-line
+    /// (`InvalidData`), non-UTF-8 line (`InvalidData`), or any
+    /// transport error — including `WouldBlock`/`TimedOut` from a read
+    /// timeout, after which calling again resumes the same line. An
+    /// over-long line is left partly unread, so a reader that returned
+    /// `InvalidData` is done.
     pub fn read_line(&mut self) -> std::io::Result<Option<String>> {
-        loop {
-            let (consume, newline_at) = {
-                let buf = self.inner.fill_buf()?;
-                if buf.is_empty() {
-                    if self.partial.is_empty() {
-                        return Ok(None);
-                    }
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        "truncated frame: end of stream inside a line",
-                    ));
-                }
-                match buf.iter().position(|&b| b == b'\n') {
-                    Some(pos) => {
-                        self.partial.extend_from_slice(&buf[..pos]);
-                        (pos + 1, true)
-                    }
-                    None => {
-                        self.partial.extend_from_slice(buf);
-                        (buf.len(), false)
-                    }
-                }
-            };
-            self.inner.consume(consume);
-            if self.partial.len() > self.max {
+        let invalid = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
+        // A line of `max` bytes and its newline is the most ever
+        // buffered. `read_until` keeps what it read when a read fails,
+        // so a timeout loses nothing.
+        let room = (self.max + 1 - self.partial.len()) as u64;
+        (&mut self.inner)
+            .take(room)
+            .read_until(b'\n', &mut self.partial)?;
+        if self.partial.pop_if(|b| *b == b'\n').is_none() {
+            return if self.partial.is_empty() {
+                Ok(None)
+            } else if self.partial.len() > self.max {
                 self.partial.clear();
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("line exceeds {} bytes", self.max),
-                ));
-            }
-            if newline_at {
-                let mut bytes = std::mem::take(&mut self.partial);
-                if bytes.last() == Some(&b'\r') {
-                    bytes.pop();
-                }
-                let line = String::from_utf8(bytes).map_err(|_| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, "non-UTF-8 line")
-                })?;
-                return Ok(Some(line));
-            }
+                Err(invalid(&format!("line exceeds {} bytes", self.max)))
+            } else {
+                Err(invalid("truncated frame: end of stream inside a line"))
+            };
         }
+        let mut bytes = std::mem::take(&mut self.partial);
+        if bytes.last() == Some(&b'\r') {
+            bytes.pop();
+        }
+        String::from_utf8(bytes)
+            .map(Some)
+            .map_err(|_| invalid("non-UTF-8 line"))
     }
 }
 

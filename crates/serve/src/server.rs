@@ -8,7 +8,8 @@
 //! killed-and-restarted server resumes warm, and a resubmitted batch is
 //! served mostly from cache. Each cell's `RESULT` line is written as
 //! the cell finishes (progressive delivery), with failure lines and the
-//! `DONE` summary after the sweep settles.
+//! `DONE` summary after the sweep settles; a reply the journal answers
+//! whole goes out in one write instead (see `run_sweep`).
 //!
 //! Connections are persistent: one handler thread per connection serves
 //! its requests in turn until the client closes it, sends `SHUTDOWN`,
@@ -34,7 +35,7 @@
 //!   300-ms read timeout. A kill that skips all of that loses nothing
 //!   but in-flight work: the journal is append-only and checksummed.
 
-use std::io::Write;
+use std::io::{BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -130,6 +131,9 @@ struct Counters {
     cells_err: AtomicU64,
     hits: AtomicU64,
     computed: AtomicU64,
+    /// Flushes of SWEEP replies: one per line of a streamed reply, one
+    /// per reply the journal answers whole.
+    sweep_flushes: AtomicU64,
 }
 
 struct Shared {
@@ -166,7 +170,7 @@ impl Shared {
         let c = &self.counters;
         let mut line = format!(
             "STATS active={} conns={} accepted={} draining={} sweeps={} busy={} bad={} \
-             cells_ok={} cells_timeout={} cells_err={} hits={} computed={}",
+             cells_ok={} cells_timeout={} cells_err={} hits={} computed={} sweep_flushes={}",
             self.active.load(Ordering::SeqCst),
             self.conns.load(Ordering::SeqCst),
             c.accepted.load(Ordering::Relaxed),
@@ -179,6 +183,7 @@ impl Shared {
             c.cells_err.load(Ordering::Relaxed),
             c.hits.load(Ordering::Relaxed),
             c.computed.load(Ordering::Relaxed),
+            c.sweep_flushes.load(Ordering::Relaxed),
         );
         if let Some(store) = &self.store {
             let s = store.stats();
@@ -324,6 +329,11 @@ fn wait_for_connection(_listener: &TcpListener, timeout: Duration) {
     std::thread::sleep(timeout);
 }
 
+/// Capacity of a connection's reply writer: a reply that `run_sweep`
+/// sends in one write must fit, and four 4-thread records (about 4.9 KB
+/// each) overflow the default 8 KiB.
+const REPLY_BUFFER: usize = 64 * 1024;
+
 fn is_timeout(e: &std::io::Error) -> bool {
     matches!(
         e.kind(),
@@ -359,7 +369,7 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
     let mut reader = LineReader::new(stream.try_clone()?, MAX_LINE);
     // Behind a mutex so sweep workers can stream `RESULT` lines the
     // moment their cells complete (see `run_sweep`).
-    let writer = Mutex::new(std::io::BufWriter::new(stream));
+    let writer = Mutex::new(BufWriter::with_capacity(REPLY_BUFFER, stream));
     let send = |line: std::fmt::Arguments<'_>| -> std::io::Result<()> {
         let mut w = lock_recover(&writer);
         w.write_fmt(line)?;
@@ -470,6 +480,13 @@ fn sanitize(msg: &str) -> String {
 /// a panicked cell in its returned report, not through the callback.
 /// The request's valid cells run as one sweep per seed, in seed order.
 ///
+/// Each line is flushed as it is written, except when the journal
+/// already holds a line for every valid cell: nothing then waits on a
+/// simulation, so the lines collect in the writer and `DONE`'s flush
+/// sends the whole reply in one write. A concurrent `put` can only turn
+/// a cold cell warm, so that check never holds back a line that needed
+/// streaming.
+///
 /// A write error mid-stream (client vanished) is swallowed per line:
 /// completed cells are already journaled, so the only loss is the dead
 /// connection's unread bytes.
@@ -478,24 +495,13 @@ fn run_sweep(
     head: &SweepHead,
     specs: &[CellSpec],
     deadline: Option<Instant>,
-    writer: &Mutex<std::io::BufWriter<TcpStream>>,
+    writer: &Mutex<BufWriter<TcpStream>>,
 ) -> std::io::Result<()> {
-    let send = |line: String| {
-        let mut w = lock_recover(writer);
-        let _ = writeln!(w, "{line}");
-        let _ = w.flush();
-    };
-    // Which spec indices have had their line written (streamed results
-    // now, failures later) — anything still false at the end gets the
-    // no-outcome ERR line.
-    let emitted = Mutex::new(vec![false; specs.len()]);
-    let (mut ok, mut timeout, mut err) = (0usize, 0usize, 0usize);
-    let (mut hits, mut computed) = (0usize, 0usize);
-
     // Resolve specs; unresolvable cells fail individually, and the
-    // valid remainder is grouped by seed (one Runner per seed).
+    // valid remainder is grouped by seed.
     let mut by_seed: std::collections::BTreeMap<u64, Vec<(usize, Mix, PolicyKind)>> =
         std::collections::BTreeMap::new();
+    let mut unknown = Vec::new();
     for (i, spec) in specs.iter().enumerate() {
         let key = CellKey {
             fingerprint: 0,
@@ -508,33 +514,75 @@ fn run_sweep(
             (Some(mix), Some(policy)) => {
                 by_seed.entry(spec.seed).or_default().push((i, mix, policy));
             }
-            (mix, _) => {
-                let what = if mix.is_none() { "group/mix" } else { "policy" };
-                send(format!(
-                    "ERR {i} unknown {what} in {} {} {}",
-                    spec.group, spec.mix, spec.policy
-                ));
-                lock_recover(&emitted)[i] = true;
-                err += 1;
-            }
+            (mix, _) => unknown.push((i, if mix.is_none() { "group/mix" } else { "policy" })),
         }
     }
+    // One runner per seed, each cell keyed under its runner's
+    // fingerprint, all before anything is sent.
+    let groups: Vec<_> = by_seed
+        .into_iter()
+        .map(|(seed, group)| {
+            let runner = Runner::new(
+                SmtConfig::hpca2008_baseline(),
+                RunConfig {
+                    insts_per_thread: head.insts,
+                    warmup_insts: head.warmup,
+                    seed,
+                    ..RunConfig::default()
+                },
+            );
+            let fingerprint = runner.config_fingerprint();
+            let group = group
+                .into_iter()
+                .map(|(i, mix, policy)| {
+                    let key = CellKey::new(fingerprint, &mix, policy, seed);
+                    (i, mix, policy, key)
+                })
+                .collect::<Vec<_>>();
+            (runner, group)
+        })
+        .collect();
+    let journal_answers_all = shared.store.as_ref().is_some_and(|store| {
+        groups
+            .iter()
+            .flat_map(|(_, group)| group)
+            .all(|(.., key)| store.record_line(key).is_some())
+    });
 
-    for (seed, group) in by_seed {
-        let runner = Runner::new(
-            SmtConfig::hpca2008_baseline(),
-            RunConfig {
-                insts_per_thread: head.insts,
-                warmup_insts: head.warmup,
-                seed,
-                ..RunConfig::default()
-            },
-        );
-        let fingerprint = runner.config_fingerprint();
+    let flushes = &shared.counters.sweep_flushes;
+    let flush = |w: &mut BufWriter<TcpStream>| {
+        flushes.fetch_add(1, Ordering::Relaxed);
+        w.flush()
+    };
+    let send = |line: String| {
+        let mut w = lock_recover(writer);
+        let _ = writeln!(w, "{line}");
+        if !journal_answers_all {
+            let _ = flush(&mut w);
+        }
+    };
+    // Which spec indices have had their line written (streamed results
+    // now, failures later) — anything still false at the end gets the
+    // no-outcome ERR line.
+    let emitted = Mutex::new(vec![false; specs.len()]);
+    let (mut ok, mut timeout, mut err) = (0usize, 0usize, 0usize);
+    let (mut hits, mut computed) = (0usize, 0usize);
+
+    for (i, what) in unknown {
+        let spec = &specs[i];
+        send(format!(
+            "ERR {i} unknown {what} in {} {} {}",
+            spec.group, spec.mix, spec.policy
+        ));
+        lock_recover(&emitted)[i] = true;
+        err += 1;
+    }
+
+    for (runner, group) in &groups {
         let cells: Vec<SweepCell<'_>> = group
             .iter()
-            .map(|(_, mix, policy)| SweepCell {
-                runner: &runner,
+            .map(|(_, mix, policy, _)| SweepCell {
+                runner,
                 mix: mix.clone(),
                 policy: *policy,
             })
@@ -548,11 +596,10 @@ fn run_sweep(
         let on_cell = |ci: usize, outcome: &Result<MixResult, CellError>| {
             // Stream completions; failures wait for the settled report.
             if let Ok(r) = outcome {
-                let (i, mix, policy) = &group[ci];
-                let key = CellKey::new(fingerprint, mix, *policy, seed);
-                let stored = shared.store.as_ref().and_then(|s| s.record_line(&key));
+                let (i, _, _, key) = &group[ci];
+                let stored = shared.store.as_ref().and_then(|s| s.record_line(key));
                 let line =
-                    stored.unwrap_or_else(|| format_record_line(&key, &encode_result(r)).into());
+                    stored.unwrap_or_else(|| format_record_line(key, &encode_result(r)).into());
                 send(format!("RESULT {i} {line}"));
                 lock_recover(&emitted)[*i] = true;
             }
@@ -593,14 +640,11 @@ fn run_sweep(
             send(format!("ERR {i} cell produced no outcome"));
         }
     }
-    {
-        let mut w = lock_recover(writer);
-        writeln!(
-            w,
-            "{}",
-            format_done(head.id, ok, timeout, err, hits, computed)
-        )?;
-        w.flush()?;
-    }
-    Ok(())
+    let mut w = lock_recover(writer);
+    writeln!(
+        w,
+        "{}",
+        format_done(head.id, ok, timeout, err, hits, computed)
+    )?;
+    flush(&mut w)
 }

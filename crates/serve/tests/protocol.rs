@@ -181,3 +181,47 @@ fn oversized_line_is_rejected_incrementally() {
     let e = reader.read_line().unwrap_err();
     assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
 }
+
+/// A partial line survives a read timeout: the reader reports the
+/// timeout, keeps the bytes it already has, and completes the line on
+/// the next call. The server's 300-ms read timeout relies on this.
+#[test]
+fn partial_line_survives_a_read_timeout() {
+    struct Stalling(Vec<std::io::Result<&'static [u8]>>);
+    impl Read for Stalling {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.0.is_empty() {
+                return Ok(0);
+            }
+            let bytes = self.0.remove(0)?;
+            buf[..bytes.len()].copy_from_slice(bytes);
+            Ok(bytes.len())
+        }
+    }
+    let stall = std::io::Error::from(std::io::ErrorKind::WouldBlock);
+    let mut reader = LineReader::new(
+        Stalling(vec![Ok(b"abc"), Err(stall), Ok(b"def\n")]),
+        MAX_LINE,
+    );
+    let e = reader.read_line().unwrap_err();
+    assert_eq!(e.kind(), std::io::ErrorKind::WouldBlock);
+    assert_eq!(reader.read_line().unwrap().as_deref(), Some("abcdef"));
+    assert_eq!(reader.read_line().unwrap(), None);
+}
+
+/// The cap is exact: a line of `max` bytes is accepted, one of
+/// `max + 1` is not, and a trailing `\r` counts toward the cap.
+#[test]
+fn line_cap_boundary() {
+    const MAX: usize = 16;
+    let read = |line: Vec<u8>| LineReader::new(std::io::Cursor::new(line), MAX).read_line();
+    let x = |n: usize| vec![b'x'; n];
+    let at_cap = read([x(MAX), b"\n".to_vec()].concat()).unwrap();
+    assert_eq!(at_cap.map(|l| l.len()), Some(MAX));
+    let over = read([x(MAX + 1), b"\n".to_vec()].concat()).unwrap_err();
+    assert_eq!(over.kind(), std::io::ErrorKind::InvalidData);
+    let cr_over = read([x(MAX), b"\r\n".to_vec()].concat()).unwrap_err();
+    assert_eq!(cr_over.kind(), std::io::ErrorKind::InvalidData);
+    let cr_at_cap = read([x(MAX - 1), b"\r\n".to_vec()].concat()).unwrap();
+    assert_eq!(cr_at_cap.map(|l| l.len()), Some(MAX - 1));
+}

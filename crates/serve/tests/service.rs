@@ -13,7 +13,8 @@
 //!   reply is bit-identical to a local computation and mostly served
 //!   warm (verified through `STATS`/`DONE` hit counters);
 //! * wire bytes: a journaled server's `RESULT` payload is the cell's
-//!   journal line, byte for byte;
+//!   journal line, byte for byte, and a reply the journal answers whole
+//!   is flushed once;
 //! * connections: a client's repeat requests and `BUSY` retries travel
 //!   on one kept connection (counted by `STATS accepted=`), a kept
 //!   connection a drain closed is replaced without spending a retry,
@@ -393,6 +394,32 @@ fn result_payloads_are_the_journal_lines() {
         server.request_shutdown();
         handle.join().unwrap().unwrap();
     }
+}
+
+/// A reply the journal answers whole goes out in one write: a cold
+/// 4-cell request flushes once per line (4 `RESULT` + `DONE`), and the
+/// same request repeated warm flushes once (`STATS sweep_flushes=`).
+#[test]
+fn journal_answered_reply_is_one_flush() {
+    let path = tmp_path("one_flush");
+    let _cleanup = Cleanup(vec![path.clone(), path.with_extension("quarantine")]);
+    let (server, addr, handle) = spawn_server(ServerConfig {
+        journal: Some(path.clone()),
+        ..ServerConfig::default()
+    });
+    let client = Client::new(addr.to_string(), 51);
+    let flushes = || client.stats().unwrap()["sweep_flushes"];
+    let req = request(51, 4, None);
+
+    let before = flushes();
+    assert_eq!(client.sweep(&req).unwrap().computed(), 4);
+    let cold = flushes();
+    assert_eq!(cold - before, 5, "cold: one flush per RESULT, one for DONE");
+    assert_eq!(client.sweep(&req).unwrap().hits(), 4);
+    assert_eq!(flushes() - cold, 1, "warm: the whole reply in one flush");
+
+    server.request_shutdown();
+    handle.join().unwrap().unwrap();
 }
 
 /// A client keeps its connection between sweeps: five sweeps cost the
