@@ -26,7 +26,7 @@ pub mod table;
 pub use cli::HarnessArgs;
 pub use sweep::{
     emit_truncation_note, mark_row_label, policy_matrix, report_failures, run_cells,
-    run_cells_streaming, run_cells_with_st_references, select_mixes, CellFailure, SweepCell,
-    SweepReport, SweepSession,
+    run_cells_streaming, run_cells_with_st_references, select_mixes, simulate_cells, CellFailure,
+    SweepCell, SweepReport, SweepSession,
 };
 pub use table::TableWriter;

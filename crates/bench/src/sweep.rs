@@ -194,10 +194,15 @@ pub fn run_cells(cells: &[SweepCell<'_>], threads: usize, session: &SweepSession
 /// [`run_cells`] with a per-cell delivery callback: `on_cell(i, outcome)`
 /// fires the moment cell `i`'s outcome is known — replayed from the
 /// journal, computed, or timed out — from whichever worker thread
-/// produced it, after the result has been journaled. The sweep server
-/// streams `RESULT` lines from here. A *panicking* cell's failure is
-/// only known once the worker pool unwinds, so it is reported in the
-/// returned [`SweepReport`] but not through the callback.
+/// produced it, after the result has been journaled. A *panicking*
+/// cell's failure is only known once the worker pool unwinds, so it is
+/// reported in the returned [`SweepReport`] but not through the
+/// callback.
+///
+/// This is the decode-on-hit half the figure binaries use: each journal
+/// hit is decoded into the [`MixResult`] their tables are built from.
+/// The cells the journal lacks go to [`simulate_cells`], the half the
+/// sweep server calls directly with its own cold cells.
 pub fn run_cells_streaming(
     cells: &[SweepCell<'_>],
     threads: usize,
@@ -221,6 +226,39 @@ pub fn run_cells_streaming(
         }
     }
 
+    let (simulated, failures) = simulate_cells(cells, &keys, &missing, threads, session, on_cell);
+    let computed = simulated.len();
+    for (i, r) in simulated {
+        results[i] = Some(r);
+    }
+    SweepReport {
+        results,
+        failures,
+        replayed,
+        computed,
+    }
+}
+
+/// The simulate-and-journal half of [`run_cells_streaming`]: simulates
+/// `cells[i]` for each `i` in `todo` on the one sweep executor
+/// (panic-isolated workers, the session's watchdog and deadline),
+/// journals each completed result under `keys[i]`, then delivers its
+/// outcome through `on_cell(i, ..)`. It reads no journal record: the
+/// caller has already decided which cells are cold. `i` is what the
+/// session's fault plan (`panic@i`) and the returned failures refer to,
+/// so a caller that passes a sweep's full cell list keeps those indices
+/// meaning what they mean for the whole sweep.
+///
+/// Returns each completed cell's result with its index, in `todo` order,
+/// and the cells that panicked or ran out of wall clock.
+pub fn simulate_cells(
+    cells: &[SweepCell<'_>],
+    keys: &[CellKey],
+    todo: &[usize],
+    threads: usize,
+    session: &SweepSession,
+    on_cell: &(dyn Fn(usize, &Result<MixResult, parallel::CellError>) + Sync),
+) -> (Vec<(usize, MixResult)>, Vec<CellFailure>) {
     // Journal immediately — durability is per cell, not per sweep, so a
     // kill after this point never re-simulates the cell — then deliver.
     let settle = |ci: usize, outcome: Result<MixResult, parallel::CellError>| {
@@ -231,7 +269,7 @@ pub fn run_cells_streaming(
         outcome
     };
 
-    let computed_results = parallel::par_map_isolated(threads, &missing, |_, &ci| {
+    let outcomes = parallel::par_map_isolated(threads, todo, |_, &ci| {
         if let Some(plan) = &session.fault_plan {
             if plan.should_panic(ci) {
                 panic!("injected fault: worker panic at cell {ci}");
@@ -270,16 +308,13 @@ pub fn run_cells_streaming(
         settle(ci, outcome)
     });
 
+    let mut simulated = Vec::new();
     let mut failures = Vec::new();
-    let mut computed = 0usize;
-    for (&ci, outcome) in missing.iter().zip(computed_results) {
+    for (&ci, outcome) in todo.iter().zip(outcomes) {
         // Two failure layers: the panic isolation wrapper (outer) and
         // the watchdog/deadline result (inner) — flatten to one.
         match outcome {
-            Ok(Ok(r)) => {
-                results[ci] = Some(r);
-                computed += 1;
-            }
+            Ok(Ok(r)) => simulated.push((ci, r)),
             Ok(Err(e)) | Err(e) => failures.push(CellFailure {
                 index: ci,
                 identity: keys[ci].identity(),
@@ -288,12 +323,7 @@ pub fn run_cells_streaming(
             }),
         }
     }
-    SweepReport {
-        results,
-        failures,
-        replayed,
-        computed,
-    }
+    (simulated, failures)
 }
 
 /// [`run_cells`] over `cells` plus the single-thread references their

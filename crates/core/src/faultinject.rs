@@ -20,16 +20,13 @@
 //! on a cold run and on a `--resume` run — a cell replayed from the
 //! store never reaches its worker, so its injected panic never fires,
 //! which is exactly the recovery semantics under test.
+//!
+//! Each seeded decision is [`splitmix_finalize`] of the seed and the
+//! index: a full-avalanche hash, so per-index fault decisions (and
+//! [`crate::retry::Backoff`] jitter draws) are independent draws of a
+//! seeded stream.
 
-/// splitmix64's finalizer: a full-avalanche 64-bit hash, so per-index
-/// fault decisions (and [`crate::retry::Backoff`] jitter draws) are
-/// independent draws of a seeded stream.
-pub(crate) fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use rat_isa::hash::splitmix_finalize;
 
 /// What to do to one record appended to the result store.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -115,7 +112,9 @@ impl FaultPlan {
     pub fn should_panic(&self, cell: usize) -> bool {
         match &self.kind {
             PlanKind::Explicit(p) => p.panics.contains(&cell),
-            PlanKind::Seeded(seed) => mix64(seed ^ 0x50A1_C0DE ^ cell as u64).is_multiple_of(8),
+            PlanKind::Seeded(seed) => {
+                splitmix_finalize(seed ^ 0x50A1_C0DE ^ cell as u64).is_multiple_of(8)
+            }
         }
     }
 
@@ -134,7 +133,7 @@ impl FaultPlan {
                     None
                 }
             }
-            PlanKind::Seeded(seed) => match mix64(seed ^ 0x0BAD_F11E ^ append) % 32 {
+            PlanKind::Seeded(seed) => match splitmix_finalize(seed ^ 0x0BAD_F11E ^ append) % 32 {
                 0 => Some(RecordFault::BitFlip),
                 1 => Some(RecordFault::Torn),
                 2 => Some(RecordFault::Enospc),

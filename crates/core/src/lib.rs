@@ -58,7 +58,7 @@ pub use lock::{get_mut_recover, lock_recover};
 pub use metrics::{ed2, fairness_from_ipcs, throughput_from_ipcs};
 pub use parallel::{par_map, par_map_isolated, resolve_threads, CellError, CellErrorKind};
 pub use retry::Backoff;
-pub use runner::{GroupSummary, MixResult, RunConfig, Runner, SLICE_CYCLES};
+pub use runner::{config_fingerprint, GroupSummary, MixResult, RunConfig, Runner, SLICE_CYCLES};
 pub use store::{
     atomic_write, format_record_line, parse_record_line, CellKey, ResultStore, StoreStats,
 };

@@ -12,7 +12,7 @@
 
 use std::time::Duration;
 
-use crate::faultinject::mix64;
+use rat_isa::hash::splitmix_finalize;
 
 /// A bounded retry schedule: `base * 2^attempt`, capped at `cap`, plus
 /// deterministic jitter in `[0, delay/2)` derived from `seed` and the
@@ -53,7 +53,8 @@ impl Backoff {
         // Jitter in [0, capped/2): enough to spread retriers, small
         // enough that the cap stays meaningful.
         let jitter = if capped >= 2 {
-            mix64(self.seed ^ u64::from(attempt).wrapping_mul(0x9E37_79B9)) % (capped / 2)
+            splitmix_finalize(self.seed ^ u64::from(attempt).wrapping_mul(0x9E37_79B9))
+                % (capped / 2)
         } else {
             0
         };

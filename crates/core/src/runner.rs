@@ -4,12 +4,12 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use rat_mem::MemEventStats;
-use rat_smt::{PolicyKind, SmtConfig, SmtSimulator, ThreadStats};
+use rat_mem::{CacheConfig, HierarchyConfig, MemEventStats};
+use rat_smt::{PolicyKind, RunaheadConfig, RunaheadVariant, SmtConfig, SmtSimulator, ThreadStats};
 use rat_workload::{Benchmark, Mix, ThreadImage, WorkloadGroup};
 
 use crate::lock::{get_mut_recover, lock_recover};
-use crate::store::fnv1a;
+use crate::store::{fnv1a, fnv1a_continue, FNV1A_OFFSET};
 use crate::{metrics, parallel};
 
 /// Measurement methodology parameters (instruction quotas, cycle bounds).
@@ -50,6 +50,135 @@ impl Default for RunConfig {
             no_drain: false,
         }
     }
+}
+
+/// FNV-1a of `tests/golden.txt`, the pinned digests of the model's
+/// results, taken at compile time. [`config_fingerprint`] folds it in, so
+/// re-pinning any golden digest re-keys every journal. The digests are
+/// computed at fingerprint 0, so they do not depend on this value.
+const MODEL_DIGEST: u64 = fnv1a(include_bytes!("../../../tests/golden.txt"));
+
+/// Fingerprint of everything a cell result depends on besides its
+/// `(mix, policy, seed)` identity: every field of the hardware
+/// configuration except the policy (a separate [`crate::store::CellKey`]
+/// component), the measurement methodology except the seed (another key
+/// component) and the bit-identical `no_skip` ablation, and the model
+/// itself as a compile-time FNV-1a of `tests/golden.txt`, so re-pinning
+/// any golden digest re-keys every journal. It covers the drain
+/// ablation, which changes multithreaded timing, so `--no-drain`
+/// recomputes the single-thread references too even though drain never
+/// moves them.
+///
+/// A pure function of its arguments, cheap enough to call per request:
+/// [`Runner::new`] and the sweep server both derive keys from it.
+pub fn config_fingerprint(smt: &SmtConfig, run: &RunConfig) -> u64 {
+    fingerprint_with_model(smt, run, MODEL_DIGEST)
+}
+
+/// [`config_fingerprint`] under the model digest `model`. The structs are
+/// destructured without `..`, so a new field fails to compile here until
+/// it is hashed or named as excluded. Each field is hashed as its
+/// little-endian `u64` with the journal's FNV-1a.
+fn fingerprint_with_model(smt: &SmtConfig, run: &RunConfig, model: u64) -> u64 {
+    let SmtConfig {
+        width,
+        fetch_threads,
+        frontend_depth,
+        fetch_buffer,
+        rob_size,
+        int_regs,
+        fp_regs,
+        iq_size,
+        fu_count,
+        hierarchy,
+        bpred_table,
+        bpred_history,
+        policy: _,
+        runahead,
+    } = *smt;
+    let HierarchyConfig {
+        icache,
+        dcache,
+        l2,
+        memory_latency,
+        prefetch_mshr_reserve,
+        l2_ports,
+        bus_cycles_per_line,
+    } = hierarchy;
+    let RunaheadConfig {
+        variant,
+        runahead_cache,
+        drop_fp,
+        entry_threshold,
+    } = runahead;
+    let RunConfig {
+        insts_per_thread,
+        warmup_insts,
+        max_cycles,
+        seed: _,
+        no_skip: _,
+        no_drain,
+    } = *run;
+    let cache = |c: CacheConfig| {
+        let CacheConfig {
+            size_bytes,
+            ways,
+            line_bytes,
+            latency,
+            mshrs,
+        } = c;
+        [
+            size_bytes as u64,
+            ways as u64,
+            line_bytes as u64,
+            latency,
+            mshrs as u64,
+        ]
+    };
+    let variant = match variant {
+        RunaheadVariant::Full => 0,
+        RunaheadVariant::NoPrefetch => 1,
+        RunaheadVariant::NoFetch => 2,
+    };
+    let words: [&[u64]; 9] = [
+        &[model],
+        &[
+            width as u64,
+            fetch_threads as u64,
+            frontend_depth,
+            fetch_buffer as u64,
+            rob_size as u64,
+            int_regs as u64,
+            fp_regs as u64,
+            bpred_table as u64,
+            bpred_history as u64,
+        ],
+        &iq_size.map(|s| s as u64),
+        &fu_count.map(|f| f as u64),
+        &cache(icache),
+        &cache(dcache),
+        &cache(l2),
+        &[
+            memory_latency,
+            prefetch_mshr_reserve as u64,
+            l2_ports as u64,
+            bus_cycles_per_line,
+            variant,
+            u64::from(runahead_cache),
+            u64::from(drop_fp),
+            entry_threshold,
+        ],
+        &[
+            insts_per_thread,
+            warmup_insts,
+            max_cycles,
+            u64::from(no_drain),
+        ],
+    ];
+    words
+        .iter()
+        .flat_map(|w| w.iter())
+        .fold(FNV1A_OFFSET, |h, w| fnv1a_continue(h, &w.to_le_bytes()))
 }
 
 /// The outcome of simulating one mix under one policy.
@@ -152,16 +281,10 @@ pub struct Runner {
 impl Runner {
     /// Creates a runner over a hardware configuration and methodology.
     pub fn new(smt: SmtConfig, run: RunConfig) -> Self {
-        let mut pinned = smt;
-        pinned.policy = PolicyKind::Icount;
-        let repr = format!(
-            "{pinned:?}/insts={}/warmup={}/max_cycles={}/drain={}",
-            run.insts_per_thread, run.warmup_insts, run.max_cycles, !run.no_drain
-        );
         Runner {
             smt,
             run,
-            fingerprint: fnv1a(repr.as_bytes()),
+            fingerprint: config_fingerprint(&smt, &run),
             st_ipcs: Mutex::new(HashMap::new()),
             warnings: Mutex::new(None),
         }
@@ -196,18 +319,16 @@ impl Runner {
         }
     }
 
-    /// Fingerprint of everything a cell result depends on besides its
-    /// `(mix, policy, seed)` identity: the hardware configuration
-    /// (policy pinned — the cell's policy is a separate
-    /// [`crate::store::CellKey`] component) and the measurement
-    /// methodology. It covers the drain ablation, which changes
-    /// multithreaded timing, so `--no-drain` recomputes the
-    /// single-thread references too even though drain never moves them;
-    /// the bit-identical `no_skip` ablation stays excluded.
+    /// The [`config_fingerprint`] of this runner's hardware and
+    /// methodology: its fields, and a compile-time hash of
+    /// `tests/golden.txt` standing for the model's code. Computed once,
+    /// in [`Runner::new`]: both are fixed at construction.
     ///
-    /// Computed once, in [`Runner::new`]: a runner's hardware and
-    /// methodology are fixed at construction. Journals on disk are keyed
-    /// by this value, so its derivation must never change.
+    /// Journals on disk are keyed by this value. It moves when a
+    /// fingerprinted field does and when a golden digest is re-pinned —
+    /// a results-changing edit must re-pin, so no journal replays a
+    /// result the current model would not compute. Nothing else may move
+    /// it.
     pub fn config_fingerprint(&self) -> u64 {
         self.fingerprint
     }
@@ -448,13 +569,17 @@ mod tests {
     use super::*;
     use rat_workload::{mixes_for_group, WorkloadGroup};
 
+    /// Journals on disk are keyed by these values: a change here orphans
+    /// every existing journal record. They moved once when the
+    /// derivation changed from a hash of `SmtConfig`'s `Debug` string to
+    /// a hash of the fields plus the model digest, and they move again,
+    /// on purpose, whenever `tests/golden.txt` is re-pinned: re-pin them
+    /// together.
     #[test]
     fn config_fingerprint_is_pinned() {
-        // Journals on disk are keyed by these values: a change here
-        // orphans every existing journal record.
         let fingerprint =
             |run: RunConfig| Runner::new(SmtConfig::hpca2008_baseline(), run).config_fingerprint();
-        assert_eq!(fingerprint(RunConfig::default()), 0xc81c_616e_9a05_a3ef);
+        assert_eq!(fingerprint(RunConfig::default()), 0xadd7_5650_fe57_14db);
         for seed in [42, 99] {
             let run = RunConfig {
                 insts_per_thread: 6_000,
@@ -462,8 +587,95 @@ mod tests {
                 seed,
                 ..RunConfig::default()
             };
-            assert_eq!(fingerprint(run), 0xc3d7_85a9_4dcc_043a, "seed {seed}");
+            assert_eq!(fingerprint(run), 0x50e0_b3ed_2c24_2ff2, "seed {seed}");
         }
+    }
+
+    #[test]
+    fn every_fingerprinted_field_moves_the_fingerprint() {
+        let (smt, run) = (SmtConfig::hpca2008_baseline(), RunConfig::default());
+        let base = config_fingerprint(&smt, &run);
+        assert_eq!(Runner::new(smt, run).config_fingerprint(), base);
+        assert_eq!(fingerprint_with_model(&smt, &run, MODEL_DIGEST), base);
+
+        let smt_edits: [fn(&mut SmtConfig); 39] = [
+            |c| c.width += 1,
+            |c| c.fetch_threads += 1,
+            |c| c.frontend_depth += 1,
+            |c| c.fetch_buffer += 1,
+            |c| c.rob_size += 1,
+            |c| c.int_regs += 1,
+            |c| c.fp_regs += 1,
+            |c| c.iq_size[0] += 1,
+            |c| c.iq_size[1] += 1,
+            |c| c.iq_size[2] += 1,
+            |c| c.fu_count[0] += 1,
+            |c| c.fu_count[1] += 1,
+            |c| c.fu_count[2] += 1,
+            |c| c.hierarchy.icache.size_bytes *= 2,
+            |c| c.hierarchy.icache.ways += 1,
+            |c| c.hierarchy.icache.line_bytes *= 2,
+            |c| c.hierarchy.icache.latency += 1,
+            |c| c.hierarchy.icache.mshrs += 1,
+            |c| c.hierarchy.dcache.size_bytes *= 2,
+            |c| c.hierarchy.dcache.ways += 1,
+            |c| c.hierarchy.dcache.line_bytes *= 2,
+            |c| c.hierarchy.dcache.latency += 1,
+            |c| c.hierarchy.dcache.mshrs += 1,
+            |c| c.hierarchy.l2.size_bytes *= 2,
+            |c| c.hierarchy.l2.ways += 1,
+            |c| c.hierarchy.l2.line_bytes *= 2,
+            |c| c.hierarchy.l2.latency += 1,
+            |c| c.hierarchy.l2.mshrs += 1,
+            |c| c.hierarchy.memory_latency += 1,
+            |c| c.hierarchy.prefetch_mshr_reserve += 1,
+            |c| c.hierarchy.l2_ports += 1,
+            |c| c.hierarchy.bus_cycles_per_line += 1,
+            |c| c.bpred_table *= 2,
+            |c| c.bpred_history += 1,
+            |c| c.runahead.variant = RunaheadVariant::NoPrefetch,
+            |c| c.runahead.variant = RunaheadVariant::NoFetch,
+            |c| c.runahead.runahead_cache = !c.runahead.runahead_cache,
+            |c| c.runahead.drop_fp = !c.runahead.drop_fp,
+            |c| c.runahead.entry_threshold += 1,
+        ];
+        let run_edits: [fn(&mut RunConfig); 4] = [
+            |r| r.insts_per_thread += 1,
+            |r| r.warmup_insts += 1,
+            |r| r.max_cycles += 1,
+            |r| r.no_drain = !r.no_drain,
+        ];
+        let mut seen = std::collections::HashSet::from([base]);
+        for (k, edit) in smt_edits.iter().enumerate() {
+            let mut c = smt;
+            edit(&mut c);
+            assert!(
+                seen.insert(config_fingerprint(&c, &run)),
+                "SmtConfig edit {k}"
+            );
+        }
+        for (k, edit) in run_edits.iter().enumerate() {
+            let mut r = run;
+            edit(&mut r);
+            assert!(
+                seen.insert(config_fingerprint(&smt, &r)),
+                "RunConfig edit {k}"
+            );
+        }
+        // Another golden text is another model.
+        let other = fnv1a(b"quick ILP2(apsi+eon) RR 0000000000000000\n");
+        assert!(seen.insert(fingerprint_with_model(&smt, &run, other)));
+
+        // Policy and seed are key components of their own, and the
+        // cycle-skip ablation is bit-identical.
+        let mut c = smt;
+        c.policy = PolicyKind::Rat;
+        let r = RunConfig {
+            seed: run.seed + 1,
+            no_skip: !run.no_skip,
+            ..run
+        };
+        assert_eq!(config_fingerprint(&c, &r), base);
     }
 
     fn quick() -> RunConfig {

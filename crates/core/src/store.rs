@@ -75,17 +75,23 @@ pub const COMPACT_THRESHOLD: usize = 1;
 /// `put` makes up to `1 + APPEND_RETRIES` attempts).
 const APPEND_RETRIES: u32 = 3;
 
+/// FNV-1a's initial state.
+pub(crate) const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a, the repo's standard content fingerprint.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_continue(0xcbf2_9ce4_8422_2325, bytes)
+pub(crate) const fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_continue(FNV1A_OFFSET, bytes)
 }
 
 /// FNV-1a's state after hashing `bytes` onto state `h`, so a hash can run
-/// on across separately scanned pieces of one input.
-fn fnv1a_continue(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
+/// on across separately scanned pieces of one input. A `const fn`, so a
+/// hash of an embedded file is taken at compile time.
+pub(crate) const fn fnv1a_continue(mut h: u64, bytes: &[u8]) -> u64 {
+    let mut i = 0;
+    while i < bytes.len() {
+        h ^= bytes[i] as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        i += 1;
     }
     h
 }
@@ -147,15 +153,20 @@ impl CellKey {
     /// benchmark name does not parse — a corrupt or foreign record, or
     /// an invalid request in the sweep server).
     pub fn to_mix(&self) -> Option<Mix> {
-        let group = WorkloadGroup::from_name(&self.group)?;
-        let benchmarks: Option<Vec<Benchmark>> =
-            self.mix.split('+').map(Benchmark::from_name).collect();
-        let benchmarks = benchmarks?;
-        if benchmarks.is_empty() {
-            return None;
-        }
-        Some(Mix { group, benchmarks })
+        parse_mix(&self.group, &self.mix)
     }
+}
+
+/// The [`Mix`] a group name and a `+`-joined benchmark list name (`None`
+/// if either does not parse), as [`CellKey::to_mix`] reads them.
+pub fn parse_mix(group: &str, mix: &str) -> Option<Mix> {
+    let group = WorkloadGroup::from_name(group)?;
+    let benchmarks: Option<Vec<Benchmark>> = mix.split('+').map(Benchmark::from_name).collect();
+    let benchmarks = benchmarks?;
+    if benchmarks.is_empty() {
+        return None;
+    }
+    Some(Mix { group, benchmarks })
 }
 
 /// Counters describing one store's history this process run.
@@ -169,7 +180,8 @@ pub struct StoreStats {
     /// processes appending the same cell); the later record wins and the
     /// earlier is dropped at the next compaction.
     pub duplicates: usize,
-    /// `get` calls that found a record (journal replays).
+    /// `get` calls that found a record: results decoded for a journal
+    /// replay. The sweep server sends stored lines and decodes none.
     pub hits: u64,
     /// Records appended (durably) this run.
     pub appended: u64,

@@ -42,6 +42,7 @@
 //! ```
 
 mod exec;
+pub mod hash;
 mod inst;
 mod memory;
 mod program;

@@ -1,9 +1,10 @@
 //! Sparse 64-bit data memory.
 
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
+
+use crate::hash::WordMap;
 
 const PAGE_SHIFT: u64 = 12;
 const PAGE_BYTES: usize = 1 << PAGE_SHIFT;
@@ -91,7 +92,7 @@ pub trait MemorySource: Send + Sync + fmt::Debug {
 #[derive(Clone, Debug)]
 pub struct SparseMemory {
     /// Page number → index into `frames`.
-    page_map: HashMap<u64, u32>,
+    page_map: WordMap<u32>,
     /// The page frames themselves; never removed, so indices are stable.
     frames: Vec<Box<[u64; PAGE_WORDS]>>,
     /// Most-recently-used `(page, frame)` pairs, hottest first; the
@@ -104,7 +105,7 @@ pub struct SparseMemory {
 impl Default for SparseMemory {
     fn default() -> Self {
         SparseMemory {
-            page_map: HashMap::new(),
+            page_map: WordMap::default(),
             frames: Vec::new(),
             hot: [Cell::new((NO_PAGE, 0)), Cell::new((NO_PAGE, 0))],
             source: None,

@@ -1,10 +1,10 @@
 //! The persistent sweep server.
 //!
 //! One process owns the shared [`ResultStore`] journal and serves
-//! `SWEEP` batches over TCP: warm cells (already journaled) are
-//! answered from memory, cold cells fan out over the crash-safe sweep
-//! engine ([`rat_bench::run_cells_streaming`], one cell per worker at a
-//! time) and are journaled the moment they complete — so a
+//! `SWEEP` batches over TCP: a warm cell (already journaled) costs one
+//! lookup and one write of its stored line, cold cells fan out over the
+//! crash-safe sweep engine ([`rat_bench::simulate_cells`], one cell per
+//! worker at a time) and are journaled the moment they complete — so a
 //! killed-and-restarted server resumes warm, and a resubmitted batch is
 //! served mostly from cache. Each cell's `RESULT` line is written as
 //! the cell finishes (progressive delivery), with failure lines and the
@@ -42,10 +42,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use rat_bench::{run_cells_streaming, SweepCell, SweepSession};
-use rat_core::store::encode_result;
-use rat_core::{format_record_line, lock_recover, CellErrorKind, CellKey, FaultPlan, MixResult};
-use rat_core::{CellError, ResultStore, RunConfig, Runner};
+use rat_bench::{simulate_cells, SweepCell, SweepSession};
+use rat_core::store::{encode_result, parse_mix};
+use rat_core::{config_fingerprint, format_record_line, lock_recover, CellErrorKind, CellKey};
+use rat_core::{CellError, FaultPlan, MixResult, ResultStore, RunConfig, Runner};
 use rat_smt::{PolicyKind, SmtConfig};
 use rat_workload::Mix;
 
@@ -188,8 +188,8 @@ impl Shared {
         if let Some(store) = &self.store {
             let s = store.stats();
             line.push_str(&format!(
-                " store_loaded={} store_appended={} store_retries={} store_failures={}",
-                s.loaded, s.appended, s.retries, s.append_failures
+                " store_loaded={} store_hits={} store_appended={} store_retries={} store_failures={}",
+                s.loaded, s.hits, s.appended, s.retries, s.append_failures
             ));
         }
         line
@@ -467,25 +467,38 @@ fn sanitize(msg: &str) -> String {
     msg.replace(['\n', '\r'], "; ")
 }
 
-/// Runs one `SWEEP` request, streaming each cell's `RESULT` line the
-/// moment the cell completes (replayed from the journal or freshly
-/// computed, from whichever worker finished it) — a client watching the
-/// connection sees results trickle in instead of waiting for the whole
-/// batch. A journaled server sends the record's stored line
-/// ([`ResultStore::record_line`]): the line loaded from the journal for
-/// a hit, the line appended for a computed cell (the sweep journals a
-/// cell before it reports it). Only a journal-less server formats one.
-/// Failure lines (`TIMEOUT`/`ERR`) and the final `DONE` summary
-/// are written after the sweep settles: [`run_cells_streaming`] reports
-/// a panicked cell in its returned report, not through the callback.
-/// The request's valid cells run as one sweep per seed, in seed order.
+/// One seed's valid cells of a request, in request order: each keyed
+/// once, under the fingerprint of the request's configuration at that
+/// seed, and looked up once.
+struct SeedGroup {
+    run: RunConfig,
+    /// Each cell's request index, mix and policy.
+    cells: Vec<(usize, Mix, PolicyKind)>,
+    keys: Vec<CellKey>,
+    /// Indices into `cells` of the cells the journal does not hold.
+    cold: Vec<usize>,
+}
+
+/// Runs one `SWEEP` request. Each valid cell is keyed once and looked up
+/// once. A journal hit is answered by the server itself: `RESULT <i> `
+/// and the record's stored line ([`ResultStore::record_line`]) go
+/// straight into the reply writer, with no decode and no per-line
+/// string.
+/// The hits' lines go out first. Only the cold cells then reach the
+/// sweep executor ([`simulate_cells`]), one sweep per seed in seed
+/// order, each under its group's original indices so `panic@C` keeps
+/// its meaning; a seed group without a cold cell builds no [`Runner`].
+/// A computed cell's line streams the moment its worker journals it:
+/// the line appended for it, or, on a journal-less server, one
+/// formatted here. Failure lines (`TIMEOUT`/`ERR`) and the final `DONE`
+/// summary are written after the sweep settles: a panicked cell is only
+/// known from the returned failures, not through the callback.
 ///
-/// Each line is flushed as it is written, except when the journal
-/// already holds a line for every valid cell: nothing then waits on a
-/// simulation, so the lines collect in the writer and `DONE`'s flush
-/// sends the whole reply in one write. A concurrent `put` can only turn
-/// a cold cell warm, so that check never holds back a line that needed
-/// streaming.
+/// Each line is flushed as it is written, except when the journal holds
+/// a line for every valid cell: nothing then waits on a simulation, so
+/// the lines collect in the writer and `DONE`'s flush sends the whole
+/// reply in one write. The one lookup per cell decides both, so a
+/// concurrent `put` cannot split them.
 ///
 /// A write error mid-stream (client vanished) is swallowed per line:
 /// completed cells are already journaled, so the only loss is the dead
@@ -503,86 +516,89 @@ fn run_sweep(
         std::collections::BTreeMap::new();
     let mut unknown = Vec::new();
     for (i, spec) in specs.iter().enumerate() {
-        let key = CellKey {
-            fingerprint: 0,
-            group: spec.group.clone(),
-            mix: spec.mix.clone(),
-            policy: spec.policy.clone(),
-            seed: spec.seed,
-        };
-        match (key.to_mix(), PolicyKind::from_name(&spec.policy)) {
+        match (
+            parse_mix(&spec.group, &spec.mix),
+            PolicyKind::from_name(&spec.policy),
+        ) {
             (Some(mix), Some(policy)) => {
                 by_seed.entry(spec.seed).or_default().push((i, mix, policy));
             }
             (mix, _) => unknown.push((i, if mix.is_none() { "group/mix" } else { "policy" })),
         }
     }
-    // One runner per seed, each cell keyed under its runner's
-    // fingerprint, all before anything is sent.
-    let groups: Vec<_> = by_seed
-        .into_iter()
-        .map(|(seed, group)| {
-            let runner = Runner::new(
-                SmtConfig::hpca2008_baseline(),
-                RunConfig {
-                    insts_per_thread: head.insts,
-                    warmup_insts: head.warmup,
-                    seed,
-                    ..RunConfig::default()
-                },
-            );
-            let fingerprint = runner.config_fingerprint();
-            let group = group
-                .into_iter()
-                .map(|(i, mix, policy)| {
-                    let key = CellKey::new(fingerprint, &mix, policy, seed);
-                    (i, mix, policy, key)
-                })
-                .collect::<Vec<_>>();
-            (runner, group)
-        })
-        .collect();
-    let journal_answers_all = shared.store.as_ref().is_some_and(|store| {
-        groups
+    // Key and look up every cell before anything is sent.
+    let smt = SmtConfig::hpca2008_baseline();
+    let mut hits: Vec<(usize, Arc<str>)> = Vec::new();
+    let mut groups = Vec::with_capacity(by_seed.len());
+    for (seed, cells) in by_seed {
+        let run = RunConfig {
+            insts_per_thread: head.insts,
+            warmup_insts: head.warmup,
+            seed,
+            ..RunConfig::default()
+        };
+        let fingerprint = config_fingerprint(&smt, &run);
+        let keys: Vec<CellKey> = cells
             .iter()
-            .flat_map(|(_, group)| group)
-            .all(|(.., key)| store.record_line(key).is_some())
-    });
+            .map(|(_, mix, policy)| CellKey::new(fingerprint, mix, *policy, seed))
+            .collect();
+        let mut cold = Vec::new();
+        for (ci, key) in keys.iter().enumerate() {
+            match shared.store.as_ref().and_then(|s| s.record_line(key)) {
+                Some(line) => hits.push((cells[ci].0, line)),
+                None => cold.push(ci),
+            }
+        }
+        groups.push(SeedGroup {
+            run,
+            cells,
+            keys,
+            cold,
+        });
+    }
+    let journal_answers_all =
+        shared.store.is_some() && groups.iter().all(|group| group.cold.is_empty());
 
     let flushes = &shared.counters.sweep_flushes;
     let flush = |w: &mut BufWriter<TcpStream>| {
         flushes.fetch_add(1, Ordering::Relaxed);
         w.flush()
     };
-    let send = |line: String| {
+    let send = |line: std::fmt::Arguments<'_>| {
         let mut w = lock_recover(writer);
         let _ = writeln!(w, "{line}");
         if !journal_answers_all {
             let _ = flush(&mut w);
         }
     };
-    // Which spec indices have had their line written (streamed results
-    // now, failures later) — anything still false at the end gets the
+    // Which spec indices have had their line written (results as they
+    // arrive, failures later) — anything still false at the end gets the
     // no-outcome ERR line.
     let emitted = Mutex::new(vec![false; specs.len()]);
-    let (mut ok, mut timeout, mut err) = (0usize, 0usize, 0usize);
-    let (mut hits, mut computed) = (0usize, 0usize);
+    let (mut timeout, mut err) = (0usize, 0usize);
+    let mut computed = 0usize;
 
     for (i, what) in unknown {
         let spec = &specs[i];
-        send(format!(
+        send(format_args!(
             "ERR {i} unknown {what} in {} {} {}",
             spec.group, spec.mix, spec.policy
         ));
         lock_recover(&emitted)[i] = true;
         err += 1;
     }
+    for (i, line) in &hits {
+        send(format_args!("RESULT {i} {line}"));
+        lock_recover(&emitted)[*i] = true;
+    }
 
-    for (runner, group) in &groups {
+    for group in groups.iter().filter(|group| !group.cold.is_empty()) {
+        let runner = Runner::new(smt, group.run);
         let cells: Vec<SweepCell<'_>> = group
+            .cells
             .iter()
-            .map(|(_, mix, policy, _)| SweepCell {
-                runner,
+            .map(|(_, mix, policy)| SweepCell {
+                runner: &runner,
                 mix: mix.clone(),
                 policy: *policy,
             })
@@ -596,23 +612,28 @@ fn run_sweep(
         let on_cell = |ci: usize, outcome: &Result<MixResult, CellError>| {
             // Stream completions; failures wait for the settled report.
             if let Ok(r) = outcome {
-                let (i, _, _, key) = &group[ci];
+                let (i, key) = (group.cells[ci].0, &group.keys[ci]);
                 let stored = shared.store.as_ref().and_then(|s| s.record_line(key));
                 let line =
                     stored.unwrap_or_else(|| format_record_line(key, &encode_result(r)).into());
-                send(format!("RESULT {i} {line}"));
-                lock_recover(&emitted)[*i] = true;
+                send(format_args!("RESULT {i} {line}"));
+                lock_recover(&emitted)[i] = true;
             }
         };
-        let report = run_cells_streaming(&cells, shared.cfg.threads, &session, &on_cell);
-        hits += report.replayed;
-        computed += report.computed;
-        ok += report.results.iter().filter(|r| r.is_some()).count();
-        for f in &report.failures {
-            let i = group[f.index].0;
+        let (simulated, failures) = simulate_cells(
+            &cells,
+            &group.keys,
+            &group.cold,
+            shared.cfg.threads,
+            &session,
+            &on_cell,
+        );
+        computed += simulated.len();
+        for f in &failures {
+            let i = group.cells[f.index].0;
             match f.kind {
                 CellErrorKind::Timeout => {
-                    send(format!(
+                    send(format_args!(
                         "TIMEOUT {i} {}: {}",
                         f.identity,
                         sanitize(&f.error)
@@ -620,7 +641,11 @@ fn run_sweep(
                     timeout += 1;
                 }
                 CellErrorKind::Panic => {
-                    send(format!("ERR {i} {}: {}", f.identity, sanitize(&f.error)));
+                    send(format_args!(
+                        "ERR {i} {}: {}",
+                        f.identity,
+                        sanitize(&f.error)
+                    ));
                     err += 1;
                 }
             }
@@ -628,6 +653,7 @@ fn run_sweep(
         }
     }
 
+    let (hits, ok) = (hits.len(), hits.len() + computed);
     let c = &shared.counters;
     c.cells_ok.fetch_add(ok as u64, Ordering::Relaxed);
     c.cells_timeout.fetch_add(timeout as u64, Ordering::Relaxed);
@@ -637,7 +663,7 @@ fn run_sweep(
 
     for (i, done) in lock_recover(&emitted).iter().enumerate() {
         if !done {
-            send(format!("ERR {i} cell produced no outcome"));
+            send(format_args!("ERR {i} cell produced no outcome"));
         }
     }
     let mut w = lock_recover(writer);

@@ -15,6 +15,9 @@
 //! * wire bytes: a journaled server's `RESULT` payload is the cell's
 //!   journal line, byte for byte, and a reply the journal answers whole
 //!   is flushed once;
+//! * warm answers: a hit is sent from its stored line without a decode
+//!   (`STATS store_hits=` stays 0), hits are answered before any cold
+//!   cell is simulated, and an injected panic fires only on cold cells;
 //! * connections: a client's repeat requests and `BUSY` retries travel
 //!   on one kept connection (counted by `STATS accepted=`), a kept
 //!   connection a drain closed is replaced without spending a retry,
@@ -339,12 +342,9 @@ fn results_stream_progressively_as_cells_complete() {
     handle.join().unwrap().unwrap();
 }
 
-/// Sends `request` on a raw socket and returns each `RESULT` line's
-/// record payload by cell index, plus the `DONE` line.
-fn raw_result_payloads(
-    addr: std::net::SocketAddr,
-    request: &SweepRequest,
-) -> (Vec<Option<String>>, String) {
+/// Sends `request` on a raw socket and returns the reply's lines in
+/// arrival order, `DONE` last.
+fn raw_reply(addr: std::net::SocketAddr, request: &SweepRequest) -> Vec<String> {
     let stream = std::net::TcpStream::connect(addr).unwrap();
     let mut reader = LineReader::new(stream.try_clone().unwrap(), MAX_LINE);
     let mut writer = stream;
@@ -352,16 +352,32 @@ fn raw_result_payloads(
         writeln!(writer, "{line}").unwrap();
     }
     writer.flush().unwrap();
-    let mut payloads = vec![None; request.cells.len()];
+    let mut lines = Vec::new();
     loop {
         let line = reader.read_line().unwrap().expect("reply line");
-        if line.starts_with("DONE") {
-            return (payloads, line);
+        let done = line.starts_with("DONE");
+        lines.push(line);
+        if done {
+            return lines;
         }
+    }
+}
+
+/// Sends `request` on a raw socket and returns each `RESULT` line's
+/// record payload by cell index, plus the `DONE` line.
+fn raw_result_payloads(
+    addr: std::net::SocketAddr,
+    request: &SweepRequest,
+) -> (Vec<Option<String>>, String) {
+    let mut lines = raw_reply(addr, request);
+    let done = lines.pop().expect("DONE line");
+    let mut payloads = vec![None; request.cells.len()];
+    for line in lines {
         let rest = line.strip_prefix("RESULT ").expect("only RESULT lines");
         let (idx, payload) = rest.split_once(' ').expect("RESULT <i> <record>");
         payloads[idx.parse::<usize>().unwrap()] = Some(payload.to_string());
     }
+    (payloads, done)
 }
 
 /// A journaled server's `RESULT` payload is the cell's journal line,
@@ -418,6 +434,107 @@ fn journal_answered_reply_is_one_flush() {
     assert_eq!(client.sweep(&req).unwrap().hits(), 4);
     assert_eq!(flushes() - cold, 1, "warm: the whole reply in one flush");
 
+    server.request_shutdown();
+    handle.join().unwrap().unwrap();
+}
+
+/// A journal hit is answered from its stored line and never decoded:
+/// the store's decode count (`STATS store_hits=`) stays 0 however often
+/// a warm request repeats.
+#[test]
+fn warm_repeats_decode_no_record() {
+    let path = tmp_path("no_decode");
+    let _cleanup = Cleanup(vec![path.clone(), path.with_extension("quarantine")]);
+    let (server, addr, handle) = spawn_server(ServerConfig {
+        journal: Some(path.clone()),
+        ..ServerConfig::default()
+    });
+    let client = Client::new(addr.to_string(), 71);
+    let req = request(71, 4, None);
+
+    assert_eq!(client.sweep(&req).unwrap().computed(), 4);
+    for repeat in 1..=3 {
+        assert_eq!(client.sweep(&req).unwrap().hits(), 4);
+        let stats = client.stats().unwrap();
+        assert_eq!(stats["hits"], 4 * repeat);
+        assert_eq!(
+            stats["store_hits"], 0,
+            "warm repeat {repeat} decoded a record"
+        );
+    }
+
+    server.request_shutdown();
+    handle.join().unwrap().unwrap();
+}
+
+/// A request the journal answers in part: the hits' lines go out before
+/// anything is simulated — even when the cold cells belong to a seed
+/// group that sorts first — and `DONE` counts both kinds. `panic@C`
+/// fires on index `C` of a seed's group only when that cell is cold: a
+/// hit never reaches a worker.
+#[test]
+fn hits_are_answered_first_and_faults_fire_only_on_cold_cells() {
+    let path = tmp_path("mixed");
+    let _cleanup = Cleanup(vec![path.clone(), path.with_extension("quarantine")]);
+    let mixes = mixes_for_group(WorkloadGroup::Mem2);
+    let cell = |k: usize, seed: u64| CellSpec {
+        group: "MEM2".to_string(),
+        mix: mixes[k].label(),
+        policy: "ICOUNT".to_string(),
+        seed,
+    };
+    let sweep = |id: u64, cells: Vec<CellSpec>| SweepRequest {
+        id,
+        insts: 1_500,
+        warmup: 500,
+        deadline_ms: None,
+        cells,
+    };
+
+    let (server, addr, handle) = spawn_server(ServerConfig {
+        journal: Some(path.clone()),
+        ..ServerConfig::default()
+    });
+    let client = Client::new(addr.to_string(), 81);
+    let warm = sweep(1, vec![cell(0, 43), cell(1, 43)]);
+    assert_eq!(client.sweep(&warm).unwrap().computed(), 2);
+    let mixed = sweep(2, vec![cell(0, 42), cell(1, 42), cell(0, 43), cell(1, 43)]);
+    let lines = raw_reply(addr, &mixed);
+    assert_eq!(lines.len(), 5, "{lines:?}");
+    assert!(lines[0].starts_with("RESULT 2 "), "{lines:?}");
+    assert!(lines[1].starts_with("RESULT 3 "), "{lines:?}");
+    assert!(lines[2..4].iter().all(|l| l.starts_with("RESULT ")));
+    assert!(lines[4].ends_with("hits=2 computed=2"), "{}", lines[4]);
+    server.request_shutdown();
+    handle.join().unwrap().unwrap();
+
+    let (server, addr, handle) = spawn_server(ServerConfig {
+        journal: Some(path.clone()),
+        fault_plan: Some(rat_core::FaultPlan::parse("panic@1").unwrap()),
+        ..ServerConfig::default()
+    });
+    let client = Client::new(addr.to_string(), 82);
+    // Index 1 of both seed groups is a hit: nothing panics.
+    let reply = client
+        .sweep(&sweep(
+            3,
+            vec![cell(2, 42), cell(0, 42), cell(0, 43), cell(1, 43)],
+        ))
+        .unwrap();
+    assert_eq!(
+        (reply.done["ok"], reply.done["err"]),
+        (4, 0),
+        "{:?}",
+        reply.done
+    );
+    assert_eq!((reply.hits(), reply.computed()), (3, 1));
+    // Index 1 is cold: it panics, and only it does.
+    let reply = client
+        .sweep(&sweep(4, vec![cell(0, 42), cell(3, 42)]))
+        .unwrap();
+    assert_eq!((reply.done["ok"], reply.done["err"]), (1, 1));
+    assert!(reply.outcomes[0].result().is_some());
+    assert!(matches!(&reply.outcomes[1], CellOutcome::Err(msg) if msg.contains("panic")));
     server.request_shutdown();
     handle.join().unwrap().unwrap();
 }

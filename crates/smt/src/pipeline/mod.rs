@@ -44,9 +44,8 @@ mod runahead;
 #[cfg(test)]
 mod tests;
 
-use std::collections::HashSet;
-
 use rat_bpred::GlobalHistory;
+use rat_isa::hash::WordSet;
 use rat_isa::Pc;
 use rat_mem::Hierarchy;
 
@@ -103,12 +102,12 @@ struct Thread {
     fp_user: bool,
     /// Loads seen (and suppressed) during NoPrefetch runahead: they do not
     /// re-trigger runahead after recovery (paper §6.1).
-    no_retrigger: HashSet<u64>,
+    no_retrigger: WordSet,
     /// Runahead cache (§3.3, optional): word addresses written by runahead
     /// stores whose *data* was INV. With the runahead cache enabled, later
     /// runahead loads from these words observe the INV status; without it
     /// they silently use stale values (the paper's default).
-    ra_inv_words: HashSet<u64>,
+    ra_inv_words: WordSet,
     /// Whether the thread has been demoted to post-quota drain mode (see
     /// [`drain`]): its window is squashed, it holds no pipeline
     /// resources, and only the paced commit engine in `drain::run`
@@ -257,8 +256,8 @@ impl SmtSimulator {
                 hist: GlobalHistory::new(),
                 dmiss_inflight: 0,
                 fp_user: false,
-                no_retrigger: HashSet::new(),
-                ra_inv_words: HashSet::new(),
+                no_retrigger: WordSet::default(),
+                ra_inv_words: WordSet::default(),
                 drained: false,
                 drain: drain::DrainState::default(),
                 half_mark: None,

@@ -21,7 +21,7 @@ use rat_mem::Hierarchy;
 use crate::config::SmtConfig;
 use crate::instr_table::{sched_iq, GSEQ_SHIFT, STAGE_MASK, ST_WAIT, WAIT_MASK, WAIT_ONE};
 use crate::iq::{IssueQueues, ReadyKey};
-use crate::policy::{dcra_caps, dcra_weight, HillState, PolicyKind};
+use crate::policy::{dcra_cap, dcra_weight, HillState, PolicyKind};
 use crate::regfile::PhysRegFile;
 use crate::types::{Cycle, IqKind, PhysReg, RegClass, ThreadId};
 
@@ -392,25 +392,26 @@ impl SharedResources {
         if n == 1 {
             return true;
         }
-        let slow: Vec<bool> = threads.iter().map(|t| t.dmiss_inflight > 0).collect();
-        // Integer resources: every thread participates.
-        let int_weights: Vec<f64> = (0..n)
-            .map(|t| dcra_weight(slow[t], true, self.dcra_slow_weight))
-            .collect();
-        // FP resources: only threads that have touched FP.
-        let fp_weights: Vec<f64> = (0..n)
-            .map(|t| dcra_weight(slow[t], threads[t].fp_user, self.dcra_slow_weight))
-            .collect();
+        // Weights in stack scratch (n <= 8): the gate runs on every
+        // dispatch attempt and must not allocate. Integer resources: every
+        // thread participates. FP resources: only threads that have
+        // touched FP.
+        let (mut int_weights, mut fp_weights) = ([0.0; 8], [0.0; 8]);
+        for (t, thread) in threads.iter().enumerate() {
+            let slow = thread.dmiss_inflight > 0;
+            int_weights[t] = dcra_weight(slow, true, self.dcra_slow_weight);
+            fp_weights[t] = dcra_weight(slow, thread.fp_user, self.dcra_slow_weight);
+        }
+        let (int_weights, fp_weights) = (&int_weights[..n], &fp_weights[..n]);
 
         if let Some(k) = iq_kind {
             let total = cfg.iq_size[k.index()];
             let weights = if k == IqKind::Fp {
-                &fp_weights
+                fp_weights
             } else {
-                &int_weights
+                int_weights
             };
-            let caps = dcra_caps(total, weights);
-            if self.iqs.thread_occupancy(tid, k) >= caps[tid].max(4) {
+            if self.iqs.thread_occupancy(tid, k) >= dcra_cap(total, weights, tid).max(4) {
                 return false;
             }
         }
@@ -418,18 +419,14 @@ impl SharedResources {
             // Only the *renaming* (non-architectural) registers are shared:
             // 32 per thread are pinned for precise state.
             let pinned = 32 * n;
-            if arch.is_int() {
-                let shared = cfg.int_regs.saturating_sub(pinned);
-                let caps = dcra_caps(shared, &int_weights);
-                if self.int_rf.allocated(tid).saturating_sub(32) >= caps[tid].max(4) {
-                    return false;
-                }
+            let (rf, regs, weights) = if arch.is_int() {
+                (&self.int_rf, cfg.int_regs, int_weights)
             } else {
-                let shared = cfg.fp_regs.saturating_sub(pinned);
-                let caps = dcra_caps(shared, &fp_weights);
-                if self.fp_rf.allocated(tid).saturating_sub(32) >= caps[tid].max(4) {
-                    return false;
-                }
+                (&self.fp_rf, cfg.fp_regs, fp_weights)
+            };
+            let cap = dcra_cap(regs.saturating_sub(pinned), weights, tid);
+            if rf.allocated(tid).saturating_sub(32) >= cap.max(4) {
+                return false;
             }
         }
         true

@@ -77,18 +77,17 @@ impl std::fmt::Display for PolicyKind {
     }
 }
 
-/// DCRA entitlements: distributes `total` entries of a resource over
-/// threads proportionally to their weights (0-weight threads get 0 —
-/// e.g. integer-only threads claim no FP registers).
-pub fn dcra_caps(total: usize, weights: &[f64]) -> Vec<usize> {
+/// DCRA entitlement of thread `tid`: its share of `total` entries of a
+/// resource, proportional to its weight in `weights` and floored
+/// (0-weight threads get 0 — e.g. integer-only threads claim no FP
+/// registers). When no thread has weight, every thread is entitled to
+/// the whole resource.
+pub fn dcra_cap(total: usize, weights: &[f64], tid: usize) -> usize {
     let sum: f64 = weights.iter().sum();
     if sum <= 0.0 {
-        return vec![total; weights.len()];
+        return total;
     }
-    weights
-        .iter()
-        .map(|w| ((total as f64) * w / sum).floor() as usize)
-        .collect()
+    ((total as f64) * weights[tid] / sum).floor() as usize
 }
 
 /// The DCRA weight of a thread: `slow_weight` for memory-intensive (slow)
@@ -275,6 +274,13 @@ mod tests {
         for p in [PolicyKind::Icount, PolicyKind::Rat, PolicyKind::Dcra] {
             assert_eq!(p.to_string(), p.name());
         }
+    }
+
+    /// Every thread's [`dcra_cap`] over `weights`.
+    fn dcra_caps(total: usize, weights: &[f64]) -> Vec<usize> {
+        (0..weights.len())
+            .map(|tid| dcra_cap(total, weights, tid))
+            .collect()
     }
 
     #[test]

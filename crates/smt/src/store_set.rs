@@ -14,6 +14,8 @@
 //! table rebuilds when live + tombstone slots exceed ¾ of capacity,
 //! which both drops tombstones and grows the table if genuinely full.
 
+use rat_isa::hash::splitmix_finalize;
+
 /// Sentinel for a never-used slot. Store addresses are word-aligned
 /// virtual addresses well below the thread-tag bits, so `u64::MAX`
 /// cannot collide with a real key.
@@ -28,17 +30,6 @@ pub(crate) struct StoreSet {
     live: usize,
     /// Slots with a key installed (live + tombstones).
     used: usize,
-}
-
-/// Finalizer-style mixer (splitmix64): cheap, and strong enough to
-/// spread word addresses (which share low-entropy strides) over the
-/// table.
-#[inline]
-fn mix(key: u64) -> u64 {
-    let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl StoreSet {
@@ -58,7 +49,7 @@ impl StoreSet {
     #[inline]
     pub(crate) fn contains(&self, key: u64) -> bool {
         let mask = self.keys.len() - 1;
-        let mut i = (mix(key) as usize) & mask;
+        let mut i = (splitmix_finalize(key) as usize) & mask;
         loop {
             let k = self.keys[i];
             if k == EMPTY {
@@ -78,7 +69,7 @@ impl StoreSet {
             self.rebuild();
         }
         let mask = self.keys.len() - 1;
-        let mut i = (mix(key) as usize) & mask;
+        let mut i = (splitmix_finalize(key) as usize) & mask;
         let mut tomb: Option<usize> = None;
         loop {
             let k = self.keys[i];
@@ -116,7 +107,7 @@ impl StoreSet {
     /// `HashMap` removal semantics).
     pub(crate) fn remove(&mut self, key: u64) {
         let mask = self.keys.len() - 1;
-        let mut i = (mix(key) as usize) & mask;
+        let mut i = (splitmix_finalize(key) as usize) & mask;
         loop {
             let k = self.keys[i];
             if k == EMPTY {
@@ -154,7 +145,7 @@ impl StoreSet {
             if k == EMPTY || c == 0 {
                 continue;
             }
-            let mut i = (mix(k) as usize) & mask;
+            let mut i = (splitmix_finalize(k) as usize) & mask;
             while self.keys[i] != EMPTY {
                 i = (i + 1) & mask;
             }
