@@ -114,7 +114,7 @@ impl SweepSession {
             let s = store.stats();
             if s.loaded > 0 || s.quarantined > 0 {
                 eprintln!(
-                    "resume: {} — {} completed cell(s) to replay, {} corrupt record(s) \
+                    "resume: {} — {} completed cell(s) to replay, {} unreadable line(s) \
                      quarantined for recompute",
                     path, s.loaded, s.quarantined
                 );

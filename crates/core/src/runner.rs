@@ -78,7 +78,7 @@ pub fn config_fingerprint(smt: &SmtConfig, run: &RunConfig) -> u64 {
 /// [`config_fingerprint`] under the model digest `model`. The structs are
 /// destructured without `..`, so a new field fails to compile here until
 /// it is hashed or named as excluded. Each field is hashed as its
-/// little-endian `u64` with the journal's FNV-1a.
+/// little-endian `u64` with FNV-1a ([`crate::store::fnv1a`]).
 fn fingerprint_with_model(smt: &SmtConfig, run: &RunConfig, model: u64) -> u64 {
     let SmtConfig {
         width,

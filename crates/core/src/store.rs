@@ -11,7 +11,7 @@
 //! # Durability model
 //!
 //! The journal is a line-oriented append-only file. Each record is one
-//! self-contained line carrying its own FNV-1a checksum, appended with a
+//! self-contained line carrying its own XXH64 checksum, appended with a
 //! single `write_all`; whole-file rewrites (creation, and compaction
 //! after quarantining corruption) go through a tmp-file + atomic rename
 //! ([`atomic_write`]). On load, any line that fails to parse or
@@ -20,6 +20,11 @@
 //! `<path>.quarantine` for post-mortem, and dropped from the journal,
 //! so the owning cell is simply recomputed. Corruption is never
 //! silently served and never aborts the sweep.
+//!
+//! The first line names the record format (`ratstore v2`). A journal of
+//! another version (`ratstore v1` checksummed its records with FNV-1a)
+//! is set aside whole, with one stderr line saying so: every line goes
+//! to `<path>.quarantine` and every cell is recomputed.
 //!
 //! Append failures (e.g. a full disk, or an injected `enospc` fault
 //! from [`crate::faultinject::FaultPlan`]) are non-fatal: the append is
@@ -62,8 +67,13 @@ use crate::retry::Backoff;
 use crate::runner::MixResult;
 
 /// First line of every journal file; bump the version when the record
-/// word layout changes so old journals are recomputed, not misread.
-const MAGIC: &str = "ratstore v1";
+/// line layout or its checksum changes so old journals are recomputed,
+/// not misread. v2 replaced v1's FNV-1a `crc` with XXH64.
+const MAGIC: &str = "ratstore v2";
+
+/// What every version's first line starts with; the version number
+/// follows.
+const MAGIC_PREFIX: &str = "ratstore v";
 
 /// Journal-open compaction trigger: once this many records were dropped
 /// at load (quarantined corruption plus duplicate keys), the journal is
@@ -78,8 +88,12 @@ const APPEND_RETRIES: u32 = 3;
 /// FNV-1a's initial state.
 pub(crate) const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// FNV-1a, the repo's standard content fingerprint.
-pub(crate) const fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a, the hash of the compile-time fingerprints
+/// ([`crate::config_fingerprint`] and the model digest in it) and of the
+/// golden digests in `tests/golden.txt`. Over a record body it is the
+/// `ratstore v1` checksum. It runs one serial multiply per byte, so
+/// record lines now carry XXH64 ([`format_record_line`]).
+pub const fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_continue(FNV1A_OFFSET, bytes)
 }
 
@@ -94,6 +108,76 @@ pub(crate) const fn fnv1a_continue(mut h: u64, bytes: &[u8]) -> u64 {
         i += 1;
     }
     h
+}
+
+// XXH64's five primes.
+const XXH_P1: u64 = 0x9e37_79b1_85eb_ca87;
+const XXH_P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const XXH_P3: u64 = 0x1656_67b1_9e37_79f9;
+const XXH_P4: u64 = 0x85eb_ca77_c2b2_ae63;
+const XXH_P5: u64 = 0x27d4_eb2f_1656_67c5;
+
+fn xxh_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(XXH_P2))
+        .rotate_left(31)
+        .wrapping_mul(XXH_P1)
+}
+
+fn xxh_merge(h: u64, acc: u64) -> u64 {
+    (h ^ xxh_round(0, acc))
+        .wrapping_mul(XXH_P1)
+        .wrapping_add(XXH_P4)
+}
+
+/// XXH64 at seed 0, the record checksum (`ratstore v2`). Four
+/// independent accumulators take 32 bytes a step, so a 2.6-KB record
+/// line hashes in a fraction of FNV-1a's serial byte chain.
+fn xxh64(bytes: &[u8]) -> u64 {
+    let (stripes, tail) = bytes.as_chunks::<32>();
+    let mut h = if stripes.is_empty() {
+        XXH_P5
+    } else {
+        let mut acc = [
+            XXH_P1.wrapping_add(XXH_P2),
+            XXH_P2,
+            0,
+            XXH_P1.wrapping_neg(),
+        ];
+        for stripe in stripes {
+            for (a, lane) in acc.iter_mut().zip(stripe.as_chunks::<8>().0) {
+                *a = xxh_round(*a, u64::from_le_bytes(*lane));
+            }
+        }
+        let h = acc[0]
+            .rotate_left(1)
+            .wrapping_add(acc[1].rotate_left(7))
+            .wrapping_add(acc[2].rotate_left(12))
+            .wrapping_add(acc[3].rotate_left(18));
+        acc.iter().fold(h, |h, &a| xxh_merge(h, a))
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    let (lanes, tail) = tail.as_chunks::<8>();
+    for lane in lanes {
+        h ^= xxh_round(0, u64::from_le_bytes(*lane));
+        h = h.rotate_left(27).wrapping_mul(XXH_P1).wrapping_add(XXH_P4);
+    }
+    let tail = match tail.split_first_chunk::<4>() {
+        Some((lane, rest)) => {
+            h ^= u64::from(u32::from_le_bytes(*lane)).wrapping_mul(XXH_P1);
+            h = h.rotate_left(23).wrapping_mul(XXH_P2).wrapping_add(XXH_P3);
+            rest
+        }
+        None => tail,
+    };
+    for &b in tail {
+        h ^= u64::from(b).wrapping_mul(XXH_P5);
+        h = h.rotate_left(11).wrapping_mul(XXH_P1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(XXH_P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(XXH_P3);
+    h ^ (h >> 32)
 }
 
 /// Writes `bytes` to `path` atomically: a unique tmp file in the same
@@ -224,18 +308,29 @@ impl ResultStore {
         let mut stats = StoreStats::default();
         let mut bad_lines: Vec<String> = Vec::new();
         let mut header_ok = false;
+        // Another version's header and its record count.
+        let mut other_version: Option<(String, usize)> = None;
 
         match std::fs::read_to_string(&path) {
             Ok(body) => {
                 let mut lines = body.lines();
-                header_ok = lines.next().map(str::trim) == Some(MAGIC);
+                let header = lines.next().map(str::trim);
+                header_ok = header == Some(MAGIC);
                 if !header_ok {
-                    // Unknown layout: quarantine everything, start fresh.
+                    // Another version or an unknown layout: quarantine
+                    // everything, start fresh.
+                    if let Some(v) = header
+                        .and_then(|h| h.strip_prefix(MAGIC_PREFIX))
+                        .filter(|v| v.parse::<u32>().is_ok())
+                    {
+                        let records = lines.filter(|l| is_record_line(l)).count();
+                        other_version = Some((v.to_string(), records));
+                    }
                     bad_lines.extend(body.lines().map(str::to_string));
                 } else {
                     for line in lines {
                         let line = line.trim();
-                        if line.is_empty() || line.starts_with('#') {
+                        if !is_record_line(line) {
                             continue;
                         }
                         match parse_record_line(line) {
@@ -267,6 +362,15 @@ impl ResultStore {
                 eprintln!(
                     "result-store: cannot quarantine {} corrupt record(s) to {}: {e}",
                     bad_lines.len(),
+                    qpath.display()
+                );
+            }
+            if let Some((version, records)) = other_version {
+                eprintln!(
+                    "result-store: {} is a {MAGIC_PREFIX}{version} journal and this build \
+                     reads {MAGIC}: set aside its {records} record(s) in {} and will \
+                     recompute their cells",
+                    path.display(),
                     qpath.display()
                 );
             }
@@ -465,6 +569,13 @@ impl ResultStore {
     }
 }
 
+/// Whether a line past the header holds a record: blank lines and `#`
+/// comments do not.
+fn is_record_line(line: &str) -> bool {
+    let line = line.trim();
+    !line.is_empty() && !line.starts_with('#')
+}
+
 fn quarantine_path(path: &Path) -> PathBuf {
     let mut os = path.as_os_str().to_os_string();
     os.push(".quarantine");
@@ -488,23 +599,11 @@ fn append_bytes(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 //   rec <fp:016x> <group> <mix> <policy> <seed> <n> <w0> <w1> ... crc <c:016x>
 //
 // where every word is 16 lowercase hex digits and the checksum is
-// FNV-1a over the canonical body (everything before " crc"). `f64`s
+// XXH64 over the canonical body (everything before " crc"). `f64`s
 // travel as `to_bits` words, so replays are bit-exact.
 
 /// The lowercase hex digits, indexed by nibble value.
 const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
-
-/// Each byte's value as a lowercase hex digit, or `0xff` for any byte
-/// that is not one of [`HEX_DIGITS`].
-const HEX_VALUES: [u8; 256] = {
-    let mut table = [0xff; 256];
-    let mut i = 0;
-    while i < 16 {
-        table[HEX_DIGITS[i] as usize] = i as u8;
-        i += 1;
-    }
-    table
-};
 
 /// Appends `w` as 16 lowercase hex digits: the bytes `{w:016x}` would
 /// write, without the formatting machinery.
@@ -516,16 +615,41 @@ fn push_hex_word(buf: &mut Vec<u8>, w: u64) {
     buf.extend_from_slice(&digits);
 }
 
-/// Reads 16 lowercase hex digits from [`HEX_VALUES`]; `None` if any byte
-/// is not one.
+/// `b` in every byte of a word.
+const fn splat(b: u8) -> u64 {
+    u64::from_ne_bytes([b; 8])
+}
+
+/// The high bit of every byte that is at least `lo`, for a word whose
+/// bytes are all below 0x80 (so no byte's sum carries into the next).
+fn bytes_at_least(x: u64, lo: u8) -> u64 {
+    x.wrapping_add(splat(0x80 - lo)) & splat(0x80)
+}
+
+/// Eight lowercase hex digits, read little-endian from a word: their
+/// value, the first digit most significant, and the high bit of every
+/// byte that is not one of [`HEX_DIGITS`].
+fn decode_hex8(x: u64) -> (u32, u64) {
+    let digit = bytes_at_least(x, b'0') & !bytes_at_least(x, b'9' + 1);
+    let letter = bytes_at_least(x, b'a') & !bytes_at_least(x, b'f' + 1);
+    // A byte of 0x80 or above is never a digit, and it is the one kind
+    // of byte that can carry in the sums above.
+    let bad = (x | !(digit | letter)) & splat(0x80);
+    // Digits keep their low nibble; letters (bit 6 set) add 9 to theirs.
+    let nibbles = (x & splat(0x0f)) + ((x >> 6) & splat(0x01)) * 9;
+    // Pack the nibbles: two a byte, then two bytes a half, then the halves.
+    let bytes = ((nibbles << 4) | (nibbles >> 8)) & 0x00ff_00ff_00ff_00ff;
+    let halves = ((bytes << 8) | (bytes >> 16)) & 0x0000_ffff_0000_ffff;
+    (((halves << 16) | (halves >> 32)) as u32, bad)
+}
+
+/// Reads 16 lowercase hex digits, eight at a time; `None` if any byte is
+/// not one of [`HEX_DIGITS`].
 fn decode_hex16(digits: &[u8; 16]) -> Option<u64> {
-    let (mut w, mut bad) = (0u64, 0u8);
-    for &b in digits {
-        let v = HEX_VALUES[b as usize];
-        bad |= v;
-        w = (w << 4) | u64::from(v & 0xf);
-    }
-    (bad & 0xf0 == 0).then_some(w)
+    let (hi, lo) = digits.split_at(8);
+    let (hi, hi_bad) = decode_hex8(u64::from_le_bytes(hi.try_into().ok()?));
+    let (lo, lo_bad) = decode_hex8(u64::from_le_bytes(lo.try_into().ok()?));
+    (hi_bad | lo_bad == 0).then_some((u64::from(hi) << 32) | u64::from(lo))
 }
 
 /// Decodes one hex word: a 16-digit lowercase token — every word
@@ -540,7 +664,7 @@ fn parse_hex_word(token: &str) -> Option<u64> {
 }
 
 /// Renders one journal record line (no trailing newline): the key, the
-/// [`encode_result`] payload words, and a trailing FNV-1a checksum. The
+/// [`encode_result`] payload words, and a trailing XXH64 checksum. The
 /// sweep server sends these lines verbatim as its `RESULT` payload, so
 /// results travel the wire with the same bit-exactness and corruption
 /// detection the journal has.
@@ -564,7 +688,7 @@ pub fn format_record_line(key: &CellKey, words: &[u64]) -> String {
         line.push(b' ');
         push_hex_word(&mut line, w);
     }
-    let crc = fnv1a(&line);
+    let crc = xxh64(&line);
     line.extend_from_slice(b" crc ");
     push_hex_word(&mut line, crc);
     String::from_utf8(line).expect("a record line is its key's UTF-8 names and ASCII")
@@ -572,12 +696,16 @@ pub fn format_record_line(key: &CellKey, words: &[u64]) -> String {
 
 /// Parses one journal (or wire) record line into its key and payload
 /// words; `None` on any structural or checksum failure (the journal
-/// loader quarantines, the sweep client refuses the reply). Tokens are
-/// separated by ASCII whitespace, the only kind [`format_record_line`]
-/// writes.
+/// loader quarantines, the sweep client refuses the reply). The
+/// checksum is checked first, over the whole body, and must be the 16
+/// lowercase digits [`format_record_line`] writes: an uppercase or
+/// space-padded checksum could hide a flipped bit. Tokens are separated
+/// by ASCII whitespace, the only kind [`format_record_line`] writes.
 pub fn parse_record_line(line: &str) -> Option<(CellKey, Vec<u64>)> {
-    let (body, crc_part) = line.rsplit_once(" crc ")?;
-    let crc = u64::from_str_radix(crc_part.trim(), 16).ok()?;
+    let (body, crc) = line.rsplit_once(" crc ")?;
+    if decode_hex16(crc.as_bytes().try_into().ok()?)? != xxh64(body.as_bytes()) {
+        return None;
+    }
     let mut t = body.split_ascii_whitespace();
     if t.next()? != "rec" {
         return None;
@@ -596,12 +724,10 @@ pub fn parse_record_line(line: &str) -> Option<(CellKey, Vec<u64>)> {
     // The words follow the count token (`count` borrows from `body`, so
     // the pointer difference is its offset). Each canonical word — a
     // space, 16 lowercase digits, then whitespace or the end — is decoded
-    // and hashed in one pass, the decoding running alongside FNV's serial
-    // multiply chain. The first word of any other shape ends the pass:
-    // the rest is hashed, then tokenized word by word.
+    // in place. The first word of any other shape ends the pass: the
+    // rest is tokenized word by word.
     let words_at = count.as_ptr() as usize - body.as_ptr() as usize + count.len();
-    let (head, mut rest) = body.as_bytes().split_at(words_at);
-    let mut h = fnv1a(head);
+    let mut rest = &body.as_bytes()[words_at..];
     while let Some((&b' ', after)) = rest.split_first() {
         let Some((digits, tail)) = after.split_first_chunk::<16>() else {
             break;
@@ -612,12 +738,8 @@ pub fn parse_record_line(line: &str) -> Option<(CellKey, Vec<u64>)> {
         let Some(w) = decode_hex16(digits) else {
             break;
         };
-        h = fnv1a_continue(h, &rest[..17]);
         words.push(w);
         rest = tail;
-    }
-    if fnv1a_continue(h, rest) != crc {
-        return None;
     }
     let rest = body.get(body.len() - rest.len()..)?;
     for w in rest.split_ascii_whitespace() {
@@ -900,6 +1022,21 @@ mod tests {
         );
         // A torn prefix must fail too.
         assert!(parse_record_line(&line[..line.len() * 3 / 5]).is_none());
+        // So must a checksum in any form but the 16 lowercase digits the
+        // formatter writes: each of these reads as the same value through
+        // `from_str_radix`, so each could hide a flipped bit.
+        let (body, crc) = line.rsplit_once(" crc ").unwrap();
+        let upper = crc.to_uppercase();
+        assert_ne!(upper, crc, "the checksum has letters");
+        for token in [
+            upper,
+            format!(" {crc}"),
+            format!("{crc} "),
+            format!("0{crc}"),
+        ] {
+            let variant = format!("{body} crc {token}");
+            assert!(parse_record_line(&variant).is_none(), "{token:?}");
+        }
     }
 
     #[test]
@@ -969,7 +1106,7 @@ mod tests {
         for w in words {
             line.push_str(&format!(" {w:016x}"));
         }
-        let crc = fnv1a(line.as_bytes());
+        let crc = xxh64(line.as_bytes());
         line.push_str(&format!(" crc {crc:016x}"));
         line
     }
@@ -979,7 +1116,7 @@ mod tests {
     fn reference_parse(line: &str) -> Option<(CellKey, Vec<u64>)> {
         let (body, crc_part) = line.rsplit_once(" crc ")?;
         let crc = u64::from_str_radix(crc_part.trim(), 16).ok()?;
-        if fnv1a(body.as_bytes()) != crc {
+        if xxh64(body.as_bytes()) != crc {
             return None;
         }
         let mut t = body.split_whitespace();
@@ -1013,7 +1150,7 @@ mod tests {
 
     /// `body` with a valid checksum tail.
     fn with_crc(body: &str) -> String {
-        format!("{body} crc {:016x}", fnv1a(body.as_bytes()))
+        format!("{body} crc {:016x}", xxh64(body.as_bytes()))
     }
 
     fn test_key() -> CellKey {
@@ -1223,6 +1360,179 @@ mod tests {
         store.rewrite_journal();
         assert_eq!(journal_lines(&path), vec![second]);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn xxh64_matches_known_answers() {
+        // XXH64 at seed 0. The 39-byte input takes one 32-byte stripe,
+        // then the 4-byte and the single-byte tails.
+        for (input, want) in [
+            ("", 0xef46_db37_51d8_e999),
+            ("a", 0xd24e_c4f1_a98c_6e5b),
+            ("abc", 0x44bc_2cf5_ad77_0999),
+            (
+                "Nobody inspects the spammish repetition",
+                0xfbce_a83c_8a37_8bf1,
+            ),
+        ] {
+            assert_eq!(xxh64(input.as_bytes()), want, "{input:?}");
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_a_record_line_is_rejected() {
+        let (key, r) = sample_result();
+        assert_eq!(r.thread_stats.len(), 2);
+        let mut bytes = format_record_line(&key, &encode_result(&r)).into_bytes();
+        let mut parsed = 0;
+        for i in 0..bytes.len() {
+            for bit in 0..8 {
+                bytes[i] ^= 1 << bit;
+                // A flip that breaks UTF-8 never reaches the parser: the
+                // line reader refuses a non-UTF-8 line, and the journal
+                // loader a non-UTF-8 file.
+                if let Ok(flipped) = std::str::from_utf8(&bytes) {
+                    assert_eq!(parse_record_line(flipped), None, "bit {bit} of byte {i}");
+                    parsed += 1;
+                }
+                bytes[i] ^= 1 << bit;
+            }
+        }
+        assert_eq!(parsed, 7 * bytes.len(), "only high-bit flips break UTF-8");
+    }
+
+    /// Each byte's value as a lowercase hex digit, or `0xff` for any byte
+    /// that is not one of [`HEX_DIGITS`].
+    const HEX_VALUES: [u8; 256] = {
+        let mut table = [0xff; 256];
+        let mut i = 0;
+        while i < 16 {
+            table[HEX_DIGITS[i] as usize] = i as u8;
+            i += 1;
+        }
+        table
+    };
+
+    /// The reference for [`decode_hex16`]: one table lookup a digit.
+    fn table_decode_hex16(digits: &[u8; 16]) -> Option<u64> {
+        let (mut w, mut bad) = (0u64, 0u8);
+        for &b in digits {
+            let v = HEX_VALUES[b as usize];
+            bad |= v;
+            w = (w << 4) | u64::from(v & 0xf);
+        }
+        (bad & 0xf0 == 0).then_some(w)
+    }
+
+    #[test]
+    fn swar_decoder_agrees_with_the_table_at_every_byte_and_position() {
+        let canonical = *b"0123456789abcdef";
+        assert_eq!(decode_hex16(&canonical), Some(0x0123_4567_89ab_cdef));
+        let mut accepted = 0;
+        for pos in 0..16 {
+            for b in 0..=255u8 {
+                let mut digits = canonical;
+                digits[pos] = b;
+                let want = table_decode_hex16(&digits);
+                assert_eq!(decode_hex16(&digits), want, "byte {b:#04x} at {pos}");
+                accepted += usize::from(want.is_some());
+            }
+        }
+        assert_eq!(accepted, 16 * 16);
+    }
+
+    #[test]
+    fn swar_decoder_agrees_with_the_table_on_random_words() {
+        // Lowercase digits, their uppercase forms, each range's
+        // neighbours, a space, and bytes at and above 0x80.
+        let mut mixed = b"0123456789abcdefABCDEFg/:`@ ".to_vec();
+        mixed.extend_from_slice(&[0x80, 0x8f, 0xb0, 0xc3, 0xe1, 0xff]);
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut accepted = 0;
+        for _ in 0..100_000 {
+            // Mostly lowercase digits, so that many words are canonical.
+            let digits: [u8; 16] = std::array::from_fn(|_| {
+                let r = next();
+                if r % 16 == 0 {
+                    mixed[(r >> 8) as usize % mixed.len()]
+                } else {
+                    HEX_DIGITS[(r >> 8) as usize % 16]
+                }
+            });
+            let want = table_decode_hex16(&digits);
+            assert_eq!(decode_hex16(&digits), want, "{digits:?}");
+            accepted += usize::from(want.is_some());
+        }
+        assert!((20_000..80_000).contains(&accepted), "{accepted} accepted");
+    }
+
+    /// A record line as `ratstore v1` formatted it: the v2 body with an
+    /// FNV-1a `crc`.
+    const V1_LINE: &str = "rec 0123456789abcdef MEM2 art+mcf RaT 42 6 \
+        0000000000000002 3ff8000000000000 3fd0000000000000 0000000000000000 \
+        0000000000000001 ffffffffffffffff crc 2e4bcb00f130c7be";
+
+    /// `line` with its checksum recomputed as `ratstore v1` did.
+    fn as_v1(line: &str) -> String {
+        let (body, _) = line.rsplit_once(" crc ").unwrap();
+        format!("{body} crc {:016x}", fnv1a(body.as_bytes()))
+    }
+
+    #[test]
+    fn v2_line_differs_from_v1_only_in_the_checksum() {
+        let words = [2, 1.5f64.to_bits(), 0.25f64.to_bits(), 0, 1, u64::MAX];
+        let v2 = format_record_line(&test_key(), &words);
+        let (v1_body, v1_crc) = V1_LINE.rsplit_once(" crc ").unwrap();
+        let (v2_body, v2_crc) = v2.rsplit_once(" crc ").unwrap();
+        assert_eq!(v2_body, v1_body);
+        assert_eq!(format!("{:016x}", fnv1a(v2_body.as_bytes())), v1_crc);
+        assert_eq!(format!("{:016x}", xxh64(v2_body.as_bytes())), v2_crc);
+        assert_ne!(v2_crc, v1_crc);
+        assert_eq!(as_v1(&v2), V1_LINE);
+        assert_eq!(parse_record_line(V1_LINE), None, "v1 fails the v2 checksum");
+    }
+
+    #[test]
+    fn journal_of_another_version_is_set_aside_and_rewritten() {
+        let path = tmp("v1_journal");
+        let qpath = quarantine_path(&path);
+        let _ = std::fs::remove_file(&qpath);
+        let (key, r) = sample_result();
+        let other = CellKey {
+            seed: key.seed + 1,
+            ..key.clone()
+        };
+        let line = format_record_line(&key, &encode_result(&r));
+        let old = format!(
+            "ratstore v1\n{}\n{}\n",
+            as_v1(&line),
+            as_v1(&format_record_line(&other, &encode_result(&r)))
+        );
+        std::fs::write(&path, &old).unwrap();
+        let store = ResultStore::open(&path);
+        assert_eq!(store.stats().loaded, 0);
+        assert_eq!(store.stats().quarantined, 3, "the header and 2 records");
+        assert_eq!(std::fs::read_to_string(&qpath).unwrap(), old);
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            format!("{MAGIC}\n")
+        );
+        assert!(store.put(&key, &r));
+        drop(store);
+        let reopened = ResultStore::open(&path);
+        assert_eq!(reopened.stats().loaded, 1);
+        assert_eq!(reopened.stats().quarantined, 0);
+        // The journals differ in the header and the checksum alone.
+        assert_eq!(journal_lines(&path), vec![line.clone()]);
+        assert_eq!(as_v1(&line), old.lines().nth(1).unwrap());
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&qpath);
     }
 
     #[test]

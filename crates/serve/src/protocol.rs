@@ -37,11 +37,14 @@
 //!
 //! `RESULT` carries the result journal's record line verbatim
 //! ([`rat_core::format_record_line`]): f64s travel as `to_bits` hex
-//! words (bit-exact) and every line carries its own FNV-1a checksum, so
+//! words (bit-exact) and every line carries its own XXH64 checksum, so
 //! wire corruption is detected exactly like journal corruption. A
 //! journaled server sends the record's stored line, as loaded from the
 //! journal or as appended to it ([`rat_core::ResultStore::record_line`]),
-//! so a replayed cell is never re-formatted.
+//! so a replayed cell is never re-formatted. The line is the journal's
+//! record format (`ratstore v2`), so a client and a server built with
+//! different record versions refuse each other's `RESULT` lines as
+//! corrupt.
 //!
 //! A sweep reply is streamed: the server flushes each line as it writes
 //! it, so a `RESULT` reaches the client the moment its cell completes.
@@ -75,6 +78,9 @@ pub const MAX_CELLS: usize = 1024;
 /// (`WouldBlock`/`TimedOut`): the caller can poll a shutdown flag and
 /// try again without losing bytes — which is how server connections
 /// stay responsive to drain.
+///
+/// The buffer holds one maximal line (`max + 1` bytes), so a reply the
+/// server sent in one write, up to that size, is taken in one `read`.
 pub struct LineReader<R: Read> {
     inner: BufReader<R>,
     partial: Vec<u8>,
@@ -85,7 +91,7 @@ impl<R: Read> LineReader<R> {
     /// Wraps `inner`, accepting lines up to `max` bytes.
     pub fn new(inner: R, max: usize) -> LineReader<R> {
         LineReader {
-            inner: BufReader::new(inner),
+            inner: BufReader::with_capacity(max + 1, inner),
             partial: Vec::new(),
             max,
         }
@@ -459,6 +465,36 @@ mod tests {
         let mut r = LineReader::new(Cursor::new(long), 128);
         let e = r.read_line().unwrap_err();
         assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn line_reader_takes_one_maximal_line_in_one_read() {
+        /// Counts the `read` calls that reach the source.
+        struct Counted<R>(R, usize);
+        impl<R: Read> Read for Counted<R> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                self.1 += 1;
+                self.0.read(buf)
+            }
+        }
+        // Four 2.6-KB lines and a short one, as a warm 4-cell reply
+        // arrives; then a single line of the maximal length.
+        let mut reply: Vec<u8> = Vec::new();
+        for i in 0..4 {
+            reply.extend(format!("RESULT {i} ").bytes());
+            reply.extend([b'x'; 2600]);
+            reply.push(b'\n');
+        }
+        reply.extend(b"DONE\n");
+        let maximal = [vec![b'y'; MAX_LINE], vec![b'\n']].concat();
+        for bytes in [reply, maximal] {
+            let lines = bytes.iter().filter(|&&b| b == b'\n').count();
+            let mut r = LineReader::new(Counted(Cursor::new(bytes), 0), MAX_LINE);
+            for _ in 0..lines {
+                assert!(r.read_line().unwrap().is_some());
+            }
+            assert_eq!(r.inner.get_ref().1, 1, "one read for {lines} line(s)");
+        }
     }
 
     #[test]

@@ -2,10 +2,13 @@
 //! `tests/replay_cache.rs`.
 //!
 //! `tests/golden.txt` holds one line per cell, `<label> <digest>`. A
-//! simulated cell's digest is the `crc` of its journal record line
-//! (`format_record_line` over `encode_result`, keyed with fingerprint 0
-//! so that `SmtConfig`'s `Debug` form cannot move it); a single-thread
-//! reference's digest is the raw bits of its IPC.
+//! simulated cell's digest is the FNV-1a of its journal record line's
+//! body, everything before ` crc ` (`format_record_line` over
+//! `encode_result`, keyed with fingerprint 0 so that the configuration
+//! fingerprint cannot move it). That is the `crc` of a `ratstore v1`
+//! record, so the digests pinned under v1 still hold under the XXH64
+//! records of v2. A single-thread reference's digest is the raw bits of
+//! its IPC.
 //!
 //! On drift a check lists every drifted cell (label, pinned digest, new
 //! digest) and then prints the whole regenerated `golden.txt`. A change
@@ -14,7 +17,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use rat_core::smt::{PolicyKind, RunaheadVariant, SmtConfig};
-use rat_core::store::encode_result;
+use rat_core::store::{encode_result, fnv1a};
 use rat_core::workload::{
     mixes_for_group, Benchmark, Mix, WorkloadGroup, ALL_BENCHMARKS, ALL_GROUPS,
 };
@@ -176,10 +179,10 @@ fn digest(cell: &Cell) -> u64 {
             }
             let key = CellKey::new(0, mix, *policy, cell.run.seed);
             let line = format_record_line(&key, &encode_result(&r));
-            let (_, crc) = line
-                .rsplit_once(' ')
+            let (body, _) = line
+                .rsplit_once(" crc ")
                 .expect("a record line ends in its crc");
-            u64::from_str_radix(crc, 16).expect("hex crc")
+            fnv1a(body.as_bytes())
         }
     }
 }
