@@ -1,8 +1,11 @@
 //! Parallel, crash-safe sweep plumbing shared by the figure binaries.
 //!
 //! A figure is a matrix of independent simulations (workload groups ×
-//! policies × mixes). The binaries flatten that matrix into one
-//! deterministic cell list and hand it to [`run_cells`], which
+//! policies × mixes). The figure driver ([`crate::figures`]) flattens
+//! the figures it renders into one deterministic cell list and hands it
+//! to `run_union`, which runs each distinct cell once — the
+//! single-thread references behind Eq. 2 fairness appended as ordinary
+//! cells — through [`run_cells`], which
 //!
 //! * replays cells already present in the `--resume` result journal
 //!   ([`rat_core::ResultStore`]) bit-identically,
@@ -13,15 +16,13 @@
 //! * journals each completed cell the moment it finishes, so a killed
 //!   sweep resumes where it died.
 //!
-//! [`run_cells_with_st_references`] adds the single-thread reference
-//! runs behind Eq. 2 fairness to a sweep as ordinary cells, so they get
-//! the same replay, isolation, watchdog and journal.
-//!
-//! [`policy_matrix`] builds the standard group × policy matrix on top
-//! and reassembles per-group summaries in deterministic order — the
-//! printed tables are bit-identical at any thread count and across
-//! kill/resume cycles (`--threads 1` reproduces the serial run exactly).
+//! [`policy_matrix`] is the group × policy matrix of fig1–fig3 on that
+//! same path, reassembled into per-group summaries in deterministic
+//! order — the printed tables are bit-identical at any thread count and
+//! across kill/resume cycles (`--threads 1` reproduces the serial run
+//! exactly).
 
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -40,34 +41,6 @@ pub fn select_mixes(group: WorkloadGroup, cap: usize) -> Vec<Mix> {
         mixes.truncate(cap);
     }
     mixes
-}
-
-/// Marks a row label with `*` when the row's data covers mixes
-/// truncated at `max_cycles` (their IPCs come from an incomplete
-/// window; the `Runner` also reports each on stderr). The mark rides on
-/// the *label* — always a string column — so numeric CSV columns stay
-/// parseable as floats.
-pub fn mark_row_label(label: impl Into<String>, truncated: bool) -> String {
-    let label = label.into();
-    if truncated {
-        format!("{label}*")
-    } else {
-        label
-    }
-}
-
-/// Prints the `*` footnote when `truncated` — as a `#` comment under
-/// `--csv` so redirected output stays machine-readable.
-pub fn emit_truncation_note(truncated: bool, csv: bool) {
-    if truncated {
-        let note = "* = row includes mixes that hit max_cycles before reaching the quota \
-                    (truncated measurement window)";
-        if csv {
-            println!("# {note}");
-        } else {
-            println!("\n{note}");
-        }
-    }
 }
 
 /// The crash-safety context of one sweep invocation: the optional
@@ -147,13 +120,18 @@ pub struct SweepCell<'a> {
 
 impl SweepCell<'_> {
     fn key(&self) -> CellKey {
-        CellKey::new(
-            self.runner.config_fingerprint(),
-            &self.mix,
-            self.policy,
-            self.runner.run_config().seed,
-        )
+        cell_key(self.runner, &self.mix, self.policy)
     }
+}
+
+/// The journal key of `mix` under `policy` on `runner`.
+fn cell_key(runner: &Runner, mix: &Mix, policy: PolicyKind) -> CellKey {
+    CellKey::new(
+        runner.config_fingerprint(),
+        mix,
+        policy,
+        runner.run_config().seed,
+    )
 }
 
 /// A cell that produced no result — its worker panicked or its wall
@@ -326,49 +304,135 @@ pub fn simulate_cells(
     (simulated, failures)
 }
 
-/// [`run_cells`] over `cells` plus the single-thread references their
-/// Eq. 2 fairness needs. For each distinct benchmark whose reference a
-/// cell's runner does not hold yet, one reference cell — the
-/// benchmark's [`Mix::single_thread`] mix under ICOUNT on that runner —
-/// is appended to the **tail** of the list, so every given cell keeps
-/// its index and fault plans mean what they meant without references.
-/// The references run through the same executor, journal, watchdog
-/// and panic isolation as the other cells, and each one that completes
-/// (or replays) is recorded in its runner.
+/// A sweep's completed results by cell: what [`run_union`] returns and
+/// what the figures render from. A failed cell has no entry.
+pub(crate) struct CellResults(HashMap<CellKey, MixResult>);
+
+impl CellResults {
+    /// The result of `mix` under `policy` on `runner`, if it completed.
+    pub fn get(&self, runner: &Runner, mix: &Mix, policy: PolicyKind) -> Option<&MixResult> {
+        self.0.get(&cell_key(runner, mix, policy))
+    }
+
+    /// The summary of `mixes` under `policy` on `runner`, over the mixes
+    /// that completed, in `mixes` order; zeroed when none did.
+    pub fn summary(&self, runner: &Runner, mixes: &[Mix], policy: PolicyKind) -> GroupSummary {
+        let results: Vec<MixResult> = mixes
+            .iter()
+            .filter_map(|m| self.get(runner, m, policy).cloned())
+            .collect();
+        if results.is_empty() {
+            GroupSummary::default()
+        } else {
+            runner.summarize(&results)
+        }
+    }
+
+    /// [`policy_matrix`]'s rows, summarized from these results.
+    pub fn matrix(
+        &self,
+        runner: &Runner,
+        policies: &[PolicyKind],
+        mixes_cap: usize,
+    ) -> Vec<(WorkloadGroup, Vec<GroupSummary>)> {
+        ALL_GROUPS
+            .iter()
+            .map(|&g| {
+                let mixes = select_mixes(g, mixes_cap);
+                let summaries = policies
+                    .iter()
+                    .map(|&p| self.summary(runner, &mixes, p))
+                    .collect();
+                (g, summaries)
+            })
+            .collect()
+    }
+}
+
+/// Runs the union of `cells` through one [`run_cells`] call and returns
+/// the completed results by cell, with the failed cells. Each cell comes
+/// with whether its summaries need Eq. 2 fairness.
 ///
-/// The report covers the appended cells too: `results[cells.len()..]`
-/// are the references, and a failed reference is listed in `failures`
-/// as `ST(bench) under ICOUNT`. A summary that later needs a failed
-/// reference simulates it in place, unjournaled.
-pub fn run_cells_with_st_references<'a>(
-    mut cells: Vec<SweepCell<'a>>,
+/// * A cell whose [`CellKey`] an earlier cell holds is dropped: each key
+///   runs once, at its first occurrence, so a list without duplicates
+///   keeps its indices, and fault plans (`panic@C`) mean what they mean
+///   for that list.
+/// * For each benchmark of a fairness cell whose reference its runner
+///   does not hold yet, one reference cell — the benchmark's
+///   [`Mix::single_thread`] mix under ICOUNT on that runner — is
+///   appended to the **tail**, once per key. The references run through
+///   the same executor, journal, watchdog and panic isolation as the
+///   other cells, and each one that completes (or replays) is recorded
+///   in its runner. A failed reference is listed as `ST(bench) under
+///   ICOUNT`; a summary that later needs it simulates it in place,
+///   unjournaled.
+///
+/// Keys tell runners apart by their configuration fingerprint, so give
+/// each configuration one runner. Prints the sweep's one `sweep:`
+/// summary line to stderr.
+pub(crate) fn run_union<'a>(
+    cells: impl IntoIterator<Item = (SweepCell<'a>, bool)>,
     threads: usize,
     session: &SweepSession,
-) -> SweepReport {
-    let given = cells.len();
-    let mut refs: Vec<SweepCell<'a>> = Vec::new();
-    for cell in &cells {
-        for &bench in &cell.mix.benchmarks {
-            let queued = refs
-                .iter()
-                .any(|r| std::ptr::eq(r.runner, cell.runner) && r.mix.benchmarks[0] == bench);
-            if !queued && !cell.runner.has_st_reference(bench) {
-                refs.push(SweepCell {
+) -> (CellResults, Vec<CellFailure>) {
+    let started = Instant::now();
+    let mut seen = HashSet::new();
+    let mut union = Vec::new();
+    let mut refs = Vec::new();
+    for (cell, fairness) in cells {
+        if fairness {
+            for &bench in &cell.mix.benchmarks {
+                let reference = SweepCell {
                     runner: cell.runner,
                     mix: Mix::single_thread(bench),
                     policy: PolicyKind::Icount,
-                });
+                };
+                if !cell.runner.has_st_reference(bench) && seen.insert(reference.key()) {
+                    refs.push(reference);
+                }
             }
         }
+        if seen.insert(cell.key()) {
+            union.push(cell);
+        }
     }
-    cells.extend(refs);
-    let report = run_cells(&cells, threads, session);
-    for (cell, result) in cells[given..].iter().zip(&report.results[given..]) {
+    let given = union.len();
+    union.extend(refs);
+
+    let report = run_cells(&union, threads, session);
+    for (cell, result) in union[given..].iter().zip(&report.results[given..]) {
         if let Some(r) = result {
             cell.runner.record_st_reference(r);
         }
     }
-    report
+    let mut line = format!(
+        "sweep: {} simulations on {} threads in {:.1}s",
+        report.computed,
+        parallel::resolve_threads(threads),
+        started.elapsed().as_secs_f64()
+    );
+    if report.replayed > 0 {
+        line.push_str(&format!(", {} replayed from journal", report.replayed));
+    }
+    if !report.failures.is_empty() {
+        line.push_str(&format!(", {} FAILED", report.failures.len()));
+    }
+    if let Some(store) = &session.store {
+        let s = store.stats();
+        if s.quarantined > 0 || s.append_failures > 0 || s.retries > 0 {
+            line.push_str(&format!(
+                ", store: {} quarantined, {} append failure(s), {} append retry(ies)",
+                s.quarantined, s.append_failures, s.retries
+            ));
+        }
+    }
+    eprintln!("{line}");
+    let results = union
+        .iter()
+        .zip(report.results)
+        .filter_map(|(cell, r)| Some((cell.key(), r?)))
+        .collect();
+    (CellResults(results), report.failures)
 }
 
 /// Prints the end-of-sweep failure report (after all healthy cells have
@@ -398,10 +462,11 @@ pub fn report_failures(failures: &[CellFailure]) -> i32 {
 
 /// Runs every Table 2 group under every policy in parallel and returns
 /// `(group, per-policy summary)` rows in `ALL_GROUPS` × `policies`
-/// order, plus the failed cells (empty on a healthy run). The ST
+/// order, plus the failed cells (empty on a healthy run). Its cells,
+/// sweep and summaries are the ones the figure driver
+/// ([`crate::figures`]) runs and renders for fig1–fig3, so the ST
 /// references for Eq. 2 fairness run as journaled cells after the
-/// matrix cells ([`run_cells_with_st_references`]), so a warm
-/// `--resume` run simulates nothing.
+/// matrix cells and a warm `--resume` run simulates nothing.
 ///
 /// A `(group, policy)` bucket that lost cells to failures is summarized
 /// over its surviving mixes (an all-failed bucket reports a zeroed
@@ -415,82 +480,34 @@ pub fn policy_matrix(
     threads: usize,
     session: &SweepSession,
 ) -> (Vec<(WorkloadGroup, Vec<GroupSummary>)>, Vec<CellFailure>) {
-    let started = Instant::now();
-    let groups: Vec<(WorkloadGroup, Vec<Mix>)> = ALL_GROUPS
-        .iter()
-        .map(|&g| (g, select_mixes(g, mixes_cap)))
-        .collect();
-
-    // One task per (group, policy, mix) cell for even load balance.
-    // This group → policy → mix order, then the references, is the
-    // sweep's deterministic cell list: fault-plan indices and journal
-    // replay both refer to it.
-    let mut indices: Vec<(usize, usize)> = Vec::new();
-    let mut cells: Vec<SweepCell<'_>> = Vec::new();
-    for (gi, (_, mixes)) in groups.iter().enumerate() {
-        for (pi, &policy) in policies.iter().enumerate() {
-            for m in mixes {
-                indices.push((gi, pi));
-                cells.push(SweepCell {
+    let cells = matrix_order(policies, mixes_cap)
+        .into_iter()
+        .map(|(mix, policy)| {
+            (
+                SweepCell {
                     runner,
-                    mix: m.clone(),
+                    mix,
                     policy,
-                });
-            }
-        }
-    }
-    let report = run_cells_with_st_references(cells, threads, session);
+                },
+                true,
+            )
+        });
+    let (results, failures) = run_union(cells, threads, session);
+    (results.matrix(runner, policies, mixes_cap), failures)
+}
 
-    // Reassemble: cells and results share indices, so grouping is
-    // deterministic regardless of which worker ran what. The zip stops
-    // before the reference cells at the tail.
-    let mut buckets: Vec<Vec<Vec<MixResult>>> =
-        vec![vec![Vec::new(); policies.len()]; groups.len()];
-    for (&(gi, pi), result) in indices.iter().zip(report.results) {
-        if let Some(r) = result {
-            buckets[gi][pi].push(r);
+/// [`policy_matrix`]'s cells as `(mix, policy)`, in its deterministic
+/// order — group, then policy, then mix — which fault-plan indices and
+/// journal replay both refer to.
+pub(crate) fn matrix_order(policies: &[PolicyKind], mixes_cap: usize) -> Vec<(Mix, PolicyKind)> {
+    let mut cells = Vec::new();
+    for &g in ALL_GROUPS {
+        let mixes = select_mixes(g, mixes_cap);
+        for &policy in policies {
+            cells.extend(mixes.iter().map(|m| (m.clone(), policy)));
         }
     }
-    let matrix = groups
-        .iter()
-        .zip(buckets)
-        .map(|(&(g, _), per_policy)| {
-            let summaries = per_policy
-                .iter()
-                .map(|results| {
-                    if results.is_empty() {
-                        GroupSummary::default()
-                    } else {
-                        runner.summarize(results)
-                    }
-                })
-                .collect();
-            (g, summaries)
-        })
-        .collect();
-    let mut line = format!(
-        "sweep: {} simulations on {} threads in {:.1}s",
-        report.computed,
-        parallel::resolve_threads(threads),
-        started.elapsed().as_secs_f64()
-    );
-    if report.replayed > 0 {
-        line.push_str(&format!(", {} replayed from journal", report.replayed));
-    }
-    if !report.failures.is_empty() {
-        line.push_str(&format!(", {} FAILED", report.failures.len()));
-    }
-    if let Some(store) = &session.store {
-        let s = store.stats();
-        if s.quarantined > 0 || s.append_failures > 0 || s.retries > 0 {
-            line.push_str(&format!(
-                ", store: {} quarantined, {} append failure(s), {} append retry(ies)",
-                s.quarantined, s.append_failures, s.retries
-            ));
-        }
-    }
-    eprintln!("{line}");
-    (matrix, report.failures)
+    cells
 }
 
 #[cfg(test)]
@@ -616,8 +633,18 @@ mod tests {
                 mix: ilp2.clone(),
                 policy: PolicyKind::Icount,
             };
-            let report = run_cells_with_st_references(vec![cell], 2, &journaled(&store));
-            assert_eq!((report.replayed, report.computed), replayed_computed);
+            let before = store.stats();
+            let (results, failures) = run_union([(cell, true)], 2, &journaled(&store));
+            let after = store.stats();
+            assert!(failures.is_empty());
+            assert_eq!(
+                (
+                    (after.hits - before.hits) as usize,
+                    (after.appended - before.appended) as usize
+                ),
+                replayed_computed
+            );
+            assert!(results.get(&runner, &ilp2, PolicyKind::Icount).is_some());
             assert!(ilp2.benchmarks.iter().all(|&b| runner.has_st_reference(b)));
         }
         let _ = std::fs::remove_file(&path);
@@ -666,6 +693,47 @@ mod tests {
         );
         assert_eq!(summary_bits(&matrix), summary_bits(&rerun));
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_union_runs_each_key_once_at_its_first_occurrence() {
+        let (path, store) = temp_store("union");
+        let runner = tiny_runner();
+        let ilp2 = select_mixes(WorkloadGroup::Ilp2, 1).remove(0);
+        let mix2 = select_mixes(WorkloadGroup::Mix2, 1).remove(0);
+        let cell = |mix: &Mix| SweepCell {
+            runner: &runner,
+            mix: mix.clone(),
+            policy: PolicyKind::Icount,
+        };
+        // The repeated ILP2 cell is dropped, but its fairness flag still
+        // queues ILP2's two references at the tail: the union is ILP2,
+        // MIX2, then the references, so `panic@1` hits the MIX2 cell.
+        let session = SweepSession {
+            fault_plan: Some(FaultPlan::parse("panic@1").unwrap()),
+            ..journaled(&store)
+        };
+        let (results, failures) = run_union(
+            [
+                (cell(&ilp2), false),
+                (cell(&ilp2), true),
+                (cell(&mix2), false),
+            ],
+            1,
+            &session,
+        );
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(failures.len(), 1);
+        assert_eq!(failures[0].index, 1);
+        assert!(failures[0].identity.starts_with("MIX2("));
+        assert_eq!(store.stats().appended, 3, "ILP2 and its two references");
+        assert!(results.get(&runner, &ilp2, PolicyKind::Icount).is_some());
+        assert!(results.get(&runner, &mix2, PolicyKind::Icount).is_none());
+        assert!(ilp2.benchmarks.iter().all(|&b| runner.has_st_reference(b)));
+        assert!(mix2
+            .benchmarks
+            .iter()
+            .all(|&b| { ilp2.benchmarks.contains(&b) || !runner.has_st_reference(b) }));
     }
 
     #[test]

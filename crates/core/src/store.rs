@@ -15,8 +15,9 @@
 //! single `write_all`; whole-file rewrites (creation, and compaction
 //! after quarantining corruption) go through a tmp-file + atomic rename
 //! ([`atomic_write`]). On load, any line that fails to parse or
-//! checksum — a torn tail from a kill mid-append, a flipped bit, a
-//! truncated record — is **quarantined**: counted, appended verbatim to
+//! checksum — a torn tail from a kill mid-append, a flipped bit (one
+//! that leaves the line invalid UTF-8 included), a truncated record —
+//! is **quarantined**: counted, appended verbatim to
 //! `<path>.quarantine` for post-mortem, and dropped from the journal,
 //! so the owning cell is simply recomputed. Corruption is never
 //! silently served and never aborts the sweep.
@@ -306,59 +307,62 @@ impl ResultStore {
         let path = path.into();
         let mut records = HashMap::new();
         let mut stats = StoreStats::default();
-        let mut bad_lines: Vec<String> = Vec::new();
-        let mut header_ok = false;
+        let mut bad_lines: Vec<&[u8]> = Vec::new();
         // Another version's header and its record count.
         let mut other_version: Option<(String, usize)> = None;
 
-        match std::fs::read_to_string(&path) {
-            Ok(body) => {
-                let mut lines = body.lines();
-                let header = lines.next().map(str::trim);
-                header_ok = header == Some(MAGIC);
-                if !header_ok {
-                    // Another version or an unknown layout: quarantine
-                    // everything, start fresh.
-                    if let Some(v) = header
-                        .and_then(|h| h.strip_prefix(MAGIC_PREFIX))
-                        .filter(|v| v.parse::<u32>().is_ok())
-                    {
-                        let records = lines.filter(|l| is_record_line(l)).count();
-                        other_version = Some((v.to_string(), records));
-                    }
-                    bad_lines.extend(body.lines().map(str::to_string));
-                } else {
-                    for line in lines {
-                        let line = line.trim();
-                        if !is_record_line(line) {
-                            continue;
+        // Bytes, not text: a line that is not UTF-8 (a flipped high bit)
+        // is one corrupt line, not an unreadable journal.
+        let body = match std::fs::read(&path) {
+            Ok(body) => body,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => {
+                eprintln!("result-store: cannot read {}: {e}", path.display());
+                Vec::new()
+            }
+        };
+        let mut lines = byte_lines(&body);
+        let header = lines
+            .next()
+            .and_then(|h| std::str::from_utf8(h).ok())
+            .map(str::trim);
+        let header_ok = header == Some(MAGIC);
+        if !header_ok {
+            // Another version or an unknown layout: quarantine
+            // everything, start fresh.
+            if let Some(v) = header
+                .and_then(|h| h.strip_prefix(MAGIC_PREFIX))
+                .filter(|v| v.parse::<u32>().is_ok())
+            {
+                let records = lines.filter(|l| is_record_line(l)).count();
+                other_version = Some((v.to_string(), records));
+            }
+            bad_lines.extend(byte_lines(&body));
+        } else {
+            for line in lines.filter(|l| is_record_line(l)) {
+                let text = std::str::from_utf8(line).ok().map(str::trim);
+                match text.and_then(|t| Some((t, parse_record_line(t)?))) {
+                    Some((text, (key, words))) => {
+                        let record = Record {
+                            words,
+                            line: Arc::from(text),
+                        };
+                        if records.insert(key, record).is_some() {
+                            stats.duplicates += 1;
                         }
-                        match parse_record_line(line) {
-                            Some((key, words)) => {
-                                let record = Record {
-                                    words,
-                                    line: Arc::from(line),
-                                };
-                                if records.insert(key, record).is_some() {
-                                    stats.duplicates += 1;
-                                }
-                                stats.loaded += 1;
-                            }
-                            None => bad_lines.push(line.to_string()),
-                        }
+                        stats.loaded += 1;
                     }
+                    None => bad_lines.push(line.trim_ascii()),
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => eprintln!("result-store: cannot read {}: {e}", path.display()),
         }
 
         stats.quarantined = bad_lines.len();
         if !bad_lines.is_empty() {
             let qpath = quarantine_path(&path);
-            let mut q = bad_lines.join("\n");
-            q.push('\n');
-            if let Err(e) = append_bytes(&qpath, q.as_bytes()) {
+            let mut q = bad_lines.join(&b'\n');
+            q.push(b'\n');
+            if let Err(e) = append_bytes(&qpath, &q) {
                 eprintln!(
                     "result-store: cannot quarantine {} corrupt record(s) to {}: {e}",
                     bad_lines.len(),
@@ -571,9 +575,15 @@ impl ResultStore {
 
 /// Whether a line past the header holds a record: blank lines and `#`
 /// comments do not.
-fn is_record_line(line: &str) -> bool {
-    let line = line.trim();
-    !line.is_empty() && !line.starts_with('#')
+fn is_record_line(line: &[u8]) -> bool {
+    !matches!(line.trim_ascii().first(), None | Some(b'#'))
+}
+
+/// The lines of `body` without their `\n`, split as `str::lines` splits
+/// text (no empty line after a final newline) but over bytes.
+fn byte_lines(body: &[u8]) -> impl Iterator<Item = &[u8]> {
+    body.split_inclusive(|&b| b == b'\n')
+        .map(|l| l.strip_suffix(b"\n").unwrap_or(l))
 }
 
 fn quarantine_path(path: &Path) -> PathBuf {
@@ -1079,6 +1089,49 @@ mod tests {
         assert_eq!(again.stats().quarantined, 0);
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(store.quarantine_path());
+    }
+
+    #[test]
+    fn a_non_utf8_byte_costs_only_its_record() {
+        let path = tmp("non_utf8");
+        let qpath = quarantine_path(&path);
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&qpath);
+        let (key, r) = sample_result();
+        let keys: Vec<CellKey> = (0..4)
+            .map(|seed| CellKey {
+                seed,
+                ..key.clone()
+            })
+            .collect();
+        let store = ResultStore::open(&path);
+        for k in &keys {
+            assert!(store.put(k, &r));
+        }
+        drop(store);
+
+        // Bit 7 of one byte of the third record: the file is no longer
+        // UTF-8, but only that line is lost.
+        let mut body = std::fs::read(&path).unwrap();
+        let starts: Vec<usize> = (0..body.len())
+            .filter(|&i| body[i..].starts_with(b"rec "))
+            .collect();
+        assert_eq!(starts.len(), keys.len());
+        body[starts[2] + 40] ^= 0x80;
+        let bad = body[starts[2]..starts[3]].to_vec();
+        assert!(std::str::from_utf8(&bad).is_err());
+        std::fs::write(&path, &body).unwrap();
+
+        let store = ResultStore::open(&path);
+        assert_eq!(store.stats().loaded, keys.len() - 1);
+        assert_eq!(store.stats().quarantined, 1);
+        for (i, k) in keys.iter().enumerate() {
+            assert_eq!(store.get(k).is_some(), i != 2, "record {i}");
+        }
+        assert_eq!(std::fs::read(&qpath).unwrap(), bad, "the line's own bytes");
+        assert_eq!(journal_lines(&path).len(), keys.len() - 1, "compacted");
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&qpath);
     }
 
     #[test]
