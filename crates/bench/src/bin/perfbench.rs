@@ -31,7 +31,8 @@
 //! Flags: `--insts N` / `--warmup N` / `--seed N` (methodology),
 //! `--out PATH` (JSON artifact), `--compare PATH` (print per-regime
 //! cycles/sec deltas against an earlier artifact and fail on
-//! regressions), `--tolerance PCT` (the regression threshold for
+//! regressions; read before `--out` is written, so both may name one
+//! file), `--tolerance PCT` (the regression threshold for
 //! `--compare`; default 25), `--smoke` (tiny quota — verifies the
 //! harness runs end to end, e.g. in CI; the timings are meaningless, so
 //! `--compare` only reports and never gates under `--smoke`).
@@ -361,28 +362,41 @@ fn parse_artifact(body: &str) -> Vec<(String, f64)> {
     out
 }
 
-/// Prints per-regime cycles/sec deltas against a prior artifact.
-/// Returns `false` when any common regime regressed by more than
-/// `tolerance` percent. Under `--smoke` the caller never gates
-/// (tiny-quota timings are meaningless and CI hardware differs from the
-/// benchmarking host); the deltas are still printed for visibility.
-fn compare_against(results: &[BenchResult], base_path: &str, tolerance: f64, smoke: bool) -> bool {
+/// Reads the `--compare` artifact's per-regime cycles/sec; `None`,
+/// after saying why on stderr, when it cannot be read or names no
+/// benchmark.
+fn load_baseline(base_path: &str) -> Option<Vec<(String, f64)>> {
     let body = match std::fs::read_to_string(base_path) {
         Ok(b) => b,
         Err(e) => {
             eprintln!("perfbench: cannot read {base_path}: {e}");
-            return false;
+            return None;
         }
     };
     let base = parse_artifact(&body);
     if base.is_empty() {
         eprintln!("perfbench: no benchmarks parsed from {base_path}");
-        return false;
+        return None;
     }
+    Some(base)
+}
+
+/// Prints per-regime cycles/sec deltas against the baseline `base`, read
+/// from `base_path`. Returns `false` when any common regime regressed by
+/// more than `tolerance` percent. Under `--smoke` the caller never gates
+/// (tiny-quota timings are meaningless and CI hardware differs from the
+/// benchmarking host); the deltas are still printed for visibility.
+fn compare_against(
+    results: &[BenchResult],
+    base: &[(String, f64)],
+    base_path: &str,
+    tolerance: f64,
+    smoke: bool,
+) -> bool {
     let floor = 1.0 - tolerance / 100.0;
     println!("\ncompared to {base_path} (cycles/sec, tolerance {tolerance:.0}%):");
     let mut ok = true;
-    for (name, old) in &base {
+    for (name, old) in base {
         let Some(new) = results.iter().find(|r| r.name == name) else {
             println!("  {name:<20} (not in this run)");
             continue;
@@ -410,6 +424,12 @@ fn compare_against(results: &[BenchResult], base_path: &str, tolerance: f64, smo
 
 fn main() {
     let args = parse_args();
+    // Read the baseline before anything is written: `--out` may name
+    // the same file.
+    let baseline = args
+        .compare
+        .as_deref()
+        .map(|path| (path, load_baseline(path)));
     if args.smoke {
         eprintln!("perfbench: --smoke run (tiny quota; timings are not meaningful)");
     }
@@ -471,8 +491,10 @@ fn main() {
     }
     println!("\nwrote {}", args.out);
 
-    if let Some(base_path) = &args.compare {
-        let ok = compare_against(&results, base_path, args.tolerance, args.smoke);
+    if let Some((base_path, base)) = baseline {
+        let ok = base.is_some_and(|base| {
+            compare_against(&results, &base, base_path, args.tolerance, args.smoke)
+        });
         if !ok && !args.smoke {
             eprintln!(
                 "perfbench: cycles/sec regressed by more than {:.0}% vs {base_path}; failing",

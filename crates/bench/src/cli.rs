@@ -13,7 +13,9 @@ use rat_smt::PolicyKind;
 /// fidelity past its quota — the FAME-overshoot ablation), `--resume
 /// PATH` (result journal, single-thread references included),
 /// `--fault-plan SPEC`, `--cell-timeout SECS` (wall-clock watchdog per
-/// sweep cell), `--policies A,B,..`, `--quick` (tiny preset).
+/// sweep cell), `--policies A,B,..`, `--quick` (a smaller base for
+/// `--insts`, `--warmup` and `--mixes`, which override it wherever they
+/// appear).
 #[derive(Clone, Debug)]
 pub struct HarnessArgs {
     /// Per-thread committed-instruction quota for measurement.
@@ -86,6 +88,7 @@ impl HarnessArgs {
     /// Panics with a usage message on malformed arguments.
     pub fn parse(args: impl Iterator<Item = String>) -> Self {
         let mut out = HarnessArgs::default();
+        let (mut insts, mut warmup, mut mixes, mut quick) = (None, None, None, false);
         let mut args = args.peekable();
         while let Some(a) = args.next() {
             let num = |args: &mut std::iter::Peekable<_>| -> u64 {
@@ -94,9 +97,9 @@ impl HarnessArgs {
                     .unwrap_or_else(|| panic!("expected a number after {a}"))
             };
             match a.as_str() {
-                "--insts" => out.insts = num(&mut args),
-                "--warmup" => out.warmup = num(&mut args),
-                "--mixes" => out.mixes = num(&mut args) as usize,
+                "--insts" => insts = Some(num(&mut args)),
+                "--warmup" => warmup = Some(num(&mut args)),
+                "--mixes" => mixes = Some(num(&mut args) as usize),
                 "--seed" => out.seed = num(&mut args),
                 "--threads" => out.threads = num(&mut args) as usize,
                 "--csv" => out.csv = true,
@@ -145,11 +148,7 @@ impl HarnessArgs {
                     }
                     out.policies = Some(names);
                 }
-                "--quick" => {
-                    out.insts = 8_000;
-                    out.warmup = 3_000;
-                    out.mixes = 2;
-                }
+                "--quick" => quick = true,
                 "--help" | "-h" => {
                     eprintln!(
                         "options: --insts N  --warmup N  --mixes N (0=all)  --seed N  \
@@ -165,6 +164,12 @@ impl HarnessArgs {
                 other => panic!("unknown argument {other}"),
             }
         }
+        if quick {
+            (out.insts, out.warmup, out.mixes) = (8_000, 3_000, 2);
+        }
+        out.insts = insts.unwrap_or(out.insts);
+        out.warmup = warmup.unwrap_or(out.warmup);
+        out.mixes = mixes.unwrap_or(out.mixes);
         out
     }
 
@@ -242,8 +247,21 @@ mod tests {
 
     #[test]
     fn quick_preset() {
-        let a = HarnessArgs::parse(["--quick"].iter().map(|s| s.to_string()));
+        let parse = |args: &[&str]| HarnessArgs::parse(args.iter().map(|s| s.to_string()));
+        let a = parse(&["--quick"]);
         assert!(a.insts < HarnessArgs::default().insts);
+        assert_eq!((a.insts, a.warmup, a.mixes), (8_000, 3_000, 2));
+        // Explicit flags override the preset on either side of it.
+        let flags = ["--mixes", "1", "--insts", "500", "--warmup", "200"];
+        for args in [
+            [&["--quick"][..], &flags[..]].concat(),
+            [&flags[..], &["--quick"][..]].concat(),
+        ] {
+            let b = parse(&args);
+            assert_eq!((b.insts, b.warmup, b.mixes), (500, 200, 1), "{args:?}");
+        }
+        // A flag the preset does not set keeps its own value.
+        assert_eq!(parse(&["--seed", "7", "--quick"]).seed, 7);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! The figures overlap: fig3's six policies contain fig1's and fig2's
 //! four, fig4's full-RaT and ICOUNT cells and all of fig5 are baseline
 //! cells, and fig6's 320-register column is the baseline. At `--quick`
-//! the six binaries simulate 457 cells between them, 256 of them
+//! the six binaries simulate 442 cells between them, 256 of them
 //! distinct; `figs` simulates each of the 256 once.
 //!
 //! `fig1`–`fig6` each render one figure, and `figs` renders all six: its
@@ -163,7 +163,7 @@ const FIG6_SWEEPS: [RegisterSweep; 2] = [
 /// Table 1 hardware with the given runahead variant.
 fn variant_config(variant: RunaheadVariant) -> SmtConfig {
     let mut cfg = SmtConfig::hpca2008_baseline();
-    cfg.runahead.variant = variant;
+    cfg.runahead = variant;
     cfg
 }
 
@@ -228,9 +228,9 @@ fn all_mixes(args: &HarnessArgs) -> impl Iterator<Item = Mix> + '_ {
 impl Figure {
     /// Whether the figure's summaries compute Eq. 2 fairness
     /// ([`Runner::summarize`]), so its cells need single-thread
-    /// references.
+    /// references. fig3 prints only ED² ratios.
     fn needs_references(self) -> bool {
-        !matches!(self, Figure::Fig4 | Figure::Fig5)
+        !matches!(self, Figure::Fig3 | Figure::Fig4 | Figure::Fig5)
     }
 
     /// The policy columns of fig1–fig3 under `--policies`.
@@ -311,14 +311,7 @@ impl Figure {
                 let truncated = emit_throughput_and_fairness(headers, rows, titles, args.csv);
                 emit_truncation_note(truncated, args.csv);
             }
-            Figure::Fig3 => {
-                let policies = self.policies(args);
-                render_ed2(
-                    &results.matrix(base, &policies, args.mixes),
-                    &policies,
-                    args.csv,
-                )
-            }
+            Figure::Fig3 => render_ed2(args, base, results),
             Figure::Fig4 => render_sources(args, runners, results),
             Figure::Fig5 => render_registers(args, base, results),
             Figure::Fig6 => render_register_sweeps(args, runners, results),
@@ -431,22 +424,34 @@ fn emit_throughput_and_fairness(
     any_truncated
 }
 
-/// fig3: each technique's ED² over ICOUNT's (column 0 of `matrix`).
-fn render_ed2(matrix: &[(WorkloadGroup, Vec<GroupSummary>)], policies: &[PolicyKind], csv: bool) {
+/// fig3: per group, each technique's mean ED² over ICOUNT's (column 0
+/// of [`Figure::policies`]), each mean over the mixes that completed.
+fn render_ed2(args: &HarnessArgs, base: &Runner, results: &CellResults) {
+    let policies = Figure::Fig3.policies(args);
     let mut t = TableWriter::from_headers(policy_headers(&policies[1..]));
-    for (g, summaries) in matrix {
-        let base = &summaries[0];
+    let mut any_truncated = false;
+    for &g in ALL_GROUPS {
+        let mixes = select_mixes(g, args.mixes);
+        let means: Vec<(f64, bool)> = policies
+            .iter()
+            .map(|&p| results.mean_ed2(base, &mixes, p))
+            .collect();
         // A truncated mix on either side of a ratio taints the row.
-        let mut row = vec![mark_row_label(g.name(), truncated(summaries))];
+        let row_truncated = means.iter().any(|&(_, truncated)| truncated);
+        any_truncated |= row_truncated;
+        let mut row = vec![mark_row_label(g.name(), row_truncated)];
         row.extend(
-            summaries[1..]
+            means[1..]
                 .iter()
-                .map(|s| format!("{:.3}", s.ed2 / base.ed2)),
+                .map(|(ed2, _)| format!("{:.3}", ed2 / means[0].0)),
         );
         t.row(row);
     }
-    t.emit("Figure 3. ED² normalized to ICOUNT (lower is better)", csv);
-    emit_truncation_note(matrix.iter().any(|(_, ss)| truncated(ss)), csv);
+    t.emit(
+        "Figure 3. ED² normalized to ICOUNT (lower is better)",
+        args.csv,
+    );
+    emit_truncation_note(any_truncated, args.csv);
 }
 
 /// Average IPC of the ILP-class threads of a mix result (the "remaining

@@ -328,6 +328,20 @@ impl CellResults {
         }
     }
 
+    /// The mean ED² of `mixes` under `policy` on `runner` over the mixes
+    /// that completed, summed in `mixes` order as [`Runner::summarize`]
+    /// sums it (zero when none did), and whether any of them was
+    /// truncated. Unlike a summary it needs no single-thread reference.
+    pub fn mean_ed2(&self, runner: &Runner, mixes: &[Mix], policy: PolicyKind) -> (f64, bool) {
+        let (mut sum, mut n, mut truncated) = (0.0, 0usize, false);
+        for r in mixes.iter().filter_map(|m| self.get(runner, m, policy)) {
+            sum += r.ed2();
+            n += 1;
+            truncated |= !r.complete;
+        }
+        (if n == 0 { 0.0 } else { sum / n as f64 }, truncated)
+    }
+
     /// [`policy_matrix`]'s rows, summarized from these results.
     pub fn matrix(
         &self,

@@ -107,6 +107,28 @@ fn figs_is_the_six_figures_from_one_sweep_of_distinct_cells() {
     }
 }
 
+#[test]
+fn a_lone_fig3_simulates_no_reference() {
+    // fig3 prints only ED² ratios, which need no single-thread reference:
+    // its sweep is its matrix cells (group × six policies × mixes), and
+    // its journal holds no `ST` record.
+    let journal = tmp_journal("fig3");
+    let out = run(FIGS[2], &["--csv", "--resume", journal.to_str().unwrap()]);
+    let cells = if cfg!(debug_assertions) { 36 } else { 72 };
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&format!("sweep: {cells} simulations")),
+        "{stderr}"
+    );
+    let records = records(&journal);
+    assert_eq!(records.len(), cells);
+    assert!(
+        records.iter().all(|r| r.split(' ').nth(2) != Some("ST")),
+        "a reference was journaled: {records:?}"
+    );
+    let _ = std::fs::remove_file(journal);
+}
+
 /// The failure report's line for cell `index`, `mix` under `policy`.
 fn failed_cell(index: usize, mix: &Mix, policy: PolicyKind) -> String {
     format!("cell {index}: {mix} under {} [", policy.name())

@@ -1,8 +1,7 @@
-//! # rat-bpred — branch direction predictors
+//! # rat-bpred — the branch direction predictor
 //!
 //! Table 1 of the paper specifies a **perceptron** branch predictor; this
-//! crate implements it plus two simpler predictors (gshare, bimodal) used in
-//! tests and ablations.
+//! crate implements it, behind the [`Predictor`] trait.
 //!
 //! In an SMT processor the predictor *tables* are shared by all hardware
 //! threads (creating constructive/destructive aliasing) while each thread
@@ -23,11 +22,9 @@
 //! hist.push(true);
 //! ```
 
-mod gshare;
 mod history;
 mod perceptron;
 
-pub use gshare::{BimodalPredictor, GsharePredictor};
 pub use history::GlobalHistory;
 pub use perceptron::PerceptronPredictor;
 

@@ -5,7 +5,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use rat_mem::{CacheConfig, HierarchyConfig, MemEventStats};
-use rat_smt::{PolicyKind, RunaheadConfig, RunaheadVariant, SmtConfig, SmtSimulator, ThreadStats};
+use rat_smt::{PolicyKind, RunaheadVariant, SmtConfig, SmtSimulator, ThreadStats};
 use rat_workload::{Benchmark, Mix, ThreadImage, WorkloadGroup};
 
 use crate::lock::{get_mut_recover, lock_recover};
@@ -105,12 +105,6 @@ fn fingerprint_with_model(smt: &SmtConfig, run: &RunConfig, model: u64) -> u64 {
         l2_ports,
         bus_cycles_per_line,
     } = hierarchy;
-    let RunaheadConfig {
-        variant,
-        runahead_cache,
-        drop_fp,
-        entry_threshold,
-    } = runahead;
     let RunConfig {
         insts_per_thread,
         warmup_insts,
@@ -135,7 +129,7 @@ fn fingerprint_with_model(smt: &SmtConfig, run: &RunConfig, model: u64) -> u64 {
             mshrs as u64,
         ]
     };
-    let variant = match variant {
+    let variant = match runahead {
         RunaheadVariant::Full => 0,
         RunaheadVariant::NoPrefetch => 1,
         RunaheadVariant::NoFetch => 2,
@@ -164,9 +158,6 @@ fn fingerprint_with_model(smt: &SmtConfig, run: &RunConfig, model: u64) -> u64 {
             l2_ports as u64,
             bus_cycles_per_line,
             variant,
-            u64::from(runahead_cache),
-            u64::from(drop_fp),
-            entry_threshold,
         ],
         &[
             insts_per_thread,
@@ -572,14 +563,16 @@ mod tests {
     /// Journals on disk are keyed by these values: a change here orphans
     /// every existing journal record. They moved once when the
     /// derivation changed from a hash of `SmtConfig`'s `Debug` string to
-    /// a hash of the fields plus the model digest, and they move again,
-    /// on purpose, whenever `tests/golden.txt` is re-pinned: re-pin them
-    /// together.
+    /// a hash of the fields plus the model digest, and once when the
+    /// runahead cache, FP-drop and entry-threshold words left it (those
+    /// settings stopped being configurable, so no result moved). They
+    /// move again, on purpose, whenever `tests/golden.txt` is re-pinned:
+    /// re-pin them together.
     #[test]
     fn config_fingerprint_is_pinned() {
         let fingerprint =
             |run: RunConfig| Runner::new(SmtConfig::hpca2008_baseline(), run).config_fingerprint();
-        assert_eq!(fingerprint(RunConfig::default()), 0xadd7_5650_fe57_14db);
+        assert_eq!(fingerprint(RunConfig::default()), 0x5715_e1da_4541_4db6);
         for seed in [42, 99] {
             let run = RunConfig {
                 insts_per_thread: 6_000,
@@ -587,7 +580,7 @@ mod tests {
                 seed,
                 ..RunConfig::default()
             };
-            assert_eq!(fingerprint(run), 0x50e0_b3ed_2c24_2ff2, "seed {seed}");
+            assert_eq!(fingerprint(run), 0xd929_4d23_4e31_432f, "seed {seed}");
         }
     }
 
@@ -598,7 +591,7 @@ mod tests {
         assert_eq!(Runner::new(smt, run).config_fingerprint(), base);
         assert_eq!(fingerprint_with_model(&smt, &run, MODEL_DIGEST), base);
 
-        let smt_edits: [fn(&mut SmtConfig); 39] = [
+        let smt_edits: [fn(&mut SmtConfig); 36] = [
             |c| c.width += 1,
             |c| c.fetch_threads += 1,
             |c| c.frontend_depth += 1,
@@ -633,11 +626,8 @@ mod tests {
             |c| c.hierarchy.bus_cycles_per_line += 1,
             |c| c.bpred_table *= 2,
             |c| c.bpred_history += 1,
-            |c| c.runahead.variant = RunaheadVariant::NoPrefetch,
-            |c| c.runahead.variant = RunaheadVariant::NoFetch,
-            |c| c.runahead.runahead_cache = !c.runahead.runahead_cache,
-            |c| c.runahead.drop_fp = !c.runahead.drop_fp,
-            |c| c.runahead.entry_threshold += 1,
+            |c| c.runahead = RunaheadVariant::NoPrefetch,
+            |c| c.runahead = RunaheadVariant::NoFetch,
         ];
         let run_edits: [fn(&mut RunConfig); 4] = [
             |r| r.insts_per_thread += 1,

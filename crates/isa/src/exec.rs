@@ -152,12 +152,6 @@ impl Cpu {
         &self.memory
     }
 
-    /// Mutable access to the data memory (workload setup).
-    #[inline]
-    pub fn memory_mut(&mut self) -> &mut SparseMemory {
-        &mut self.memory
-    }
-
     /// The program being executed.
     #[inline]
     pub fn program(&self) -> &Program {

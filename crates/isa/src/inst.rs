@@ -33,14 +33,6 @@ pub enum AluOp {
     Div,
 }
 
-impl AluOp {
-    /// Whether the timing model treats this operation as long-latency
-    /// (multiply/divide) rather than a single-cycle ALU operation.
-    pub fn is_long_latency(self) -> bool {
-        matches!(self, AluOp::Mul | AluOp::Div)
-    }
-}
-
 /// Floating-point operations (operands are IEEE-754 binary64 values stored
 /// in FP registers as raw bit patterns).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -331,8 +323,6 @@ mod tests {
             Operand::Reg(IntReg::new(3)),
         );
         assert_eq!(mul.kind(), InstructionKind::IntMul);
-        assert!(AluOp::Mul.is_long_latency());
-        assert!(!AluOp::Add.is_long_latency());
     }
 
     #[test]

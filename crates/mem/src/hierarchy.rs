@@ -214,13 +214,6 @@ impl Hierarchy {
         }
     }
 
-    /// Number of in-flight L1D misses at `now` — DCRA uses this to classify
-    /// threads as fast/slow (here exposed globally; the pipeline tracks the
-    /// per-thread breakdown).
-    pub fn dcache_outstanding(&mut self, now: Cycle) -> usize {
-        self.dcache.outstanding_misses(now)
-    }
-
     fn level_access(&mut self, addr: u64, kind: AccessKind, now: Cycle) -> AccessResult {
         let is_fetch = kind == AccessKind::InstFetch;
         let l1 = if is_fetch {

@@ -24,40 +24,6 @@ pub enum RunaheadVariant {
     NoFetch,
 }
 
-/// Configuration of the Runahead Threads mechanism (active when
-/// [`PolicyKind::Rat`] is selected).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct RunaheadConfig {
-    /// Ablation variant (see [`RunaheadVariant`]).
-    pub variant: RunaheadVariant,
-    /// Model the runahead cache for store→load communication during
-    /// runahead. The paper measures no significant benefit in its SMT model
-    /// (§3.3) and omits it; `false` by default.
-    pub runahead_cache: bool,
-    /// Invalidate FP *computation* at decode during runahead so it uses no
-    /// FP issue queue, unit or registers (§3.3 "Floating-point resources").
-    /// FP loads/stores still execute in the integer pipeline as prefetches.
-    pub drop_fp: bool,
-    /// Minimum expected remaining miss latency (cycles) for entering
-    /// runahead. A blocking load whose fill is about to arrive is cheaper
-    /// to wait out than to checkpoint + squash + refill the window for —
-    /// the short-episode pathology addressed by the runahead-efficiency
-    /// literature (Mutlu et al., ISCA-32). Full-latency misses (400
-    /// cycles) always qualify.
-    pub entry_threshold: Cycle,
-}
-
-impl Default for RunaheadConfig {
-    fn default() -> Self {
-        RunaheadConfig {
-            variant: RunaheadVariant::Full,
-            runahead_cache: false,
-            drop_fp: true,
-            entry_threshold: 100,
-        }
-    }
-}
-
 /// Full processor configuration. Defaults (via
 /// [`SmtConfig::hpca2008_baseline`]) reproduce Table 1.
 #[derive(Clone, Copy, Debug)]
@@ -90,9 +56,12 @@ pub struct SmtConfig {
     pub bpred_history: usize,
     /// Fetch / resource-management policy.
     pub policy: PolicyKind,
-    /// Runahead mechanism configuration (used when `policy` is
-    /// [`PolicyKind::Rat`]).
-    pub runahead: RunaheadConfig,
+    /// Runahead Threads variant (used when `policy` is
+    /// [`PolicyKind::Rat`]): the one runahead setting a figure varies.
+    /// The mechanism is otherwise fixed: no runahead cache (the paper
+    /// omits it, §3.3), FP computation folded at rename during runahead,
+    /// and a minimum remaining miss latency for entry.
+    pub runahead: RunaheadVariant,
 }
 
 impl SmtConfig {
@@ -117,15 +86,8 @@ impl SmtConfig {
             bpred_table: 1024,
             bpred_history: 32,
             policy: PolicyKind::Icount,
-            runahead: RunaheadConfig::default(),
+            runahead: RunaheadVariant::Full,
         }
-    }
-
-    /// Same baseline with a different policy — convenience for sweeps.
-    pub fn with_policy(policy: PolicyKind) -> Self {
-        let mut cfg = Self::hpca2008_baseline();
-        cfg.policy = policy;
-        cfg
     }
 
     /// Validates internal consistency.
@@ -183,11 +145,8 @@ mod tests {
 
     #[test]
     fn runahead_defaults() {
-        let r = RunaheadConfig::default();
-        assert_eq!(r.variant, RunaheadVariant::Full);
-        assert!(!r.runahead_cache);
-        assert!(r.drop_fp);
-        assert!(r.entry_threshold > 0);
+        let c = SmtConfig::hpca2008_baseline();
+        assert_eq!(c.runahead, RunaheadVariant::Full);
     }
 
     #[test]

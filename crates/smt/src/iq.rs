@@ -99,7 +99,6 @@ impl IssueQueues {
     }
 
     /// Current occupancy of queue `kind`.
-    #[allow(dead_code)] // API completeness; used by unit tests
     pub fn occupancy(&self, kind: IqKind) -> usize {
         self.occupancy[kind.index()]
     }
@@ -172,24 +171,6 @@ impl IssueQueues {
         self.wake_heads[head] = idx;
     }
 
-    /// Drains the waiters of `(class, p)` into `out` (cleared first) —
-    /// called when the register's value is produced. The chain's nodes
-    /// return to the freelist; the caller decrements each waiter's count
-    /// and requeues the ready ones.
-    #[allow(dead_code)] // superseded by `wake_waiters` on the hot path; kept for tests
-    pub fn take_waiters_into(&mut self, class: RegClass, p: PhysReg, out: &mut Vec<ReadyKey>) {
-        out.clear();
-        let head = self.head_slot(class, p);
-        let mut cur = std::mem::replace(&mut self.wake_heads[head], NIL);
-        while cur != NIL {
-            let node = self.nodes[cur as usize];
-            out.push(ready_key(node.gseq, node.tid, node.slot));
-            self.nodes[cur as usize].next = self.free_head;
-            self.free_head = cur;
-            cur = node.next;
-        }
-    }
-
     /// Drains the waiters of `(class, p)` in place: for each waiter the
     /// callback decides (by decrementing its wakeup count against the
     /// instruction table) whether it became issuable, returning the queue
@@ -237,12 +218,6 @@ impl IssueQueues {
     pub fn any_ready_candidates(&self) -> bool {
         self.ready.iter().any(|h| !h.is_empty())
     }
-
-    /// Number of pending ready candidates (including possibly-stale ones).
-    #[allow(dead_code)] // diagnostics
-    pub fn ready_len(&self, kind: IqKind) -> usize {
-        self.ready[kind.index()].len()
-    }
 }
 
 #[cfg(test)]
@@ -277,26 +252,35 @@ mod tests {
         assert!(!iq.any_ready_candidates());
     }
 
+    /// Wakes the waiters of `(class, p)`, collecting each one's handle
+    /// and requeueing none.
+    fn drain(iq: &mut IssueQueues, class: RegClass, p: PhysReg) -> Vec<ReadyKey> {
+        let mut out = Vec::new();
+        iq.wake_waiters(class, p, |tid, slot, gseq| {
+            out.push(ready_key(gseq, tid, slot));
+            None
+        });
+        out
+    }
+
     #[test]
     fn waiters_drain_once() {
         let mut iq = IssueQueues::new([4, 4, 4], 1, 8, 8);
-        let mut out = Vec::new();
         iq.add_waiter(RegClass::Int, 3, 0, 7, 70);
         iq.add_waiter(RegClass::Int, 3, 0, 8, 80);
         iq.add_waiter(RegClass::Fp, 3, 0, 9, 90);
-        iq.take_waiters_into(RegClass::Int, 3, &mut out);
-        assert_eq!(out.len(), 2);
-        iq.take_waiters_into(RegClass::Int, 3, &mut out);
-        assert!(out.is_empty());
-        iq.take_waiters_into(RegClass::Fp, 3, &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0], ready_key(90, 0, 9));
+        assert_eq!(drain(&mut iq, RegClass::Int, 3).len(), 2);
+        assert!(drain(&mut iq, RegClass::Int, 3).is_empty());
+        // A waiter the callback finds issuable is requeued on the queue
+        // it names.
+        iq.wake_waiters(RegClass::Fp, 3, |_, _, _| Some(IqKind::Fp));
+        assert_eq!(iq.pop_ready(IqKind::Fp), Some(ready_key(90, 0, 9)));
+        assert!(drain(&mut iq, RegClass::Fp, 3).is_empty());
     }
 
     #[test]
     fn freelist_recycles_nodes() {
         let mut iq = IssueQueues::new([4, 4, 4], 1, 8, 8);
-        let mut out = Vec::new();
         for round in 0..100u64 {
             for w in 0..5 {
                 iq.add_waiter(
@@ -308,7 +292,7 @@ mod tests {
                 );
             }
             for p in 0..8 {
-                iq.take_waiters_into(RegClass::Int, p, &mut out);
+                drain(&mut iq, RegClass::Int, p);
             }
         }
         assert!(
@@ -321,12 +305,9 @@ mod tests {
     #[test]
     fn int_and_fp_chains_are_disjoint() {
         let mut iq = IssueQueues::new([4, 4, 4], 2, 8, 8);
-        let mut out = Vec::new();
         iq.add_waiter(RegClass::Int, 5, 0, 1, 10);
         iq.add_waiter(RegClass::Fp, 5, 1, 2, 20);
-        iq.take_waiters_into(RegClass::Int, 5, &mut out);
-        assert_eq!(out, vec![ready_key(10, 0, 1)]);
-        iq.take_waiters_into(RegClass::Fp, 5, &mut out);
-        assert_eq!(out, vec![ready_key(20, 1, 2)]);
+        assert_eq!(drain(&mut iq, RegClass::Int, 5), vec![ready_key(10, 0, 1)]);
+        assert_eq!(drain(&mut iq, RegClass::Fp, 5), vec![ready_key(20, 1, 2)]);
     }
 }

@@ -20,8 +20,10 @@
 //!
 //! * fetch policies: round-robin, ICOUNT, STALL, FLUSH ([`PolicyKind`]);
 //! * dynamic resource control: DCRA and Hill Climbing;
-//! * **Runahead Threads (RaT)** — the paper's contribution — including the
-//!   Figure 4 ablation variants ([`RunaheadVariant`]).
+//! * **Runahead Threads (RaT)** — the paper's contribution — in one
+//!   configuration (no runahead cache, FP computation dropped during
+//!   runahead, a 100-cycle entry threshold) whose only setting is the
+//!   Figure 4 ablation variant ([`SmtConfig::runahead`]).
 //!
 //! # Example
 //!
@@ -52,7 +54,7 @@ mod stats;
 mod store_set;
 mod types;
 
-pub use config::{RunaheadConfig, RunaheadVariant, SmtConfig};
+pub use config::{RunaheadVariant, SmtConfig};
 pub use pipeline::SmtSimulator;
 pub use policy::PolicyKind;
 pub use rat_mem::MemEventStats;

@@ -17,6 +17,14 @@ use crate::types::{Cycle, ExecMode, ThreadId};
 
 use super::{runahead, SmtSimulator, Thread};
 
+/// Minimum expected remaining miss latency (cycles) for entering
+/// runahead. A blocking load whose fill is about to arrive is cheaper to
+/// wait out than to checkpoint + squash + refill the window for — the
+/// short-episode pathology addressed by the runahead-efficiency
+/// literature (Mutlu et al., ISCA-32). Full-latency misses (400 cycles)
+/// always qualify.
+const ENTRY_THRESHOLD: Cycle = 100;
+
 /// Whether the instruction in `slot` — the ROB head of a normal-mode
 /// thread — triggers runahead entry at cycle `at`. Shared between the
 /// commit stage (with `at = now`) and the cycle-skip predicate (with
@@ -30,7 +38,7 @@ pub(super) fn entry_eligible(cfg: &SmtConfig, thread: &Thread, slot: usize, at: 
         && m.kind == InstructionKind::Load
         && sched_stage(t.sched[slot]) == ST_EXEC
         && m.flags & (F_L2MISS | F_INV) == F_L2MISS
-        && t.front[slot].ready_at > at + cfg.runahead.entry_threshold
+        && t.front[slot].ready_at > at + ENTRY_THRESHOLD
         && (thread.no_retrigger.is_empty() || !thread.no_retrigger.contains(&t.front[slot].seq))
 }
 

@@ -221,8 +221,10 @@ fn gate(sim: &SmtSimulator, tid: ThreadId, d: &Decoded) -> DispatchDecision {
 
 /// Whether the head folds at rename during runahead: INV sources (for
 /// loads/stores only the address matters — INV store *data* still
-/// prefetches), dropped FP computation, or a fence (synchronization is
-/// ignored in runahead, §3.3).
+/// prefetches), FP computation (dropped so it uses no FP issue queue,
+/// unit or register, §3.3 "Floating-point resources"; FP loads and
+/// stores still prefetch), or a fence (synchronization is ignored in
+/// runahead, §3.3).
 fn folds_in_runahead(sim: &SmtSimulator, tid: ThreadId, d: &Decoded) -> bool {
     let fold_srcs: &[Option<ArchReg>] = match d.kind {
         InstructionKind::Load | InstructionKind::Store => &d.srcs_arch[..1],
@@ -232,8 +234,7 @@ fn folds_in_runahead(sim: &SmtSimulator, tid: ThreadId, d: &Decoded) -> bool {
         .iter()
         .flatten()
         .any(|r| sim.threads[tid].arch_inv[r.flat_index()]);
-    let drop_fp = sim.cfg.runahead.drop_fp && d.is_fp_compute;
-    src_inv || drop_fp || d.is_fence
+    src_inv || d.is_fp_compute || d.is_fence
 }
 
 /// Attempts to rename+dispatch the next fetched instruction of `tid`.

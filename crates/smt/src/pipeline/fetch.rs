@@ -137,7 +137,7 @@ fn fetchable(t: &Thread, cfg: &SmtConfig, now: Cycle) -> bool {
     if t.instrs.fe_len() >= cfg.fetch_buffer {
         return false;
     }
-    if t.mode == ExecMode::Runahead && cfg.runahead.variant == RunaheadVariant::NoFetch {
+    if t.mode == ExecMode::Runahead && cfg.runahead == RunaheadVariant::NoFetch {
         return false;
     }
     true

@@ -116,12 +116,10 @@ fn issue_one(sim: &mut SmtSimulator, tid: ThreadId, slot: usize, gseq: u64) -> I
         InstructionKind::Store => {
             // For a store only the *address* (src 0) going INV makes the
             // whole operation bogus; INV data still allows the address
-            // access (write-allocate prefetch) and, with the runahead
-            // cache, records the INV status for later loads (§3.3).
+            // access (write-allocate prefetch).
             let base_inv = inv_already || unpack_reg(srcs[0]).is_some_and(|(c, p)| reg_inv(c, p));
-            let data_inv = unpack_reg(srcs[1]).is_some_and(|(c, p)| reg_inv(c, p));
             inv = base_inv;
-            issue_store(sim, tid, eff_addr, mode, base_inv, data_inv)
+            issue_store(sim, tid, eff_addr, mode, base_inv)
         }
         k => sim.now + exec_latency(k),
     };
@@ -163,15 +161,6 @@ fn issue_load(
         return Some(sim.now + 1);
     }
     let tagged = tag_addr(tid, addr);
-    // Runahead cache (§3.3): a load reading a word written with INV
-    // data during this episode observes the INV status.
-    if mode == ExecMode::Runahead
-        && sim.cfg.runahead.runahead_cache
-        && sim.threads[tid].ra_inv_words.contains(&(addr & !7))
-    {
-        sim.threads[tid].instrs.meta[slot].flags |= F_INV;
-        return Some(sim.now + 1);
-    }
     // Store→load forwarding (word-granular, oracle addresses).
     if sim.threads[tid].store_addrs.contains(addr & !7) {
         sim.stats.threads[tid].forwarded_loads += 1;
@@ -221,7 +210,7 @@ fn issue_load(
                 // as a short-latency bogus access.
                 return Some(sim.now + dlat);
             }
-            match sim.cfg.runahead.variant {
+            match sim.cfg.runahead {
                 RunaheadVariant::NoPrefetch => {
                     match sim.res.hier.l1_data_probe(tagged, sim.now) {
                         Some(ready) => Some(ready),
@@ -279,15 +268,15 @@ fn issue_load(
 
 /// Stores complete quickly (store buffer); their cache access is for
 /// write-allocation and, during runahead, prefetching. `base_inv`
-/// suppresses the access entirely (unknown address); `data_inv` feeds
-/// the optional runahead cache.
+/// suppresses the access entirely (unknown address). There is no
+/// runahead cache (the paper omits it, §3.3): INV store data is not
+/// tracked, so a later runahead load of that word counts as valid.
 fn issue_store(
     sim: &mut SmtSimulator,
     tid: ThreadId,
     addr: u64,
     mode: ExecMode,
     base_inv: bool,
-    data_inv: bool,
 ) -> Cycle {
     if !base_inv {
         let tagged = tag_addr(tid, addr);
@@ -296,7 +285,7 @@ fn issue_store(
                 let _ = sim.res.hier.data_access(tagged, AccessKind::Store, sim.now);
             }
             ExecMode::Runahead => {
-                if !sim.threads[tid].diverged && sim.cfg.runahead.variant == RunaheadVariant::Full {
+                if !sim.threads[tid].diverged && sim.cfg.runahead == RunaheadVariant::Full {
                     let res = sim
                         .res
                         .hier
@@ -304,9 +293,6 @@ fn issue_store(
                     if !res.rejected && !res.l1_hit {
                         sim.stats.threads[tid].runahead_prefetches += 1;
                     }
-                }
-                if sim.cfg.runahead.runahead_cache && data_inv {
-                    sim.threads[tid].ra_inv_words.insert(addr & !7);
                 }
             }
         }

@@ -103,11 +103,6 @@ struct Thread {
     /// Loads seen (and suppressed) during NoPrefetch runahead: they do not
     /// re-trigger runahead after recovery (paper §6.1).
     no_retrigger: WordSet,
-    /// Runahead cache (§3.3, optional): word addresses written by runahead
-    /// stores whose *data* was INV. With the runahead cache enabled, later
-    /// runahead loads from these words observe the INV status; without it
-    /// they silently use stale values (the paper's default).
-    ra_inv_words: WordSet,
     /// Whether the thread has been demoted to post-quota drain mode (see
     /// [`drain`]): its window is squashed, it holds no pipeline
     /// resources, and only the paced commit engine in `drain::run`
@@ -257,7 +252,6 @@ impl SmtSimulator {
                 dmiss_inflight: 0,
                 fp_user: false,
                 no_retrigger: WordSet::default(),
-                ra_inv_words: WordSet::default(),
                 drained: false,
                 drain: drain::DrainState::default(),
                 half_mark: None,
@@ -357,21 +351,6 @@ impl SmtSimulator {
     /// The active configuration.
     pub fn config(&self) -> &SmtConfig {
         &self.cfg
-    }
-
-    /// In-flight ROB entries of `tid` (diagnostics).
-    pub fn debug_rob_len(&self, tid: ThreadId) -> usize {
-        self.threads[tid].instrs.rob_len()
-    }
-
-    /// Issue-queue occupancy of `tid` in `kind` (diagnostics).
-    pub fn debug_iq_occ(&self, tid: ThreadId, kind: IqKind) -> usize {
-        self.res.iqs.thread_occupancy(tid, kind)
-    }
-
-    /// Integer registers held by `tid` (diagnostics).
-    pub fn debug_int_regs(&self, tid: ThreadId) -> usize {
-        self.res.int_rf.allocated(tid)
     }
 
     /// Checks the cross-structure lifecycle invariants: each thread's
@@ -702,8 +681,7 @@ impl SmtSimulator {
             // its latest time gate.
             let untimed_blocked = t.instrs.fe_len() >= self.cfg.fetch_buffer
                 || t.branch_gate.is_some()
-                || (t.mode == ExecMode::Runahead
-                    && self.cfg.runahead.variant == RunaheadVariant::NoFetch);
+                || (t.mode == ExecMode::Runahead && self.cfg.runahead == RunaheadVariant::NoFetch);
             if !untimed_blocked {
                 let gate = t.icache_wait.max(t.longlat_gate);
                 if gate <= at {

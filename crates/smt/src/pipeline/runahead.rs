@@ -161,7 +161,6 @@ pub(super) fn exit_runahead(sim: &mut SmtSimulator, tid: ThreadId) {
         thread.diverged = false;
         thread.mode = ExecMode::Normal;
         thread.dmiss_inflight = 0;
-        thread.ra_inv_words.clear();
         // Rewind the fetch oracle to the retirement point (= the
         // trigger load's PC: it re-executes and now hits in the cache).
         thread.oracle.rewind_to(ep.trigger_seq);

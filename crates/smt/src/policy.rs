@@ -14,7 +14,7 @@
 //!   ISCA-33), the throughput-guided "Hill-Thru" variant: epoch-based
 //!   trials perturb per-thread resource shares and keep the best.
 //! * **RaT** — Runahead Threads: ICOUNT fetch plus the runahead mechanism
-//!   (implemented in the pipeline; see `RunaheadConfig`).
+//!   (implemented in the pipeline; its one setting is `RunaheadVariant`).
 
 use crate::types::ThreadId;
 

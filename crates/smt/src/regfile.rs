@@ -36,7 +36,6 @@ pub struct PhysRegFile {
     regs: Vec<RegState>,
     free: Vec<PhysReg>,
     per_thread: Vec<usize>,
-    capacity: usize,
 }
 
 impl PhysRegFile {
@@ -60,14 +59,7 @@ impl PhysRegFile {
             regs: vec![RegState::default(); capacity],
             free: (0..capacity as PhysReg).rev().collect(),
             per_thread: vec![0; num_threads],
-            capacity,
         }
-    }
-
-    /// Total registers.
-    #[allow(dead_code)] // API completeness; exercised via config asserts
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Currently free registers.

@@ -179,12 +179,6 @@ impl SimStats {
     pub fn total_committed(&self) -> u64 {
         self.threads.iter().map(|t| t.committed_since_reset()).sum()
     }
-
-    /// Total memory stall cycles across threads (sum of per-thread
-    /// [`ThreadStats::mem_stall_cycles`] over the measurement window).
-    pub fn total_mem_stall_cycles(&self) -> u64 {
-        self.threads.iter().map(|t| t.mem_stall_cycles).sum()
-    }
 }
 
 #[cfg(test)]

@@ -123,7 +123,7 @@ fn cells() -> Vec<Cell> {
         ("fig4-nofetch", RunaheadVariant::NoFetch),
     ] {
         let mut smt = base;
-        smt.runahead.variant = variant;
+        smt.runahead = variant;
         for g in [Mem4, Mix4] {
             cells.push(mix_cell(tag, smt, quick, first(g), Rat));
         }
