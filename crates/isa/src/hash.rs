@@ -1,7 +1,7 @@
 //! Hashing for hot sets and maps keyed by one `u64`.
 //!
 //! std's default SipHash is keyed and DoS-resistant, which keys the
-//! simulator derives itself (addresses, page numbers, sequence numbers)
+//! simulator derives itself (addresses, line numbers, sequence numbers)
 //! do not need, and it costs a few dozen cycles per probe.
 //! [`WordHasher`] finalizes the key with splitmix64's output mixer
 //! instead: a full avalanche in two multiplies. Its users only insert,

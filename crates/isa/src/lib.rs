@@ -21,8 +21,9 @@
 //! never checkpoints or rolls back, and its data memory
 //! ([`SparseMemory`]) has a single write path. Unwritten memory reads an
 //! optional initial-content source ([`MemorySource`]), or zero without
-//! one, and a page is materialized on its first write: a workload's
-//! multi-megabyte arrays are computed on demand, not filled up front.
+//! one, and a 64-byte line is materialized on its first write: a
+//! workload's multi-megabyte arrays are computed on demand, not filled
+//! up front, and a store holds one line, not a page.
 //!
 //! # Example
 //!
@@ -50,6 +51,6 @@ mod reg;
 
 pub use exec::{ArchState, Cpu, ExecRecord};
 pub use inst::{AluOp, BranchCond, FpOp, Instruction, InstructionKind, Operand};
-pub use memory::{MemorySource, SparseMemory, PAGE_WORDS};
+pub use memory::{MemorySource, SparseMemory, LINE_WORDS};
 pub use program::{Pc, Program};
 pub use reg::{ArchReg, FpReg, IntReg, NUM_FP_ARCH_REGS, NUM_INT_ARCH_REGS};

@@ -525,11 +525,12 @@ impl SmtSimulator {
             // which every thread finishes on the same cycle (notably
             // every single-thread run) never drains and stays
             // bit-identical to `--no-drain` in its final machine state.
+            // The deadline return comes *after* it: `newly_at_quota`
+            // lives only for this cycle, so a slice that returned first
+            // would skip the demotion for good, and the run would no
+            // longer be bit-identical at any slicing.
             if all {
                 return true;
-            }
-            if self.now >= deadline {
-                return false;
             }
             // Demote finished threads only once a *single* thread is
             // still measuring. While two or more measurement windows
@@ -563,6 +564,9 @@ impl SmtSimulator {
                         }
                     }
                 }
+            }
+            if self.now >= deadline {
+                return false;
             }
             // Probe for a jump only after an idle cycle: a cycle that
             // performed work cannot have been quiescent, and the scan

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use rat_isa::{
     AluOp, BranchCond, Cpu, FpOp, FpReg, Instruction as I, IntReg, MemorySource, Operand, Pc,
-    Program, SparseMemory, PAGE_WORDS,
+    Program, SparseMemory, LINE_WORDS,
 };
 
 use crate::profile::{Benchmark, BenchmarkProfile, ThreadClass};
@@ -33,7 +33,8 @@ const STREAM_BASE: u64 = 0x1000_0000;
 const HOT_BASE: u64 = 0x3000_0000;
 const CHASE_BASE: u64 = 0x5000_0000;
 const LINE: u64 = 64;
-const PAGE_BYTES: u64 = (PAGE_WORDS * 8) as u64;
+/// Bytes per line of the functional memory (its storage granule).
+const MEM_LINE: u64 = (LINE_WORDS * 8) as u64;
 
 const LCG_A: i64 = 6364136223846793005u64 as i64;
 const LCG_C: i64 = 1442695040888963407u64 as i64;
@@ -49,13 +50,13 @@ const BODY_TARGET: usize = 1024;
 /// Build one per hardware thread with [`ThreadImage::generate`], then turn
 /// it into a functional context with [`ThreadImage::build_cpu`].
 ///
-/// The image is a pure function of `(benchmark, seed)`. Its random-valued
-/// stream and hot arrays (up to 12 MiB on the MEM benchmarks) are not
-/// filled: every word is computed from its address on demand, and a page
-/// is materialized only when a store first reaches it. Only the
-/// pointer-chase list is written at generation, so generating an image
-/// and building CPUs from it cost microseconds, not a multi-megabyte
-/// fill and copy.
+/// The image is a pure function of `(benchmark, seed)`. None of its
+/// memory is filled: the random-valued stream and hot arrays (up to
+/// 12 MiB on the MEM benchmarks) are computed from the address on
+/// demand, the pointer-chase list reads a permutation kept as one `u32`
+/// per node, and a 64-byte line is materialized only when a store first
+/// reaches it. So generating an image writes no memory, building CPUs
+/// from it copies none, and a thread holds only the lines it stores to.
 #[derive(Clone, Debug)]
 pub struct ThreadImage {
     bench: Benchmark,
@@ -72,9 +73,8 @@ impl ThreadImage {
         Generator::new(bench.profile(), seed).build()
     }
 
-    /// Number of 64-bit words materialized at generation (whole pages):
-    /// the pointer-chase list's pages. The stream and hot arrays are
-    /// computed on demand and count nothing here.
+    /// Number of 64-bit words materialized at generation (whole lines):
+    /// zero, since every region of the image is computed on demand.
     pub fn memory_words(&self) -> u64 {
         self.memory.resident_words() as u64
     }
@@ -94,9 +94,9 @@ impl ThreadImage {
         &self.program
     }
 
-    /// Instantiates a functional CPU context: program + copy of the memory
-    /// image (the chase pages and a shared handle to the on-demand
-    /// arrays) + planted registers.
+    /// Instantiates a functional CPU context: program + a memory over a
+    /// shared handle to the image's on-demand content (no frames to copy)
+    /// + planted registers.
     pub fn build_cpu(&self) -> Cpu {
         let mut cpu = Cpu::with_memory(self.program.clone(), self.memory.clone());
         for &(r, v) in &self.init_regs {
@@ -484,7 +484,7 @@ impl Generator {
 
     fn build(mut self) -> ThreadImage {
         self.emit_body();
-        let memory = self.build_memory();
+        let memory = SparseMemory::with_source(Arc::new(self.image_source()));
         let init_regs = vec![
             (IntReg::new(R_STREAM_BASE), STREAM_BASE),
             (IntReg::new(R_STREAM_CUR), 0),
@@ -513,38 +513,28 @@ impl Generator {
         }
     }
 
-    /// Lays out the three data regions: random-valued stream and hot
-    /// arrays, computed from the address on demand (see [`Region`]), and
-    /// a random cyclic pointer-chase list (one node per cache line so
-    /// every hop is a new line), written here.
-    fn build_memory(&mut self) -> SparseMemory {
-        let mut mem = SparseMemory::with_source(Arc::new(self.image_source()));
-
+    /// Lays out the three data regions, all read on demand and none
+    /// written: the random-valued stream and hot arrays (see [`Region`]),
+    /// recorded at the RNG's current position with the RNG skipped past
+    /// their draws, then a random cyclic pointer-chase list (one node per
+    /// cache line so every hop is a new line).
+    fn image_source(&mut self) -> ImageSource {
+        let regions = [
+            self.region(STREAM_BASE, self.stream_bytes),
+            self.region(HOT_BASE, self.hot_bytes),
+        ];
         // Random cyclic permutation via Sattolo's algorithm: guarantees a
         // single cycle visiting every node. The permutation is sequential,
         // so it is drawn here, from the stream position after the arrays.
-        let n = self.chase_nodes as usize;
-        let mut perm: Vec<usize> = (0..n).collect();
-        for i in (1..n).rev() {
+        let n = u32::try_from(self.chase_nodes).expect("chase node count fits u32");
+        let mut next: Vec<u32> = (0..n).collect();
+        for i in (1..next.len()).rev() {
             let j = self.rng.below(i as u64) as usize;
-            perm.swap(i, j);
+            next.swap(i, j);
         }
-        for (i, &next_idx) in perm.iter().enumerate() {
-            let node = CHASE_BASE + (i as u64) * LINE;
-            let next = CHASE_BASE + (next_idx as u64) * LINE;
-            mem.write_u64(node, next);
-        }
-        mem
-    }
-
-    /// Records the stream and hot arrays at the RNG's current position and
-    /// skips the RNG past their draws.
-    fn image_source(&mut self) -> ImageSource {
         ImageSource {
-            regions: [
-                self.region(STREAM_BASE, self.stream_bytes),
-                self.region(HOT_BASE, self.hot_bytes),
-            ],
+            regions,
+            chase: next,
         }
     }
 
@@ -552,8 +542,8 @@ impl Generator {
     /// RNG's current position; the RNG skips the array's draws.
     fn region(&mut self, base: u64, bytes: u64) -> Region {
         assert!(
-            base.is_multiple_of(PAGE_BYTES) && bytes.is_multiple_of(PAGE_BYTES),
-            "a region covers whole pages"
+            base.is_multiple_of(MEM_LINE) && bytes.is_multiple_of(MEM_LINE),
+            "a region covers whole memory lines"
         );
         let region = Region {
             base,
@@ -596,23 +586,39 @@ fn odd_word(w: u64) -> u64 {
     (1.0 + (w % 1024) as f64 / 1024.0_f64).to_bits()
 }
 
-/// The initial content of an image's stream and hot arrays; every other
-/// word is zero until written.
+/// The initial content of an image: its stream and hot arrays and its
+/// pointer-chase list. Every other word is zero until written.
 #[derive(Debug)]
 struct ImageSource {
     regions: [Region; 2],
+    /// Chase node `i` (the first word of line `i` from `CHASE_BASE`)
+    /// points at node `chase[i]`; the rest of each node's line is zero.
+    chase: Vec<u32>,
 }
 
 impl ImageSource {
     fn region_of(&self, addr: u64) -> Option<&Region> {
         self.regions.iter().find(|r| r.contains(addr))
     }
+
+    /// The chase list's word at `addr`: a node's successor address, or
+    /// zero off the node words and outside the list.
+    fn chase_word(&self, addr: u64) -> u64 {
+        let off = addr.wrapping_sub(CHASE_BASE);
+        if !off.is_multiple_of(LINE) {
+            return 0;
+        }
+        usize::try_from(off / LINE)
+            .ok()
+            .and_then(|i| self.chase.get(i))
+            .map_or(0, |&next| CHASE_BASE + u64::from(next) * LINE)
+    }
 }
 
 impl MemorySource for ImageSource {
     fn word(&self, addr: u64) -> u64 {
         let Some(r) = self.region_of(addr) else {
-            return 0;
+            return self.chase_word(addr);
         };
         let w = (addr - r.base) / 8;
         if w.is_multiple_of(2) {
@@ -622,17 +628,19 @@ impl MemorySource for ImageSource {
         }
     }
 
-    /// Draws the page's 256 random words (its even offsets; regions are
-    /// page-aligned, so a page starts at an even word) as one
-    /// lane-parallel block and interleaves the odd words' FP values.
-    fn fill_page(&self, page: u64, out: &mut [u64; PAGE_WORDS]) {
-        let addr = page * PAGE_BYTES;
+    /// Draws the line's random words (its even offsets; regions are
+    /// line-aligned, so a line starts at an even word) as one block and
+    /// interleaves the odd words' FP values.
+    fn fill_line(&self, line: u64, out: &mut [u64; LINE_WORDS]) {
+        let addr = line * MEM_LINE;
         let Some(r) = self.region_of(addr) else {
-            out.fill(0);
+            for (i, w) in out.iter_mut().enumerate() {
+                *w = self.chase_word(addr + 8 * i as u64);
+            }
             return;
         };
         let w0 = (addr - r.base) / 8;
-        let mut draws = [0u64; PAGE_WORDS / 2];
+        let mut draws = [0u64; LINE_WORDS / 2];
         r.rng_at(w0).next_block(&mut draws);
         for (i, (pair, &draw)) in out.chunks_exact_mut(2).zip(&draws).enumerate() {
             pair[0] = draw;
@@ -687,32 +695,28 @@ mod tests {
     }
 
     /// Checks one image against the eager reference: every word of the
-    /// three regions and of one page on either side, through both the
-    /// per-word read and the page fill, then 50k steps of execution.
+    /// three regions and of one line on either side, through both the
+    /// per-word read and the line fill, then 50k steps of execution.
     fn assert_matches_eager(bench: Benchmark, seed: u64) {
         let image = ThreadImage::generate(bench, seed);
         let mut g = at_memory(bench, seed);
         let reference = g.build_memory_eager();
         let source = at_memory(bench, seed).image_source();
-        // (base, bytes, whether the source computes the span)
         let spans = [
-            (STREAM_BASE, g.stream_bytes, true),
-            (HOT_BASE, g.hot_bytes, true),
-            (CHASE_BASE, g.chase_nodes * LINE, false),
+            (STREAM_BASE, g.stream_bytes),
+            (HOT_BASE, g.hot_bytes),
+            (CHASE_BASE, g.chase_nodes * LINE),
         ];
-        let mut filled = [0u64; PAGE_WORDS];
-        for (base, bytes, computed) in spans {
-            let end = base + bytes.next_multiple_of(PAGE_BYTES);
-            for page in (base - PAGE_BYTES..end + PAGE_BYTES).step_by(PAGE_BYTES as usize) {
-                source.fill_page(page / PAGE_BYTES, &mut filled);
+        let mut filled = [0u64; LINE_WORDS];
+        for (base, bytes) in spans {
+            for start in (base - MEM_LINE..base + bytes + MEM_LINE).step_by(MEM_LINE as usize) {
+                source.fill_line(start / MEM_LINE, &mut filled);
                 for (i, &fill) in filled.iter().enumerate() {
-                    let addr = page + 8 * i as u64;
+                    let addr = start + 8 * i as u64;
                     let want = reference.read_u64(addr);
                     let got = image.memory.read_u64(addr);
                     assert_eq!(got, want, "{bench} seed {seed}: read at {addr:#x}");
-                    if computed {
-                        assert_eq!(fill, want, "{bench} seed {seed}: page fill at {addr:#x}");
-                    }
+                    assert_eq!(fill, want, "{bench} seed {seed}: line fill at {addr:#x}");
                 }
             }
         }
@@ -750,14 +754,16 @@ mod tests {
     }
 
     #[test]
-    fn generation_materializes_only_the_chase_list() {
+    fn generation_materializes_nothing() {
         for seed in [0, 7, u64::MAX] {
-            let image = ThreadImage::generate(Benchmark::Art, seed);
-            assert!(
-                image.memory_words() <= 1024,
-                "art seed {seed}: {} words materialized at generation",
-                image.memory_words()
-            );
+            for &bench in crate::ALL_BENCHMARKS {
+                let image = ThreadImage::generate(bench, seed);
+                assert_eq!(
+                    image.memory_words(),
+                    0,
+                    "{bench} seed {seed}: words materialized at generation"
+                );
+            }
         }
     }
 

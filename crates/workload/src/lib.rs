@@ -22,14 +22,16 @@
 //!   and runahead cannot prefetch the chain, exactly the hard case for
 //!   runahead execution.
 //!
-//! An image is a pure function of `(benchmark, seed)`. Its stream and
-//! hot arrays are never filled: the generator's splitmix64 draw `k` is a
-//! pure function of the state, so every word is computed from its
-//! address when read, and a page is materialized on its first write.
-//! Only the pointer-chase list is written at generation
-//! ([`ThreadImage::memory_words`] counts its pages), so generating an
-//! image and building CPUs from it take microseconds even for the
-//! 12 MiB MEM working sets.
+//! An image is a pure function of `(benchmark, seed)`, and none of its
+//! memory is written at generation. The stream and hot arrays are never
+//! filled: the generator's splitmix64 draw `k` is a pure function of the
+//! state, so every word is computed from its address when read. The
+//! pointer-chase list reads the Sattolo permutation it was drawn as, one
+//! `u32` per node. A 64-byte line is materialized on its first write, so
+//! a thread holds only the lines it stores to,
+//! [`ThreadImage::memory_words`] is zero, and generating an image and
+//! building CPUs from it copy no memory even for the 12 MiB MEM working
+//! sets.
 //!
 //! # Example
 //!

@@ -17,7 +17,7 @@
 //! * [`WorkloadRng::next_block`] computes the next `k` outputs of the
 //!   stream lane-parallel: a block of consecutive outputs has no
 //!   loop-carried dependence, so the autovectorizer can lower the
-//!   per-lane mix to SIMD. An image fills a page through it.
+//!   per-lane mix to SIMD. An image fills a line through it.
 
 /// splitmix64's fixed odd state increment (2⁶⁴/φ, Weyl sequence).
 const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -59,7 +59,7 @@ impl WorkloadRng {
     /// without a loop-carried dependence: within each chunk the lane
     /// states are `state + (i+1)·GAMMA` and the mix applies per lane,
     /// a shape the autovectorizer lowers to SIMD. Workload images fill
-    /// a page through this.
+    /// a line through this.
     pub fn next_block(&mut self, out: &mut [u64]) {
         const LANES: usize = 8;
         let mut chunks = out.chunks_exact_mut(LANES);

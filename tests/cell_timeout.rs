@@ -7,16 +7,19 @@
 //!   fails as a [`CellErrorKind::Timeout`] while journal replays (warm
 //!   cells) are exempt;
 //! * timed-out cells never reach the journal, so a later run recomputes
-//!   exactly those cells.
+//!   exactly those cells;
+//! * a cell driven in slices of any length, including one that ends on
+//!   the cycle a thread reaches its quota, is bit-identical to one
+//!   unsliced run.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use rat_bench::{run_cells, SweepCell, SweepSession};
-use rat_core::smt::{PolicyKind, SmtConfig};
+use rat_core::smt::{PolicyKind, SmtConfig, SmtSimulator};
 use rat_core::store::encode_result;
-use rat_core::workload::{mixes_for_group, Mix, WorkloadGroup};
-use rat_core::{CellErrorKind, ResultStore, RunConfig, Runner};
+use rat_core::workload::{mixes_for_group, Mix, ThreadImage, WorkloadGroup, WorkloadRng};
+use rat_core::{CellErrorKind, MixResult, ResultStore, RunConfig, Runner};
 
 fn tiny_runner() -> Runner {
     Runner::new(
@@ -188,4 +191,150 @@ fn timed_out_cells_recompute_on_rerun() {
     assert!(second.failures.is_empty());
     assert_eq!(second.replayed, 0, "nothing was journaled by timeouts");
     assert_eq!(second.computed, cells.len());
+}
+
+/// Simulates `mix` under `policy` as [`Runner::run_mix`] does (warm-up,
+/// stats reset, measurement with post-quota drain), but gives each
+/// `run_until_quota` call the cycle count `slice` returns for the
+/// current cycle, within each phase's `max_cycles` budget.
+fn run_sliced(
+    runner: &Runner,
+    mix: &Mix,
+    policy: PolicyKind,
+    slice: &mut dyn FnMut(u64) -> u64,
+) -> MixResult {
+    let run = *runner.run_config();
+    let mut cfg = *runner.smt_config();
+    cfg.policy = policy;
+    let cpus = mix
+        .benchmarks
+        .iter()
+        .enumerate()
+        .map(|(i, &b)| ThreadImage::generate(b, run.seed + i as u64).build_cpu())
+        .collect();
+    let mut sim = SmtSimulator::new(cfg, cpus);
+    sim.set_cycle_skip(!run.no_skip);
+    let mut phase = |sim: &mut SmtSimulator, quota: u64| {
+        let mut left = run.max_cycles;
+        loop {
+            let step = slice(sim.cycles()).clamp(1, left);
+            let reached = sim.run_until_quota(quota, step);
+            left -= step;
+            if reached || left == 0 {
+                return reached;
+            }
+        }
+    };
+    phase(&mut sim, run.warmup_insts);
+    sim.reset_stats();
+    sim.set_quota_drain(!run.no_drain);
+    let complete = phase(&mut sim, run.insts_per_thread);
+    let st = sim.stats();
+    MixResult {
+        mix: mix.clone(),
+        policy,
+        ipcs: (0..mix.benchmarks.len())
+            .map(|t| st.thread_ipc(t))
+            .collect(),
+        executed_insts: st.executed_insts(),
+        cycles: st.cycles_since_reset(),
+        complete,
+        thread_stats: st.threads.clone(),
+        thread_stats_at_quota: st.threads_at_quota.clone(),
+        mem_events: st.mem_events,
+    }
+}
+
+/// The cycles at which the threads of an unsliced run reached their
+/// quotas, earliest first.
+fn quota_cycles(result: &MixResult) -> Vec<u64> {
+    let mut cycles: Vec<u64> = result
+        .thread_stats_at_quota
+        .iter()
+        .flatten()
+        .filter_map(|t| t.quota_cycle)
+        .collect();
+    cycles.sort_unstable();
+    cycles
+}
+
+/// A slice that returns on the very cycle the second-to-last thread
+/// reaches its quota must still demote the finished thread to drain, as
+/// the unsliced run does on that cycle. (MEM2 mix 0 under RaT at these
+/// quotas: the boundary is cycle 42,478, and a run that skipped the
+/// demotion drained nothing and took 1,420 more cycles.)
+#[test]
+fn slice_ending_on_a_quota_cycle_is_bit_identical() {
+    let runner = Runner::new(
+        SmtConfig::hpca2008_baseline(),
+        RunConfig {
+            insts_per_thread: 6_000,
+            warmup_insts: 2_000,
+            seed: 42,
+            ..RunConfig::default()
+        },
+    );
+    let mix = &mixes_for_group(WorkloadGroup::Mem2)[0];
+    for policy in [PolicyKind::Icount, PolicyKind::Rat] {
+        let plain = runner.run_mix(mix, policy);
+        let boundary = quota_cycles(&plain)[0];
+        let sliced = run_sliced(&runner, mix, policy, &mut |now| {
+            if now < boundary {
+                boundary - now
+            } else {
+                u64::MAX
+            }
+        });
+        assert_eq!(
+            encode_result(&plain),
+            encode_result(&sliced),
+            "{mix} under {policy}: a slice ending at cycle {boundary} changed the result"
+        );
+    }
+}
+
+/// Slicing is invisible, as a seeded property: every cell, driven in
+/// random slices of 1 to 5,000 cycles (short ones as often as long
+/// ones, and now and then one that ends on a cycle where a thread
+/// reached its quota in the unsliced run), encodes exactly as one
+/// unsliced [`Runner::run_mix`].
+#[test]
+fn any_slicing_is_bit_identical() {
+    let runner = tiny_runner();
+    let mixes = [
+        mixes_for_group(WorkloadGroup::Mix2)[1].clone(),
+        mixes_for_group(WorkloadGroup::Mem4)[0].clone(),
+    ];
+    let policies = [
+        PolicyKind::Icount,
+        PolicyKind::Flush,
+        PolicyKind::Dcra,
+        PolicyKind::Hill,
+        PolicyKind::Rat,
+    ];
+    for (m, mix) in mixes.iter().enumerate() {
+        for (p, &policy) in policies.iter().enumerate() {
+            let plain = runner.run_mix(mix, policy);
+            let targets = quota_cycles(&plain);
+            for case in 0..2u64 {
+                let seed = 0x511C_E000 + 16 * (5 * m as u64 + p as u64) + case;
+                let mut rng = WorkloadRng::seed_from_u64(seed);
+                let sliced = run_sliced(&runner, mix, policy, &mut |now| match targets
+                    .iter()
+                    .find(|&&c| c > now)
+                {
+                    Some(&c) if rng.below(8) == 0 => c - now,
+                    _ => {
+                        let longest = 5_000 >> rng.below(13);
+                        1 + rng.below(longest)
+                    }
+                });
+                assert_eq!(
+                    encode_result(&plain),
+                    encode_result(&sliced),
+                    "{mix} under {policy}: slicing seed {seed:#x} changed the result"
+                );
+            }
+        }
+    }
 }
