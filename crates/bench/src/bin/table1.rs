@@ -1,6 +1,10 @@
-//! Table 1 — the simulated SMT processor baseline configuration.
+//! Table 1 — the simulated SMT processor baseline configuration: the
+//! `rat_smt::config` constants, the perceptron geometry, and the swept
+//! register-file size and memory hierarchy at their baseline values.
 
 use rat_bench::{HarnessArgs, TableWriter};
+use rat_core::bpred::PerceptronPredictor;
+use rat_smt::config::{FETCH_THREADS, FRONTEND_DEPTH, FU_COUNT, IQ_SIZE, ROB_SIZE, WIDTH};
 use rat_smt::SmtConfig;
 
 fn main() {
@@ -11,34 +15,26 @@ fn main() {
     let mut row = |k: &str, v: String| t.row(vec![k.to_string(), v]);
     row(
         "Processor depth",
-        format!(
-            "{} front-end stages (+fetch, OoO back end)",
-            c.frontend_depth
-        ),
+        format!("{FRONTEND_DEPTH} front-end stages (+fetch, OoO back end)"),
     );
-    row("Processor width", format!("{} way", c.width));
-    row("Fetch threads/cycle", format!("{}", c.fetch_threads));
-    row(
-        "Reorder buffer size",
-        format!("{} shared entries", c.rob_size),
-    );
-    row(
-        "INT/FP registers",
-        format!("{} / {}", c.int_regs, c.fp_regs),
-    );
+    row("Processor width", format!("{WIDTH} way"));
+    row("Fetch threads/cycle", format!("{FETCH_THREADS}"));
+    row("Reorder buffer size", format!("{ROB_SIZE} shared entries"));
+    row("INT/FP registers", format!("{} / {}", c.regs, c.regs));
     row(
         "INT/FP/LS issue queues",
-        format!("{} / {} / {}", c.iq_size[0], c.iq_size[1], c.iq_size[2]),
+        format!("{} / {} / {}", IQ_SIZE[0], IQ_SIZE[1], IQ_SIZE[2]),
     );
     row(
         "INT/FP/LdSt units",
-        format!("{} / {} / {}", c.fu_count[0], c.fu_count[1], c.fu_count[2]),
+        format!("{} / {} / {}", FU_COUNT[0], FU_COUNT[1], FU_COUNT[2]),
     );
     row(
         "Branch predictor",
         format!(
             "Perceptron ({} entries, {} bits history)",
-            c.bpred_table, c.bpred_history
+            PerceptronPredictor::TABLE_SIZE,
+            PerceptronPredictor::HISTORY_LEN
         ),
     );
     row(

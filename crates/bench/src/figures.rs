@@ -170,8 +170,7 @@ fn variant_config(variant: RunaheadVariant) -> SmtConfig {
 /// Table 1 hardware with both register files resized.
 fn sized_config(size: usize) -> SmtConfig {
     let mut cfg = SmtConfig::hpca2008_baseline();
-    cfg.int_regs = size;
-    cfg.fp_regs = size;
+    cfg.regs = size;
     cfg
 }
 

@@ -633,7 +633,7 @@ mod tests {
         // nothing replays. Replayed or computed, the helper records every
         // reference in its runner before any fairness is asked for.
         let mut hw = SmtConfig::hpca2008_baseline();
-        hw.int_regs = 256;
+        hw.regs = 256;
         let mut quota = *tiny_runner().run_config();
         quota.insts_per_thread += 1;
         let ilp2 = select_mixes(WorkloadGroup::Ilp2, 1).remove(0);

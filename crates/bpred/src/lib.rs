@@ -1,7 +1,10 @@
 //! # rat-bpred — the branch direction predictor
 //!
 //! Table 1 of the paper specifies a **perceptron** branch predictor; this
-//! crate implements it, behind the [`Predictor`] trait.
+//! crate implements it, behind the [`Predictor`] trait. Its geometry is
+//! fixed: [`PerceptronPredictor::hpca2008_default`] builds
+//! [`PerceptronPredictor::TABLE_SIZE`] perceptrons (1024) over
+//! [`PerceptronPredictor::HISTORY_LEN`] bits of global history (32).
 //!
 //! In an SMT processor the predictor *tables* are shared by all hardware
 //! threads (creating constructive/destructive aliasing) while each thread

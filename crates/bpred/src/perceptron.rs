@@ -20,13 +20,20 @@ pub struct PerceptronPredictor {
 }
 
 impl PerceptronPredictor {
+    /// Perceptrons in the reproduction's table (Table 1: 1024 entries).
+    pub const TABLE_SIZE: usize = 1024;
+    /// Global-history bits each perceptron weighs (Table 1: 32).
+    pub const HISTORY_LEN: usize = 32;
+
     /// Creates a predictor with `table_size` perceptrons (power of two) over
-    /// `history_len` history bits (at most 63).
+    /// `history_len` history bits (at most 63). The simulator uses
+    /// [`PerceptronPredictor::hpca2008_default`]; other geometries serve
+    /// this module's tests.
     ///
     /// # Panics
     ///
     /// Panics if `table_size` is not a power of two or `history_len > 63`.
-    pub fn new(table_size: usize, history_len: usize) -> Self {
+    fn new(table_size: usize, history_len: usize) -> Self {
         assert!(
             table_size.is_power_of_two(),
             "table size must be a power of two"
@@ -42,10 +49,11 @@ impl PerceptronPredictor {
         }
     }
 
-    /// The configuration used for the paper reproduction: 1024 perceptrons,
-    /// 32 bits of global history.
+    /// The configuration used for the paper reproduction:
+    /// [`Self::TABLE_SIZE`] perceptrons over [`Self::HISTORY_LEN`] bits
+    /// of global history.
     pub fn hpca2008_default() -> Self {
-        Self::new(1024, 32)
+        Self::new(Self::TABLE_SIZE, Self::HISTORY_LEN)
     }
 
     #[inline]

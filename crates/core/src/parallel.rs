@@ -96,12 +96,16 @@ pub fn resolve_threads(requested: usize) -> usize {
 /// cores), returning results in input order.
 ///
 /// Tasks are claimed from an atomic cursor, so long and short tasks
-/// balance automatically. With one worker (or one item) this degrades to
-/// a plain serial map — same results, same order.
+/// balance automatically. The calling thread is one of the workers: it
+/// spawns `workers - 1` threads and claims tasks alongside them, so a
+/// sweep's share of work reuses the caller's stack and heap. With one
+/// worker (or one item) this degrades to a plain serial map — same
+/// results, same order.
 ///
 /// # Panics
 ///
-/// Propagates the first panic raised by `f` on any worker.
+/// Propagates the first panic raised by `f`, on the caller or on any
+/// worker, after every spawned worker has been joined.
 pub fn par_map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -114,27 +118,25 @@ where
     }
 
     let cursor = AtomicUsize::new(0);
+    let claim = || {
+        let mut out = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= items.len() {
+                break;
+            }
+            out.push((i, f(i, &items[i])));
+        }
+        out
+    };
     let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
+    // A panic in the caller's own share unwinds out of the scope, which
+    // joins every spawned worker before it propagates.
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let cursor = &cursor;
-                let f = &f;
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        out.push((i, f(i, &items[i])));
-                    }
-                    out
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(claim)).collect();
+        let mine = claim();
+        for pairs in std::iter::once(Ok(mine)).chain(handles.into_iter().map(|h| h.join())) {
+            match pairs {
                 Ok(pairs) => {
                     for (i, r) in pairs {
                         slots[i] = Some(r);
@@ -253,6 +255,44 @@ mod tests {
                 _ => panic!("serial/parallel outcome mismatch"),
             }
         }
+    }
+
+    /// The caller claims items too: with two workers and a barrier that
+    /// two items must reach together, one of them runs on the calling
+    /// thread. A panic in the caller's share propagates, and only after
+    /// the spawned worker has finished its item.
+    #[test]
+    fn caller_runs_a_share_and_its_panic_propagates() {
+        use std::sync::Barrier;
+        use std::thread::ThreadId;
+
+        let caller = std::thread::current().id();
+        let barrier = Barrier::new(2);
+        let ran_on: Vec<ThreadId> = par_map(2, &[0, 1], |_, _| {
+            barrier.wait();
+            std::thread::current().id()
+        });
+        assert_ne!(ran_on[0], ran_on[1], "the two items ran on two threads");
+        assert!(ran_on.contains(&caller), "one item ran on the caller");
+
+        let barrier = Barrier::new(2);
+        let finished = AtomicUsize::new(0);
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            par_map(2, &[0, 1], |_, _| {
+                barrier.wait();
+                if std::thread::current().id() == caller {
+                    panic!("caller's share");
+                }
+                finished.fetch_add(1, Ordering::SeqCst);
+            })
+        }));
+        let payload = result.expect_err("the caller's panic propagates");
+        assert_eq!(panic_message(payload), "caller's share");
+        assert_eq!(
+            finished.load(Ordering::SeqCst),
+            1,
+            "the worker was joined first"
+        );
     }
 
     #[test]

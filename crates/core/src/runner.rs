@@ -64,7 +64,9 @@ const MODEL_DIGEST: u64 = fnv1a(include_bytes!("../../../tests/golden.txt"));
 /// component), the measurement methodology except the seed (another key
 /// component) and the bit-identical `no_skip` ablation, and the model
 /// itself as a compile-time FNV-1a of `tests/golden.txt`, so re-pinning
-/// any golden digest re-keys every journal. It covers the drain
+/// any golden digest re-keys every journal. The fixed Table 1 parameters
+/// (the `rat_smt::config` constants and the perceptron geometry) are part
+/// of that model: changing one moves golden digests. It covers the drain
 /// ablation, which changes multithreaded timing, so `--no-drain`
 /// recomputes the single-thread references too even though drain never
 /// moves them.
@@ -81,18 +83,8 @@ pub fn config_fingerprint(smt: &SmtConfig, run: &RunConfig) -> u64 {
 /// little-endian `u64` with FNV-1a ([`crate::store::fnv1a`]).
 fn fingerprint_with_model(smt: &SmtConfig, run: &RunConfig, model: u64) -> u64 {
     let SmtConfig {
-        width,
-        fetch_threads,
-        frontend_depth,
-        fetch_buffer,
-        rob_size,
-        int_regs,
-        fp_regs,
-        iq_size,
-        fu_count,
+        regs,
         hierarchy,
-        bpred_table,
-        bpred_history,
         policy: _,
         runahead,
     } = *smt;
@@ -134,21 +126,8 @@ fn fingerprint_with_model(smt: &SmtConfig, run: &RunConfig, model: u64) -> u64 {
         RunaheadVariant::NoPrefetch => 1,
         RunaheadVariant::NoFetch => 2,
     };
-    let words: [&[u64]; 9] = [
-        &[model],
-        &[
-            width as u64,
-            fetch_threads as u64,
-            frontend_depth,
-            fetch_buffer as u64,
-            rob_size as u64,
-            int_regs as u64,
-            fp_regs as u64,
-            bpred_table as u64,
-            bpred_history as u64,
-        ],
-        &iq_size.map(|s| s as u64),
-        &fu_count.map(|f| f as u64),
+    let words: [&[u64]; 6] = [
+        &[model, regs as u64],
         &cache(icache),
         &cache(dcache),
         &cache(l2),
@@ -563,16 +542,18 @@ mod tests {
     /// Journals on disk are keyed by these values: a change here orphans
     /// every existing journal record. They moved once when the
     /// derivation changed from a hash of `SmtConfig`'s `Debug` string to
-    /// a hash of the fields plus the model digest, and once when the
-    /// runahead cache, FP-drop and entry-threshold words left it (those
-    /// settings stopped being configurable, so no result moved). They
-    /// move again, on purpose, whenever `tests/golden.txt` is re-pinned:
-    /// re-pin them together.
+    /// a hash of the fields plus the model digest, once when the
+    /// runahead cache, FP-drop and entry-threshold words left it, and once
+    /// when the fixed Table 1 words left it and `tests/golden.txt` lost
+    /// its round-robin cells (those settings stopped being configurable
+    /// and the policy was deleted, so no result moved). They move again,
+    /// on purpose, whenever `tests/golden.txt` is re-pinned: re-pin them
+    /// together.
     #[test]
     fn config_fingerprint_is_pinned() {
         let fingerprint =
             |run: RunConfig| Runner::new(SmtConfig::hpca2008_baseline(), run).config_fingerprint();
-        assert_eq!(fingerprint(RunConfig::default()), 0x5715_e1da_4541_4db6);
+        assert_eq!(fingerprint(RunConfig::default()), 0x043b_2e61_a811_59ce);
         for seed in [42, 99] {
             let run = RunConfig {
                 insts_per_thread: 6_000,
@@ -580,7 +561,7 @@ mod tests {
                 seed,
                 ..RunConfig::default()
             };
-            assert_eq!(fingerprint(run), 0xd929_4d23_4e31_432f, "seed {seed}");
+            assert_eq!(fingerprint(run), 0xa05f_043e_4824_81b7, "seed {seed}");
         }
     }
 
@@ -591,20 +572,8 @@ mod tests {
         assert_eq!(Runner::new(smt, run).config_fingerprint(), base);
         assert_eq!(fingerprint_with_model(&smt, &run, MODEL_DIGEST), base);
 
-        let smt_edits: [fn(&mut SmtConfig); 36] = [
-            |c| c.width += 1,
-            |c| c.fetch_threads += 1,
-            |c| c.frontend_depth += 1,
-            |c| c.fetch_buffer += 1,
-            |c| c.rob_size += 1,
-            |c| c.int_regs += 1,
-            |c| c.fp_regs += 1,
-            |c| c.iq_size[0] += 1,
-            |c| c.iq_size[1] += 1,
-            |c| c.iq_size[2] += 1,
-            |c| c.fu_count[0] += 1,
-            |c| c.fu_count[1] += 1,
-            |c| c.fu_count[2] += 1,
+        let smt_edits: [fn(&mut SmtConfig); 22] = [
+            |c| c.regs += 1,
             |c| c.hierarchy.icache.size_bytes *= 2,
             |c| c.hierarchy.icache.ways += 1,
             |c| c.hierarchy.icache.line_bytes *= 2,
@@ -624,8 +593,6 @@ mod tests {
             |c| c.hierarchy.prefetch_mshr_reserve += 1,
             |c| c.hierarchy.l2_ports += 1,
             |c| c.hierarchy.bus_cycles_per_line += 1,
-            |c| c.bpred_table *= 2,
-            |c| c.bpred_history += 1,
             |c| c.runahead = RunaheadVariant::NoPrefetch,
             |c| c.runahead = RunaheadVariant::NoFetch,
         ];
@@ -653,7 +620,7 @@ mod tests {
             );
         }
         // Another golden text is another model.
-        let other = fnv1a(b"quick ILP2(apsi+eon) RR 0000000000000000\n");
+        let other = fnv1a(b"quick ILP2(apsi+eon) ICOUNT 0000000000000000\n");
         assert!(seen.insert(fingerprint_with_model(&smt, &run, other)));
 
         // Policy and seed are key components of their own, and the

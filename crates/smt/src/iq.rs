@@ -69,8 +69,8 @@ pub struct IssueQueues {
     ready: [BinaryHeap<Reverse<ReadyKey>>; 3],
     /// Chain head per physical register: INT registers first, then FP.
     wake_heads: Vec<u32>,
-    /// Offset of the FP region in `wake_heads`.
-    int_regs: usize,
+    /// Registers per file: the offset of the FP region in `wake_heads`.
+    regs: usize,
     /// Shared node pool for every wakeup chain.
     nodes: Vec<WaiterNode>,
     /// Head of the recycled-node freelist.
@@ -79,15 +79,15 @@ pub struct IssueQueues {
 
 impl IssueQueues {
     /// Creates queues with the given capacities and wakeup lists sized for
-    /// the two register files.
-    pub fn new(capacity: [usize; 3], num_threads: usize, int_regs: usize, fp_regs: usize) -> Self {
+    /// two register files of `regs` registers each.
+    pub fn new(capacity: [usize; 3], num_threads: usize, regs: usize) -> Self {
         IssueQueues {
             capacity,
             occupancy: [0; 3],
             per_thread: vec![[0; 3]; num_threads],
             ready: Default::default(),
-            wake_heads: vec![NIL; int_regs + fp_regs],
-            int_regs,
+            wake_heads: vec![NIL; 2 * regs],
+            regs,
             nodes: Vec::new(),
             free_head: NIL,
         }
@@ -138,7 +138,7 @@ impl IssueQueues {
     fn head_slot(&self, class: RegClass, p: PhysReg) -> usize {
         match class {
             RegClass::Int => p as usize,
-            RegClass::Fp => self.int_regs + p as usize,
+            RegClass::Fp => self.regs + p as usize,
         }
     }
 
@@ -226,7 +226,7 @@ mod tests {
 
     #[test]
     fn occupancy_tracks_insert_remove() {
-        let mut iq = IssueQueues::new([2, 2, 2], 2, 8, 8);
+        let mut iq = IssueQueues::new([2, 2, 2], 2, 8);
         assert!(iq.has_space(IqKind::Int));
         iq.insert(IqKind::Int, 0);
         iq.insert(IqKind::Int, 1);
@@ -239,7 +239,7 @@ mod tests {
 
     #[test]
     fn ready_pops_oldest_first() {
-        let mut iq = IssueQueues::new([4, 4, 4], 1, 8, 8);
+        let mut iq = IssueQueues::new([4, 4, 4], 1, 8);
         assert!(!iq.any_ready_candidates());
         iq.push_ready(IqKind::Ls, 30, 0, 3);
         iq.push_ready(IqKind::Ls, 10, 0, 1);
@@ -265,7 +265,7 @@ mod tests {
 
     #[test]
     fn waiters_drain_once() {
-        let mut iq = IssueQueues::new([4, 4, 4], 1, 8, 8);
+        let mut iq = IssueQueues::new([4, 4, 4], 1, 8);
         iq.add_waiter(RegClass::Int, 3, 0, 7, 70);
         iq.add_waiter(RegClass::Int, 3, 0, 8, 80);
         iq.add_waiter(RegClass::Fp, 3, 0, 9, 90);
@@ -280,7 +280,7 @@ mod tests {
 
     #[test]
     fn freelist_recycles_nodes() {
-        let mut iq = IssueQueues::new([4, 4, 4], 1, 8, 8);
+        let mut iq = IssueQueues::new([4, 4, 4], 1, 8);
         for round in 0..100u64 {
             for w in 0..5 {
                 iq.add_waiter(
@@ -304,7 +304,7 @@ mod tests {
 
     #[test]
     fn int_and_fp_chains_are_disjoint() {
-        let mut iq = IssueQueues::new([4, 4, 4], 2, 8, 8);
+        let mut iq = IssueQueues::new([4, 4, 4], 2, 8);
         iq.add_waiter(RegClass::Int, 5, 0, 1, 10);
         iq.add_waiter(RegClass::Fp, 5, 1, 2, 20);
         assert_eq!(drain(&mut iq, RegClass::Int, 5), vec![ready_key(10, 0, 1)]);

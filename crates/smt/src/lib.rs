@@ -1,15 +1,25 @@
 //! # rat-smt — the SMT out-of-order pipeline
 //!
 //! An execution-driven, cycle-level model of the SMT processor in Table 1
-//! of *Runahead Threads to Improve SMT Performance* (HPCA 2008):
+//! of *Runahead Threads to Improve SMT Performance* (HPCA 2008). The
+//! fixed part of Table 1 is constants in [`config`]; the shared
+//! perceptron's geometry is `rat_bpred`'s:
 //!
 //! * 8-wide, 10-stage pipeline; ICOUNT-2.8-style fetch (up to 2 threads,
 //!   8 instructions per cycle);
 //! * shared 512-entry reorder buffer (a pool with per-thread program-order
 //!   queues, as in the paper's shared-ROB design);
-//! * 320 integer + 320 FP physical registers with renaming;
 //! * 64-entry INT/FP/LS issue queues; 6 INT, 3 FP, 4 LS units;
-//! * perceptron branch predictor; shared I/D/L2 cache hierarchy with
+//! * perceptron branch predictor (1024 entries, 32 history bits).
+//!
+//! [`SmtConfig`] holds what the figures vary, plus the memory hierarchy:
+//!
+//! * the fetch/resource policy ([`SmtConfig::policy`], Figures 1–3);
+//! * the runahead variant ([`SmtConfig::runahead`], Figure 4);
+//! * the size of each of the two register files ([`SmtConfig::regs`],
+//!   Figure 6; Table 1: 320 integer + 320 FP physical registers with
+//!   renaming);
+//! * the shared I/D/L2 cache hierarchy ([`SmtConfig::hierarchy`]) with
 //!   event-driven L2-port and memory-bus contention (threads compete
 //!   for bandwidth, not just capacity — see [`rat_mem::event`]), whose
 //!   counters surface in [`SimStats::mem_events`] and per-thread
@@ -18,7 +28,7 @@
 //! On top of the pipeline it implements every resource-management scheme
 //! the paper evaluates:
 //!
-//! * fetch policies: round-robin, ICOUNT, STALL, FLUSH ([`PolicyKind`]);
+//! * fetch policies: ICOUNT, STALL, FLUSH ([`PolicyKind`]);
 //! * dynamic resource control: DCRA and Hill Climbing;
 //! * **Runahead Threads (RaT)** — the paper's contribution — in one
 //!   configuration (no runahead cache, FP computation dropped during
@@ -42,7 +52,7 @@
 //! assert!(sim.thread_stats(0).committed >= 2_000);
 //! ```
 
-mod config;
+pub mod config;
 mod frontend;
 mod instr_table;
 mod iq;

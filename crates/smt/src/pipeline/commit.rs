@@ -9,7 +9,7 @@
 
 use rat_isa::InstructionKind;
 
-use crate::config::SmtConfig;
+use crate::config::{SmtConfig, WIDTH};
 use crate::instr_table::{
     sched_stage, unpack_arch, unpack_reg, F_INV, F_L2MISS, F_RUNAHEAD, REG_NONE, ST_DONE, ST_EXEC,
 };
@@ -45,7 +45,7 @@ pub(super) fn entry_eligible(cfg: &SmtConfig, thread: &Thread, slot: usize, at: 
 /// Runs the commit stage for one cycle.
 pub(super) fn run(sim: &mut SmtSimulator) {
     let n = sim.threads.len();
-    let mut budget = sim.cfg.width;
+    let mut budget = WIDTH;
     let start = sim.res.commit_rr;
     sim.res.commit_rr = (sim.res.commit_rr + 1) % n;
     for k in 0..n {

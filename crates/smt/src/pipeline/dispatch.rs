@@ -15,6 +15,7 @@
 
 use rat_isa::{ArchReg, Instruction, InstructionKind};
 
+use crate::config::{IQ_SIZE, ROB_SIZE, WIDTH};
 use crate::instr_table::{
     pack_arch, pack_reg, sched_word, Regs, F_INV, F_RUNAHEAD, F_TAKEN, ST_DONE, ST_WAIT,
 };
@@ -87,7 +88,7 @@ fn dst_reg(inst: &Instruction) -> Option<ArchReg> {
 /// Runs the dispatch stage for one cycle.
 pub(super) fn run(sim: &mut SmtSimulator) {
     let n = sim.threads.len();
-    let mut budget = sim.cfg.width;
+    let mut budget = WIDTH;
     let start = sim.res.dispatch_rr;
     sim.res.dispatch_rr = (sim.res.dispatch_rr + 1) % n;
     // Normal threads dispatch before speculative (runahead) threads:
@@ -185,7 +186,7 @@ pub(super) fn decide(sim: &SmtSimulator, tid: ThreadId) -> DispatchDecision {
 fn gate(sim: &SmtSimulator, tid: ThreadId, d: &Decoded) -> DispatchDecision {
     if sim.threads[tid].mode == ExecMode::Runahead && folds_in_runahead(sim, tid, d) {
         // A folded instruction still needs a ROB slot.
-        return if sim.res.rob_occupancy >= sim.cfg.rob_size {
+        return if sim.res.rob_occupancy >= ROB_SIZE {
             DispatchDecision::Blocked
         } else {
             DispatchDecision::Fold
@@ -193,14 +194,14 @@ fn gate(sim: &SmtSimulator, tid: ThreadId, d: &Decoded) -> DispatchDecision {
     }
 
     // --- resource checks ---
-    if sim.res.rob_occupancy >= sim.cfg.rob_size {
+    if sim.res.rob_occupancy >= ROB_SIZE {
         return DispatchDecision::Blocked;
     }
     if let Some(k) = d.iq_kind {
         // Drained threads' notional entries count against the capacity
         // (zero unless post-quota drain is active — see
         // `pipeline::drain`).
-        if sim.res.iqs.occupancy(k) + sim.res.notional_iq[k.index()] >= sim.cfg.iq_size[k.index()] {
+        if sim.res.iqs.occupancy(k) + sim.res.notional_iq[k.index()] >= IQ_SIZE[k.index()] {
             return DispatchDecision::Blocked;
         }
     }

@@ -59,6 +59,7 @@ use rat_bpred::Predictor;
 use rat_isa::InstructionKind;
 use rat_mem::AccessKind;
 
+use crate::config::{IQ_SIZE, ROB_SIZE};
 use crate::types::{Cycle, IqKind, ThreadId};
 
 use super::{pred_key, runahead, tag_addr, SmtSimulator};
@@ -225,27 +226,21 @@ pub(super) fn demote(sim: &mut SmtSimulator, tid: ThreadId) {
     let n = sim.threads.len();
     let window = (sim.now - sim.stats.cycles_at_reset).max(1);
     let ts = &sim.stats.threads[tid];
-    let rob_budget = (sim.cfg.rob_size - sim.cfg.rob_size / n)
+    let rob_budget = (ROB_SIZE - ROB_SIZE / n)
         .saturating_sub(sim.threads.iter().map(|t| t.drain.rob_notional).sum())
-        .min(sim.cfg.rob_size.saturating_sub(sim.res.rob_occupancy));
+        .min(ROB_SIZE.saturating_sub(sim.res.rob_occupancy));
     let notional = ((ts.rob_occ_cycles / window) as usize).min(rob_budget);
     let mut iq_notional = [0usize; 3];
     for (i, kind) in [IqKind::Int, IqKind::Fp, IqKind::Ls]
         .into_iter()
         .enumerate()
     {
-        let budget = (sim.cfg.iq_size[i] - sim.cfg.iq_size[i] / n)
+        let budget = (IQ_SIZE[i] - IQ_SIZE[i] / n)
             .saturating_sub(sim.res.notional_iq[i])
-            .min(
-                sim.cfg.iq_size[i]
-                    .saturating_sub(sim.res.iqs.occupancy(kind) + sim.res.notional_iq[i]),
-            );
+            .min(IQ_SIZE[i].saturating_sub(sim.res.iqs.occupancy(kind) + sim.res.notional_iq[i]));
         iq_notional[i] = ((ts.iq_occ_cycles[i] / window) as usize).min(budget);
     }
-    let renaming = [
-        sim.cfg.int_regs.saturating_sub(32 * n),
-        sim.cfg.fp_regs.saturating_sub(32 * n),
-    ];
+    let renaming = [sim.cfg.regs.saturating_sub(32 * n); 2];
     let reg_budget = [
         (renaming[0] - renaming[0] / n)
             .saturating_sub(sim.res.notional_regs[0])

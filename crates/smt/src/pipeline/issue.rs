@@ -5,7 +5,7 @@
 use rat_isa::InstructionKind;
 use rat_mem::AccessKind;
 
-use crate::config::RunaheadVariant;
+use crate::config::{RunaheadVariant, FU_COUNT, WIDTH};
 use crate::instr_table::{
     sched_iq, unpack_reg, F_DMISS, F_INV, F_L2MISS, GSEQ_SHIFT, IQK_MASK, ST_EXEC, ST_WAIT,
 };
@@ -34,12 +34,12 @@ fn exec_latency(kind: InstructionKind) -> Cycle {
 
 /// Runs the issue stage for one cycle.
 pub(super) fn run(sim: &mut SmtSimulator) {
-    let mut budget = sim.cfg.width;
+    let mut budget = WIDTH;
     // Pipeline-owned retry scratch: taken for the stage, handed back at
     // the end so its capacity is reused every cycle.
     let mut retries = std::mem::take(&mut sim.res.retry_scratch);
     for kind in [IqKind::Int, IqKind::Fp, IqKind::Ls] {
-        let mut fu = sim.cfg.fu_count[kind.index()];
+        let mut fu = FU_COUNT[kind.index()];
         retries.clear();
         // Bound the scheduler scan per queue per cycle: a rejected
         // (MSHR-full) load is set aside without consuming an issue

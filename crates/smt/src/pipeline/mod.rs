@@ -18,7 +18,7 @@
 //! | [`commit`]    | architectural commit and runahead pseudo-retirement     |
 //! | [`issue`]     | age-ordered select, functional-unit/MSHR arbitration, load/store timing |
 //! | [`dispatch`]  | rename, resource allocation, runahead folding, DCRA/Hill dispatch gates |
-//! | [`fetch`]     | fetch policy ordering (ICOUNT/RR), I-cache access, branch prediction |
+//! | [`fetch`]     | ICOUNT fetch ordering, I-cache access, branch prediction |
 //!
 //! Per-thread microarchitectural state lives in [`Thread`]; everything
 //! threads share (and contend for) lives in [`SharedResources`]. The
@@ -49,7 +49,7 @@ use rat_isa::hash::WordSet;
 use rat_isa::Pc;
 use rat_mem::Hierarchy;
 
-use crate::config::{RunaheadVariant, SmtConfig};
+use crate::config::{RunaheadVariant, SmtConfig, FETCH_BUFFER, IQ_SIZE, ROB_SIZE};
 use crate::frontend::OracleThread;
 use crate::instr_table::{sched_iq, sched_stage, InstrTable, ST_DONE, ST_WAIT};
 use crate::rename::RenameTables;
@@ -217,7 +217,7 @@ impl SmtSimulator {
         let n = cpus.len();
         assert!((1..=8).contains(&n), "1..=8 hardware threads supported");
         assert!(
-            cfg.int_regs >= 32 * n && cfg.fp_regs >= 32 * n,
+            cfg.regs >= 32 * n,
             "register file too small for {n} threads' architectural state"
         );
 
@@ -237,7 +237,7 @@ impl SmtSimulator {
             threads.push(Thread {
                 decode: dispatch::decode_program(cpu.program()),
                 oracle: OracleThread::new(cpu),
-                instrs: InstrTable::new(cfg.rob_size, cfg.fetch_buffer),
+                instrs: InstrTable::new(ROB_SIZE, FETCH_BUFFER),
                 rename: RenameTables::new(init_int, init_fp),
                 mode: ExecMode::Normal,
                 episode: None,
@@ -453,7 +453,7 @@ impl SmtSimulator {
         );
         for (kind, i) in [(IqKind::Int, 0), (IqKind::Fp, 1), (IqKind::Ls, 2)] {
             assert!(
-                self.res.iqs.occupancy(kind) + self.res.notional_iq[i] <= self.cfg.iq_size[i],
+                self.res.iqs.occupancy(kind) + self.res.notional_iq[i] <= IQ_SIZE[i],
                 "live {kind:?} queue entries plus notional reservation exceed capacity"
             );
         }
@@ -683,7 +683,7 @@ impl SmtSimulator {
             // misprediction, NoFetch-runahead) persist until an event
             // already accounted above; otherwise the thread resumes at
             // its latest time gate.
-            let untimed_blocked = t.instrs.fe_len() >= self.cfg.fetch_buffer
+            let untimed_blocked = t.instrs.fe_len() >= FETCH_BUFFER
                 || t.branch_gate.is_some()
                 || (t.mode == ExecMode::Runahead && self.cfg.runahead == RunaheadVariant::NoFetch);
             if !untimed_blocked {

@@ -18,7 +18,7 @@ use rat_bpred::PerceptronPredictor;
 use rat_isa::ArchReg;
 use rat_mem::Hierarchy;
 
-use crate::config::SmtConfig;
+use crate::config::{SmtConfig, IQ_SIZE, ROB_SIZE};
 use crate::instr_table::{sched_iq, GSEQ_SHIFT, STAGE_MASK, ST_WAIT, WAIT_MASK, WAIT_ONE};
 use crate::iq::{IssueQueues, ReadyKey};
 use crate::policy::{dcra_cap, dcra_weight, HillState, PolicyKind};
@@ -246,11 +246,11 @@ impl SharedResources {
             None
         };
         SharedResources {
-            int_rf: PhysRegFile::new(cfg.int_regs, n),
-            fp_rf: PhysRegFile::new(cfg.fp_regs, n),
-            iqs: IssueQueues::new(cfg.iq_size, n, cfg.int_regs, cfg.fp_regs),
+            int_rf: PhysRegFile::new(cfg.regs, n),
+            fp_rf: PhysRegFile::new(cfg.regs, n),
+            iqs: IssueQueues::new(IQ_SIZE, n, cfg.regs),
             hier: Hierarchy::new(cfg.hierarchy),
-            pred: PerceptronPredictor::new(cfg.bpred_table, cfg.bpred_history),
+            pred: PerceptronPredictor::hpca2008_default(),
             completions: CompletionWheel::new(),
             gseq: 0,
             rob_occupancy: 0,
@@ -405,7 +405,7 @@ impl SharedResources {
         let (int_weights, fp_weights) = (&int_weights[..n], &fp_weights[..n]);
 
         if let Some(k) = iq_kind {
-            let total = cfg.iq_size[k.index()];
+            let total = IQ_SIZE[k.index()];
             let weights = if k == IqKind::Fp {
                 fp_weights
             } else {
@@ -419,12 +419,12 @@ impl SharedResources {
             // Only the *renaming* (non-architectural) registers are shared:
             // 32 per thread are pinned for precise state.
             let pinned = 32 * n;
-            let (rf, regs, weights) = if arch.is_int() {
-                (&self.int_rf, cfg.int_regs, int_weights)
+            let (rf, weights) = if arch.is_int() {
+                (&self.int_rf, int_weights)
             } else {
-                (&self.fp_rf, cfg.fp_regs, fp_weights)
+                (&self.fp_rf, fp_weights)
             };
-            let cap = dcra_cap(regs.saturating_sub(pinned), weights, tid);
+            let cap = dcra_cap(cfg.regs.saturating_sub(pinned), weights, tid);
             if rf.allocated(tid).saturating_sub(32) >= cap.max(4) {
                 return false;
             }
@@ -442,11 +442,11 @@ impl SharedResources {
     ) -> bool {
         let Some(hill) = &self.hill else { return true };
         let share = hill.share(tid);
-        if threads[tid].instrs.rob_len() >= ((cfg.rob_size as f64) * share) as usize {
+        if threads[tid].instrs.rob_len() >= ((ROB_SIZE as f64) * share) as usize {
             return false;
         }
         if let Some(k) = iq_kind {
-            let cap = ((cfg.iq_size[k.index()] as f64) * share) as usize;
+            let cap = ((IQ_SIZE[k.index()] as f64) * share) as usize;
             if self.iqs.thread_occupancy(tid, k) >= cap.max(4) {
                 return false;
             }
@@ -454,12 +454,12 @@ impl SharedResources {
         if let Some(arch) = dst_arch {
             let n = threads.len();
             let pinned = 32 * n;
-            let (total, used) = if arch.is_int() {
-                (cfg.int_regs, self.int_rf.allocated(tid))
+            let used = if arch.is_int() {
+                self.int_rf.allocated(tid)
             } else {
-                (cfg.fp_regs, self.fp_rf.allocated(tid))
+                self.fp_rf.allocated(tid)
             };
-            let shared = total.saturating_sub(pinned);
+            let shared = cfg.regs.saturating_sub(pinned);
             let cap = ((shared as f64) * share) as usize;
             if used.saturating_sub(32) >= cap.max(4) {
                 return false;

@@ -164,8 +164,7 @@ fn register_leak_free_after_runahead() {
 #[test]
 fn small_register_file_still_works() {
     let mut cfg = SmtConfig::hpca2008_baseline();
-    cfg.int_regs = 96;
-    cfg.fp_regs = 96;
+    cfg.regs = 96;
     cfg.policy = PolicyKind::Rat;
     let mut sim = SmtSimulator::new(cfg, images(&[Benchmark::Art, Benchmark::Gzip]));
     let done = sim.run_until_quota(2_000, 6_000_000);
@@ -176,8 +175,7 @@ fn small_register_file_still_works() {
 #[should_panic(expected = "register file too small")]
 fn too_many_threads_for_registers_panics() {
     let mut cfg = SmtConfig::hpca2008_baseline();
-    cfg.int_regs = 64;
-    cfg.fp_regs = 64;
+    cfg.regs = 64;
     let _ = SmtSimulator::new(
         cfg,
         images(&[Benchmark::Gzip, Benchmark::Bzip2, Benchmark::Eon]),

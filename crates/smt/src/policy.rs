@@ -1,7 +1,7 @@
 //! Fetch policies and dynamic resource-control schemes.
 //!
-//! * **RoundRobin / ICOUNT** — the classic SMT fetch priorities (Tullsen
-//!   et al., ISCA-23). ICOUNT is the paper's baseline.
+//! * **ICOUNT** — the classic SMT fetch priority (Tullsen et al.,
+//!   ISCA-23), the paper's baseline.
 //! * **STALL** — ICOUNT plus fetch-gating a thread with a pending L2 miss
 //!   (Tullsen & Brown, MICRO-34).
 //! * **FLUSH** — STALL plus squashing the blocked thread's instructions
@@ -21,8 +21,6 @@ use crate::types::ThreadId;
 /// The fetch / resource-management policy under evaluation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PolicyKind {
-    /// Round-robin fetch priority, no resource control.
-    RoundRobin,
     /// ICOUNT fetch priority (paper baseline).
     Icount,
     /// ICOUNT + fetch-gating threads with pending L2 misses.
@@ -46,7 +44,6 @@ impl PolicyKind {
     /// Display name used in reports (matches the paper's figure legends).
     pub fn name(self) -> &'static str {
         match self {
-            PolicyKind::RoundRobin => "RR",
             PolicyKind::Icount => "ICOUNT",
             PolicyKind::Stall => "STALL",
             PolicyKind::Flush => "FLUSH",
@@ -59,7 +56,6 @@ impl PolicyKind {
     /// Parses a display name (case-insensitive).
     pub fn from_name(name: &str) -> Option<Self> {
         match name.to_ascii_lowercase().as_str() {
-            "rr" | "roundrobin" => Some(PolicyKind::RoundRobin),
             "icount" => Some(PolicyKind::Icount),
             "stall" => Some(PolicyKind::Stall),
             "flush" => Some(PolicyKind::Flush),
@@ -236,7 +232,6 @@ mod tests {
     #[test]
     fn name_roundtrip() {
         for p in [
-            PolicyKind::RoundRobin,
             PolicyKind::Icount,
             PolicyKind::Stall,
             PolicyKind::Flush,
@@ -256,11 +251,7 @@ mod tests {
         assert_eq!(PolicyKind::from_name("RaT"), Some(PolicyKind::Rat));
         assert_eq!(PolicyKind::from_name("RUNAHEAD"), Some(PolicyKind::Rat));
         assert_eq!(PolicyKind::from_name("Icount"), Some(PolicyKind::Icount));
-        assert_eq!(PolicyKind::from_name("RR"), Some(PolicyKind::RoundRobin));
-        assert_eq!(
-            PolicyKind::from_name("RoundRobin"),
-            Some(PolicyKind::RoundRobin)
-        );
+        assert_eq!(PolicyKind::from_name("RR"), None);
         assert_eq!(PolicyKind::from_name("HILL"), Some(PolicyKind::Hill));
         assert_eq!(
             PolicyKind::from_name("HillClimbing"),

@@ -629,8 +629,9 @@ impl MemorySource for ImageSource {
     }
 
     /// Draws the line's random words (its even offsets; regions are
-    /// line-aligned, so a line starts at an even word) as one block and
-    /// interleaves the odd words' FP values.
+    /// line-aligned, so a line starts at an even word) as consecutive
+    /// draws of the region's stream and interleaves the odd words' FP
+    /// values.
     fn fill_line(&self, line: u64, out: &mut [u64; LINE_WORDS]) {
         let addr = line * MEM_LINE;
         let Some(r) = self.region_of(addr) else {
@@ -640,10 +641,9 @@ impl MemorySource for ImageSource {
             return;
         };
         let w0 = (addr - r.base) / 8;
-        let mut draws = [0u64; LINE_WORDS / 2];
-        r.rng_at(w0).next_block(&mut draws);
-        for (i, (pair, &draw)) in out.chunks_exact_mut(2).zip(&draws).enumerate() {
-            pair[0] = draw;
+        let mut rng = r.rng_at(w0);
+        for (i, pair) in out.chunks_exact_mut(2).enumerate() {
+            pair[0] = rng.next_u64();
             pair[1] = odd_word(w0 + 2 * i as u64 + 1);
         }
     }

@@ -12,8 +12,7 @@ use rat_core::smt::{PolicyKind, SmtConfig, SmtSimulator};
 use rat_core::workload::{mixes_for_group, Mix, ThreadImage, WorkloadGroup};
 use rat_core::{MixResult, RunConfig, Runner};
 
-const ALL_POLICIES: [PolicyKind; 7] = [
-    PolicyKind::RoundRobin,
+const ALL_POLICIES: [PolicyKind; 6] = [
     PolicyKind::Icount,
     PolicyKind::Stall,
     PolicyKind::Flush,

@@ -99,8 +99,7 @@ fn fig6_shape_rat_tolerates_small_register_files() {
     // (paper: RaT at 128 beats FLUSH at 320).
     let run = |policy: PolicyKind, regs: usize| {
         let mut cfg = SmtConfig::hpca2008_baseline();
-        cfg.int_regs = regs;
-        cfg.fp_regs = regs;
+        cfg.regs = regs;
         let runner = Runner::new(cfg, quick_run());
         let mut mixes = mixes_for_group(WorkloadGroup::Mem2);
         mixes.truncate(2);

@@ -30,8 +30,7 @@ const HEADER: &str = "\
 # per cell. To re-pin an intended change, paste the file the test prints.
 ";
 
-const ALL_POLICIES: [PolicyKind; 7] = [
-    PolicyKind::RoundRobin,
+const ALL_POLICIES: [PolicyKind; 6] = [
     PolicyKind::Icount,
     PolicyKind::Stall,
     PolicyKind::Flush,
@@ -129,8 +128,7 @@ fn cells() -> Vec<Cell> {
         }
     }
     let mut regs160 = base;
-    regs160.int_regs = 160;
-    regs160.fp_regs = 160;
+    regs160.regs = 160;
     for p in [Rat, Flush] {
         cells.push(mix_cell("fig6-160r", regs160, quick, first(Mem4), p));
     }

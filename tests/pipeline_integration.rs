@@ -28,7 +28,6 @@ fn every_benchmark_simulates_single_threaded() {
 #[test]
 fn every_policy_simulates_a_mixed_pair() {
     for policy in [
-        PolicyKind::RoundRobin,
         PolicyKind::Icount,
         PolicyKind::Stall,
         PolicyKind::Flush,

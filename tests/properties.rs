@@ -192,7 +192,6 @@ fn branch_outcomes_match_condition() {
 #[test]
 fn any_pair_any_policy_progresses() {
     let policies = [
-        PolicyKind::RoundRobin,
         PolicyKind::Icount,
         PolicyKind::Stall,
         PolicyKind::Flush,
@@ -238,7 +237,6 @@ fn any_pair_any_policy_progresses() {
 #[test]
 fn instr_table_invariants_hold_under_random_runs() {
     let policies = [
-        PolicyKind::RoundRobin,
         PolicyKind::Icount,
         PolicyKind::Stall,
         PolicyKind::Flush,
@@ -307,7 +305,6 @@ fn instr_table_invariants_hold_under_random_runs() {
 #[test]
 fn drain_invariants_hold_under_random_runs() {
     let policies = [
-        PolicyKind::RoundRobin,
         PolicyKind::Icount,
         PolicyKind::Stall,
         PolicyKind::Flush,
@@ -383,7 +380,6 @@ fn drain_invariants_hold_under_random_runs() {
 #[test]
 fn quota_cycle_monotone_in_quota() {
     let policies = [
-        PolicyKind::RoundRobin,
         PolicyKind::Icount,
         PolicyKind::Stall,
         PolicyKind::Flush,

@@ -15,7 +15,7 @@
 //!    bit-identical to `--no-drain`: its frozen quota snapshot —
 //!    `quota_cycle`, `committed_at_quota`, and every other
 //!    `ThreadStats` counter — must match exactly. This is checked
-//!    across all 7 policies × the fig1 workload groups. Runs in which
+//!    across all 6 policies × the fig1 workload groups. Runs in which
 //!    *no* thread drains (single thread, truncation, same-cycle final
 //!    quotas) must match on every observable.
 //! 2. **Bounded drift on the last window.** Only the last thread's
@@ -32,8 +32,7 @@ use rat_core::smt::{PolicyKind, SmtConfig, SmtSimulator};
 use rat_core::workload::{mixes_for_group, Mix, ThreadImage, WorkloadGroup};
 use rat_core::{MixResult, RunConfig, Runner};
 
-const ALL_POLICIES: [PolicyKind; 7] = [
-    PolicyKind::RoundRobin,
+const ALL_POLICIES: [PolicyKind; 6] = [
     PolicyKind::Icount,
     PolicyKind::Stall,
     PolicyKind::Flush,
@@ -220,12 +219,10 @@ fn truncated_run_keeps_every_finished_window_identical() {
 /// thread's IPC within 2% and Eq. 2 fairness within 2% of `--no-drain`.
 /// Every other thread is asserted *bit-identical* (contract point 1),
 /// so the bound only has to cover the one window that overlaps drained
-/// companions. The three cells are the measured extremes of the drift
+/// companions. The two cells are measured extremes of the drift
 /// landscape: RaT on the mixed group (drain-heaviest policy, widest
-/// quota spread), round-robin on the memory-bound group (bursty
-/// hierarchy pressure from all three drained companions), and RaT on
-/// the ILP group (episode-divergence worst case — 54% drift at 10k
-/// windows, converged by 50k).
+/// quota spread) and RaT on the ILP group (episode-divergence worst
+/// case — 54% drift at 10k windows, converged by 50k).
 #[test]
 fn drift_bound_last_window_ipc_and_fairness() {
     const IPC_BOUND: f64 = 0.02;
@@ -234,7 +231,6 @@ fn drift_bound_last_window_ipc_and_fairness() {
     let mut worst_fair: (f64, String) = (0.0, String::new());
     for (group, policy) in [
         (WorkloadGroup::Mix4, PolicyKind::Rat),
-        (WorkloadGroup::Mem4, PolicyKind::RoundRobin),
         (WorkloadGroup::Ilp4, PolicyKind::Rat),
     ] {
         let mix = &mixes_for_group(group)[0];

@@ -224,8 +224,7 @@ fn small_register_file_is_tolerable_under_rat() {
     // Figure 6 claim: RaT degrades gracefully as registers shrink.
     let ipc_at = |regs: usize| {
         let mut sim = sim_with(&[Benchmark::Art, Benchmark::Gzip], |cfg| {
-            cfg.int_regs = regs;
-            cfg.fp_regs = regs;
+            cfg.regs = regs;
         });
         sim.run_until_quota(6_000, 60_000_000);
         (sim.stats().thread_ipc(0) + sim.stats().thread_ipc(1)) / 2.0
