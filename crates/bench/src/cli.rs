@@ -8,8 +8,7 @@ use rat_smt::PolicyKind;
 /// Flags: `--insts N` (per-thread measurement quota), `--warmup N`,
 /// `--mixes N` (mixes per group), `--seed N`, `--threads N` (simulation
 /// worker threads, 0 = all cores, 1 = serial), `--csv` (machine-readable
-/// output for plotting), `--no-skip` (step every cycle — the
-/// cycle-skipping ablation), `--no-drain` (keep every thread at full
+/// output for plotting), `--no-drain` (keep every thread at full
 /// fidelity past its quota — the FAME-overshoot ablation), `--resume
 /// PATH` (result journal, single-thread references included),
 /// `--fault-plan SPEC`, `--cell-timeout SECS` (wall-clock watchdog per
@@ -31,9 +30,6 @@ pub struct HarnessArgs {
     pub threads: usize,
     /// Emit CSV (titles as `#` comment lines) instead of aligned text.
     pub csv: bool,
-    /// Disable event-driven cycle skipping (wall-clock ablation; the
-    /// simulated numbers are bit-identical either way).
-    pub no_skip: bool,
     /// Disable post-quota drain mode (the paper's literal FAME
     /// procedure: every thread runs at full fidelity until the slowest
     /// reaches its quota). Per-thread measurement windows are
@@ -70,7 +66,6 @@ impl Default for HarnessArgs {
             seed: 42,
             threads: 0,
             csv: false,
-            no_skip: false,
             no_drain: false,
             resume: None,
             fault_plan: None,
@@ -103,7 +98,6 @@ impl HarnessArgs {
                 "--seed" => out.seed = num(&mut args),
                 "--threads" => out.threads = num(&mut args) as usize,
                 "--csv" => out.csv = true,
-                "--no-skip" => out.no_skip = true,
                 "--no-drain" => out.no_drain = true,
                 "--resume" => {
                     out.resume = Some(
@@ -157,7 +151,7 @@ impl HarnessArgs {
                          --fault-plan SPEC (panic@C,flip@R,torn@R,enospc@R or seed:N)  \
                          --cell-timeout SECS (abandon a cell still simulating after SECS)  \
                          --policies A,B,.. (restrict the policy set)  \
-                         --no-skip  --no-drain  --quick"
+                         --no-drain  --quick"
                     );
                     std::process::exit(0);
                 }
@@ -199,7 +193,6 @@ impl HarnessArgs {
             insts_per_thread: self.insts,
             warmup_insts: self.warmup,
             seed: self.seed,
-            no_skip: self.no_skip,
             no_drain: self.no_drain,
             ..RunConfig::default()
         }
@@ -216,7 +209,6 @@ mod tests {
         assert!(a.insts > 0 && a.warmup > 0);
         assert_eq!(a.mixes, 0);
         assert_eq!(a.threads, 0, "default uses all cores");
-        assert!(!a.no_skip);
         assert!(!a.no_drain, "drain mode is on by default");
     }
 
@@ -272,12 +264,18 @@ mod tests {
     }
 
     #[test]
-    fn no_skip_and_no_drain_flags() {
-        let a = HarnessArgs::parse(["--no-skip", "--no-drain"].iter().map(|s| s.to_string()));
-        assert!(a.no_skip);
-        assert!(a.run_config().no_skip);
+    fn no_drain_flag() {
+        let a = HarnessArgs::parse(["--no-drain"].iter().map(|s| s.to_string()));
         assert!(a.no_drain);
         assert!(a.run_config().no_drain);
+    }
+
+    /// Cycle skipping is always on: the stepped path is a test
+    /// reference behind `SmtSimulator::set_cycle_skip`, not an option.
+    #[test]
+    #[should_panic(expected = "unknown argument --no-skip")]
+    fn no_skip_is_an_unknown_argument() {
+        HarnessArgs::parse(["--no-skip"].iter().map(|s| s.to_string()));
     }
 
     #[test]
@@ -344,6 +342,6 @@ mod tests {
         assert_eq!(rc.insts_per_thread, 123);
         assert_eq!(rc.warmup_insts, 45);
         assert_eq!(rc.seed, 6);
-        assert!(!rc.no_skip);
+        assert!(!rc.no_drain);
     }
 }

@@ -73,7 +73,7 @@ impl SweepSession {
     }
 
     /// Builds the session the harness arguments describe: opens (or
-    /// creates) the `--resume` journal — reporting replayed/quarantined
+    /// creates) the `--resume` journal — reporting loaded/quarantined
     /// record counts — installs the `--fault-plan` into both the worker
     /// pool (panics) and the store (record corruption), and arms the
     /// `--cell-timeout` watchdog.
@@ -85,9 +85,11 @@ impl SweepSession {
         let store = args.resume.as_deref().map(|path| {
             let store = ResultStore::open(path);
             let s = store.stats();
+            // A journal may hold other configurations' records too, so
+            // this counts what was loaded; the sweep line counts replays.
             if s.loaded > 0 || s.quarantined > 0 {
                 eprintln!(
-                    "resume: {} — {} completed cell(s) to replay, {} unreadable line(s) \
+                    "resume: {} — {} record(s) loaded, {} unreadable line(s) \
                      quarantined for recompute",
                     path, s.loaded, s.quarantined
                 );
@@ -539,7 +541,6 @@ mod tests {
                 warmup_insts: 500,
                 max_cycles: 50_000_000,
                 seed: 11,
-                no_skip: false,
                 no_drain: false,
             },
         )

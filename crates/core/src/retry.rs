@@ -60,37 +60,15 @@ impl Backoff {
         };
         Duration::from_nanos(capped + jitter)
     }
-
-    /// Runs `f` up to `1 + max_retries` times, sleeping the scheduled
-    /// delay between attempts. `f` receives the attempt number (0 for
-    /// the first try); the first `Ok` wins, and the last `Err` is
-    /// returned once the schedule is exhausted.
-    pub fn run<T, E>(&self, mut f: impl FnMut(u32) -> Result<T, E>) -> Result<T, E> {
-        let mut attempt = 0;
-        loop {
-            match f(attempt) {
-                Ok(v) => return Ok(v),
-                Err(e) if attempt >= self.max_retries => return Err(e),
-                Err(_) => {
-                    std::thread::sleep(self.delay(attempt));
-                    attempt += 1;
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn b() -> Backoff {
-        Backoff::new(Duration::from_millis(1), Duration::from_millis(8), 3, 42)
-    }
-
     #[test]
     fn delays_grow_and_cap() {
-        let b = b();
+        let b = Backoff::new(Duration::from_millis(1), Duration::from_millis(8), 3, 42);
         // Jitter is < delay/2, so the deterministic floor still orders
         // the early attempts and the cap bounds the late ones.
         assert!(b.delay(0) >= Duration::from_millis(1));
@@ -107,31 +85,5 @@ mod tests {
         let xs: Vec<_> = (0..8).map(|a| x.delay(a)).collect();
         assert_eq!(xs, (0..8).map(|a| y.delay(a)).collect::<Vec<_>>());
         assert_ne!(xs, (0..8).map(|a| z.delay(a)).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn run_retries_until_success() {
-        let mut calls = 0;
-        let out = b().run(|attempt| {
-            calls += 1;
-            if attempt < 2 {
-                Err("transient")
-            } else {
-                Ok(attempt)
-            }
-        });
-        assert_eq!(out, Ok(2));
-        assert_eq!(calls, 3);
-    }
-
-    #[test]
-    fn run_gives_up_after_max_retries() {
-        let mut calls = 0;
-        let out: Result<(), _> = b().run(|_| {
-            calls += 1;
-            Err("still broken")
-        });
-        assert_eq!(out, Err("still broken"));
-        assert_eq!(calls, 4, "first try + 3 retries");
     }
 }

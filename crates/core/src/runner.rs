@@ -24,17 +24,13 @@ pub struct RunConfig {
     pub max_cycles: u64,
     /// Base RNG seed; thread `i` of a mix uses `seed + i`.
     pub seed: u64,
-    /// Disable the simulator's event-driven cycle skipping and step
-    /// every cycle (the `--no-skip` ablation reference). Results are
-    /// bit-identical either way; only wall-clock time differs.
-    pub no_skip: bool,
     /// Disable post-quota drain mode and keep every thread at full
     /// fidelity until the slowest reaches its quota (the `--no-drain`
     /// ablation reference, and the paper's literal FAME procedure).
-    /// Unlike `no_skip` this ablation is *not* bit-identical end to end:
-    /// every statistic inside a thread's own measurement window matches
-    /// exactly, but where one thread's window overlaps another's drain
-    /// the shared-resource timing drifts within the bound measured by
+    /// This ablation is *not* bit-identical end to end: every statistic
+    /// inside a thread's own measurement window matches exactly, but
+    /// where one thread's window overlaps another's drain the
+    /// shared-resource timing drifts within the bound measured by
     /// `tests/quota_drain.rs`.
     pub no_drain: bool,
 }
@@ -46,7 +42,6 @@ impl Default for RunConfig {
             warmup_insts: 20_000,
             max_cycles: 400_000_000,
             seed: 42,
-            no_skip: false,
             no_drain: false,
         }
     }
@@ -62,11 +57,11 @@ const MODEL_DIGEST: u64 = fnv1a(include_bytes!("../../../tests/golden.txt"));
 /// `(mix, policy, seed)` identity: every field of the hardware
 /// configuration except the policy (a separate [`crate::store::CellKey`]
 /// component), the measurement methodology except the seed (another key
-/// component) and the bit-identical `no_skip` ablation, and the model
-/// itself as a compile-time FNV-1a of `tests/golden.txt`, so re-pinning
-/// any golden digest re-keys every journal. The fixed Table 1 parameters
-/// (the `rat_smt::config` constants and the perceptron geometry) are part
-/// of that model: changing one moves golden digests. It covers the drain
+/// component), and the model itself as a compile-time FNV-1a of
+/// `tests/golden.txt`, so re-pinning any golden digest re-keys every
+/// journal. The fixed Table 1 parameters (the `rat_smt::config` constants
+/// and the perceptron geometry) are part of that model: changing one
+/// moves golden digests. It covers the drain
 /// ablation, which changes multithreaded timing, so `--no-drain`
 /// recomputes the single-thread references too even though drain never
 /// moves them.
@@ -102,7 +97,6 @@ fn fingerprint_with_model(smt: &SmtConfig, run: &RunConfig, model: u64) -> u64 {
         warmup_insts,
         max_cycles,
         seed: _,
-        no_skip: _,
         no_drain,
     } = *run;
     let cache = |c: CacheConfig| {
@@ -321,9 +315,7 @@ impl Runner {
             .collect();
         let mut cfg = self.smt;
         cfg.policy = policy;
-        let mut sim = SmtSimulator::new(cfg, cpus);
-        sim.set_cycle_skip(!self.run.no_skip);
-        sim
+        SmtSimulator::new(cfg, cpus)
     }
 
     /// Simulates `mix` under `policy`: warmup, stats reset, measurement
@@ -623,13 +615,11 @@ mod tests {
         let other = fnv1a(b"quick ILP2(apsi+eon) ICOUNT 0000000000000000\n");
         assert!(seen.insert(fingerprint_with_model(&smt, &run, other)));
 
-        // Policy and seed are key components of their own, and the
-        // cycle-skip ablation is bit-identical.
+        // Policy and seed are key components of their own.
         let mut c = smt;
         c.policy = PolicyKind::Rat;
         let r = RunConfig {
             seed: run.seed + 1,
-            no_skip: !run.no_skip,
             ..run
         };
         assert_eq!(config_fingerprint(&c, &r), base);
@@ -641,7 +631,6 @@ mod tests {
             warmup_insts: 2_000,
             max_cycles: 50_000_000,
             seed: 7,
-            no_skip: false,
             no_drain: false,
         }
     }
@@ -739,7 +728,6 @@ mod tests {
             warmup_insts: 100,
             max_cycles: 5_000,
             seed: 7,
-            no_skip: false,
             no_drain: false,
         };
         let runner = Runner::new(SmtConfig::hpca2008_baseline(), run);
@@ -762,7 +750,6 @@ mod tests {
             warmup_insts: 100,
             max_cycles: 5_000,
             seed: 7,
-            no_skip: false,
             no_drain: false,
         };
         let mut runner = Runner::new(SmtConfig::hpca2008_baseline(), run);

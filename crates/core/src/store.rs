@@ -43,11 +43,16 @@
 //! logged saying what was dropped. A clean journal is left untouched —
 //! opening a large healthy journal does not rewrite it.
 //!
-//! Each held record keeps its line next to its payload words: the line
-//! read at open, or the one [`ResultStore::put`] formatted for its
-//! append. [`ResultStore::get`] decodes the words, the sweep server sends
-//! the line as a `RESULT` payload ([`ResultStore::record_line`]), and
-//! compaction writes it, so a record is formatted at most once.
+//! The loader accepts exactly the lines [`format_record_line`] writes
+//! ([`parse_record_line`]): a line in any other spelling of the same
+//! key and words (uppercase or short hex, a sign, a tab, a doubled
+//! space) is quarantined even when its checksum holds.
+//!
+//! A held record is its line alone: the line read at open, or the one
+//! [`ResultStore::put`] formatted for its append. The sweep server sends
+//! it as a `RESULT` payload ([`ResultStore::record_line`]), compaction
+//! writes it, and [`ResultStore::get`] parses and decodes it, so a
+//! record is formatted at most once.
 //!
 //! The store is internally synchronized (poison-recovering mutex), so
 //! concurrent `par_map` workers can `put` as they finish. It is not
@@ -278,15 +283,10 @@ pub struct StoreStats {
     pub append_failures: u64,
 }
 
-/// One held record: its payload words and its line, without the
-/// newline (see the module docs).
-struct Record {
-    words: Vec<u64>,
-    line: Arc<str>,
-}
-
 struct StoreInner {
-    records: HashMap<CellKey, Record>,
+    /// Each held record's line, without the newline (see the module
+    /// docs).
+    records: HashMap<CellKey, Arc<str>>,
     stats: StoreStats,
     /// Appends attempted so far (indexes the fault plan).
     append_attempts: u64,
@@ -340,19 +340,15 @@ impl ResultStore {
             bad_lines.extend(byte_lines(&body));
         } else {
             for line in lines.filter(|l| is_record_line(l)) {
-                let text = std::str::from_utf8(line).ok().map(str::trim);
-                match text.and_then(|t| Some((t, parse_record_line(t)?))) {
-                    Some((text, (key, words))) => {
-                        let record = Record {
-                            words,
-                            line: Arc::from(text),
-                        };
-                        if records.insert(key, record).is_some() {
+                let text = std::str::from_utf8(line).ok();
+                match text.and_then(|t| Some((t, parse_record_line(t)?.0))) {
+                    Some((text, key)) => {
+                        if records.insert(key, Arc::from(text)).is_some() {
                             stats.duplicates += 1;
                         }
                         stats.loaded += 1;
                     }
-                    None => bad_lines.push(line.trim_ascii()),
+                    None => bad_lines.push(line),
                 }
             }
         }
@@ -441,13 +437,14 @@ impl ResultStore {
         self.len() == 0
     }
 
-    /// Replays the stored result for `key`, if any. Decoding is
-    /// defensive: a record that no longer decodes (e.g. schema drift
-    /// that slipped past the version header) counts as a miss.
+    /// Replays the stored result for `key`, if any, by parsing and
+    /// decoding its stored line. Decoding is defensive: a record that no
+    /// longer decodes (e.g. schema drift that slipped past the version
+    /// header) counts as a miss.
     pub fn get(&self, key: &CellKey) -> Option<MixResult> {
-        let mut inner = lock_recover(&self.inner);
-        let result = decode_result(&inner.records.get(key)?.words, key)?;
-        inner.stats.hits += 1;
+        let line = self.record_line(key)?;
+        let result = decode_result(&parse_record_line(&line)?.1, key)?;
+        lock_recover(&self.inner).stats.hits += 1;
         Some(result)
     }
 
@@ -457,10 +454,7 @@ impl ResultStore {
     /// disk copy). The sweep server sends it verbatim as a `RESULT`
     /// payload, so a replay is never re-encoded or re-formatted.
     pub fn record_line(&self, key: &CellKey) -> Option<Arc<str>> {
-        lock_recover(&self.inner)
-            .records
-            .get(key)
-            .map(|r| Arc::clone(&r.line))
+        lock_recover(&self.inner).records.get(key).cloned()
     }
 
     /// Persists `result` under `key`: one checksummed record appended to
@@ -475,12 +469,8 @@ impl ResultStore {
     /// sized in single-digit milliseconds so a full-disk episode stalls
     /// concurrent workers briefly rather than reordering the journal.
     pub fn put(&self, key: &CellKey, result: &MixResult) -> bool {
-        let words = encode_result(result);
-        let mut line = format_record_line(key, &words);
-        let record = Record {
-            words,
-            line: Arc::from(line.as_str()),
-        };
+        let mut line = format_record_line(key, &encode_result(result));
+        let record = Arc::from(line.as_str());
         line.push('\n');
         let mut inner = lock_recover(&self.inner);
         // The in-memory copy is installed regardless: within this run
@@ -558,7 +548,7 @@ impl ResultStore {
     /// explicit fsck. Nothing is re-formatted.
     pub fn rewrite_journal(&self) {
         let inner = lock_recover(&self.inner);
-        let mut lines: Vec<&str> = inner.records.values().map(|r| &*r.line).collect();
+        let mut lines: Vec<&str> = inner.records.values().map(|l| &**l).collect();
         lines.sort_unstable();
         let mut body = String::with_capacity(lines.iter().map(|l| l.len() + 1).sum::<usize>() + 64);
         body.push_str(MAGIC);
@@ -604,13 +594,17 @@ fn append_bytes(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 // ---------------------------------------------------------------------------
 // Record wire format
 //
-// One line per record:
+// One line per record, its tokens separated by single spaces:
 //
 //   rec <fp:016x> <group> <mix> <policy> <seed> <n> <w0> <w1> ... crc <c:016x>
 //
-// where every word is 16 lowercase hex digits and the checksum is
-// XXH64 over the canonical body (everything before " crc"). `f64`s
-// travel as `to_bits` words, so replays are bit-exact.
+// where the fingerprint, every word and the checksum are 16 lowercase
+// hex digits, the seed and the word count `n` are decimal with no sign
+// and no leading zero, and the checksum is XXH64 over the body
+// (everything before " crc"). This is the only spelling a line has:
+// the parser accepts a line only if the formatter writes exactly it for
+// the key and words it parses to. `f64`s travel as `to_bits` words, so
+// replays are bit-exact.
 
 /// The lowercase hex digits, indexed by nibble value.
 const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
@@ -662,17 +656,6 @@ fn decode_hex16(digits: &[u8; 16]) -> Option<u64> {
     (hi_bad | lo_bad == 0).then_some((u64::from(hi) << 32) | u64::from(lo))
 }
 
-/// Decodes one hex word: a 16-digit lowercase token — every word
-/// [`format_record_line`] writes — through [`decode_hex16`], any other
-/// through `u64::from_str_radix`, so uppercase digits, a leading `+` and
-/// short words still parse.
-fn parse_hex_word(token: &str) -> Option<u64> {
-    <&[u8; 16]>::try_from(token.as_bytes())
-        .ok()
-        .and_then(decode_hex16)
-        .or_else(|| u64::from_str_radix(token, 16).ok())
-}
-
 /// Renders one journal record line (no trailing newline): the key, the
 /// [`encode_result`] payload words, and a trailing XXH64 checksum. The
 /// sweep server sends these lines verbatim as its `RESULT` payload, so
@@ -704,59 +687,55 @@ pub fn format_record_line(key: &CellKey, words: &[u64]) -> String {
     String::from_utf8(line).expect("a record line is its key's UTF-8 names and ASCII")
 }
 
+/// A decimal `u64` as `{}` writes it: ASCII digits with no sign, and no
+/// leading zero unless it is `0` itself.
+fn parse_decimal(token: &str) -> Option<u64> {
+    match token.as_bytes() {
+        [b'1'..=b'9', ..] | [b'0'] => token.parse().ok(),
+        _ => None,
+    }
+}
+
 /// Parses one journal (or wire) record line into its key and payload
-/// words; `None` on any structural or checksum failure (the journal
-/// loader quarantines, the sweep client refuses the reply). The
-/// checksum is checked first, over the whole body, and must be the 16
-/// lowercase digits [`format_record_line`] writes: an uppercase or
-/// space-padded checksum could hide a flipped bit. Tokens are separated
-/// by ASCII whitespace, the only kind [`format_record_line`] writes.
+/// words; `None` unless the line is byte for byte what
+/// [`format_record_line`] writes for them (the journal loader
+/// quarantines any other line, the sweep client refuses the reply).
+///
+/// The checksum is checked first, over the whole body. Then one pass
+/// reads the single-space-separated header tokens, and the words as
+/// fixed 17-byte fields (a space and 16 lowercase digits) up to the end
+/// of the body. Every hex field is decoded eight digits at a time.
 pub fn parse_record_line(line: &str) -> Option<(CellKey, Vec<u64>)> {
-    let (body, crc) = line.rsplit_once(" crc ")?;
-    if decode_hex16(crc.as_bytes().try_into().ok()?)? != xxh64(body.as_bytes()) {
+    let (head, crc) = line.as_bytes().split_last_chunk::<16>()?;
+    let body = head.strip_suffix(b" crc ")?;
+    if decode_hex16(crc)? != xxh64(body) {
         return None;
     }
-    let mut t = body.split_ascii_whitespace();
+    // `body` ends just before an ASCII space, so it is a `str` boundary.
+    let mut t = line[..body.len()].splitn(7, ' ');
     if t.next()? != "rec" {
         return None;
     }
-    let fingerprint = parse_hex_word(t.next()?)?;
+    let fingerprint = decode_hex16(t.next()?.as_bytes().try_into().ok()?)?;
     let group = t.next()?.to_string();
     let mix = t.next()?.to_string();
     let policy = t.next()?.to_string();
-    let seed: u64 = t.next()?.parse().ok()?;
-    let count = t.next()?;
-    let n: usize = count.parse().ok()?;
-    // `n` is untrusted: the line bounds the buffer, since every word
-    // takes at least two of its bytes.
-    let mut words = Vec::with_capacity(n.min(body.len() / 2));
-
-    // The words follow the count token (`count` borrows from `body`, so
-    // the pointer difference is its offset). Each canonical word — a
-    // space, 16 lowercase digits, then whitespace or the end — is decoded
-    // in place. The first word of any other shape ends the pass: the
-    // rest is tokenized word by word.
-    let words_at = count.as_ptr() as usize - body.as_ptr() as usize + count.len();
-    let mut rest = &body.as_bytes()[words_at..];
-    while let Some((&b' ', after)) = rest.split_first() {
-        let Some((digits, tail)) = after.split_first_chunk::<16>() else {
-            break;
-        };
-        if !tail.first().is_none_or(u8::is_ascii_whitespace) {
-            break;
-        }
-        let Some(w) = decode_hex16(digits) else {
-            break;
-        };
-        words.push(w);
-        rest = tail;
-    }
-    let rest = body.get(body.len() - rest.len()..)?;
-    for w in rest.split_ascii_whitespace() {
-        words.push(parse_hex_word(w)?);
-    }
-    if words.len() != n {
+    let seed = parse_decimal(t.next()?)?;
+    let rest = t.next()?;
+    let (count, words_text) = rest.split_at(rest.find(' ').unwrap_or(rest.len()));
+    let n = parse_decimal(count)?;
+    let (fields, []) = words_text.as_bytes().as_chunks::<17>() else {
         return None;
+    };
+    if fields.len() as u64 != n {
+        return None;
+    }
+    let mut words = Vec::with_capacity(fields.len());
+    for field in fields {
+        let [b' ', digits @ ..] = field else {
+            return None;
+        };
+        words.push(decode_hex16(digits)?);
     }
     Some((
         CellKey {
@@ -1164,43 +1143,6 @@ mod tests {
         line
     }
 
-    /// The record parser before the digit tables: Unicode-whitespace
-    /// tokens, every word through `u64::from_str_radix`.
-    fn reference_parse(line: &str) -> Option<(CellKey, Vec<u64>)> {
-        let (body, crc_part) = line.rsplit_once(" crc ")?;
-        let crc = u64::from_str_radix(crc_part.trim(), 16).ok()?;
-        if xxh64(body.as_bytes()) != crc {
-            return None;
-        }
-        let mut t = body.split_whitespace();
-        if t.next()? != "rec" {
-            return None;
-        }
-        let fingerprint = u64::from_str_radix(t.next()?, 16).ok()?;
-        let group = t.next()?.to_string();
-        let mix = t.next()?.to_string();
-        let policy = t.next()?.to_string();
-        let seed: u64 = t.next()?.parse().ok()?;
-        let n: usize = t.next()?.parse().ok()?;
-        let words: Vec<u64> = t
-            .map(|w| u64::from_str_radix(w, 16))
-            .collect::<Result<_, _>>()
-            .ok()?;
-        if words.len() != n {
-            return None;
-        }
-        Some((
-            CellKey {
-                fingerprint,
-                group,
-                mix,
-                policy,
-                seed,
-            },
-            words,
-        ))
-    }
-
     /// `body` with a valid checksum tail.
     fn with_crc(body: &str) -> String {
         format!("{body} crc {:016x}", xxh64(body.as_bytes()))
@@ -1251,67 +1193,131 @@ mod tests {
             let line = format_record_line(key, words);
             assert_eq!(line, reference_format(key, words));
             assert_eq!(parse_record_line(&line), Some((key.clone(), words.clone())));
-            assert_eq!(parse_record_line(&line), reference_parse(&line));
         }
     }
 
+    /// Whether `line` parses only to a key and words the formatter
+    /// writes it for: every line `parse_record_line` accepts must be
+    /// exactly `format_record_line` of what it returns.
+    fn accepted_only_if_canonical(line: &str) -> bool {
+        parse_record_line(line).is_none_or(|(k, w)| format_record_line(&k, &w) == line)
+    }
+
     #[test]
-    fn parser_agrees_with_the_reference_on_crafted_lines() {
+    fn parser_accepts_exactly_the_formatted_line() {
         let head = "rec 0123456789abcdef MEM2 art+mcf RaT 42";
-        // (body, accepted by the reference): each gets a valid checksum.
-        let cases = [
-            (format!("{head} 2 0000000000000001 a5a5a5a5a5a5a5a5"), true),
-            (format!("{head} 0"), true),
-            (format!("{head} 2 0000000000000001 FFFFFFFFFFFFFFFF"), true),
-            (
-                format!("{head} 3 0000000000000001 F 0000000000000002"),
-                true,
-            ),
-            (format!("{head} 2 0000000000000001  0000000000000002"), true),
-            (format!("{head} 1 0000000000000001 "), true),
-            (format!("{head} 1 A5a5a5a5a5a5a5a5"), true),
-            (
-                "rec 0123456789ABCDEF MEM2 art+mcf RaT 42 1 0000000000000001".into(),
-                true,
-            ),
-            (format!("{head} 1 +fffffffffffffff"), true),
-            (format!("{head} 1 +0000000000000001"), true),
-            (format!("{head} 2 fffffffffffffff 1"), true),
-            (format!("{head} 1 0ffffffffffffffff"), true),
-            (format!("{head} 1 1ffffffffffffffff"), false),
-            (format!("{head} 1 000000000000000g"), false),
-            (format!("{head} 1 -000000000000001"), false),
-            (format!("{head} 1 00000000000000 1"), false),
-            (format!("{head} 1 0000000000000001 0000000000000002"), false),
-            (format!("{head} 3 0000000000000001 0000000000000002"), false),
-            (format!("{head} {} 0000000000000001", u64::MAX), false),
-            (
-                format!("{head} 99999999999999999999 0000000000000001"),
-                false,
-            ),
-            (
-                "rec\t0123456789abcdef  MEM2 art+mcf\tRaT 42 1\t\t0000000000000001".into(),
-                true,
-            ),
-            ("rec 0123456789abcdef MEM2 art+mcf RaT x 0".into(), false),
-            ("ref 0123456789abcdef MEM2 art+mcf RaT 42 0".into(), false),
+        let canonical = [
+            format!("{head} 2 0000000000000001 a5a5a5a5a5a5a5a5"),
+            format!("{head} 0"),
+            "rec 0000000000000000 ST mcf ICOUNT 0 1 ffffffffffffffff".into(),
         ];
-        for (body, accepted) in &cases {
+        for body in &canonical {
             let line = with_crc(body);
-            assert_eq!(reference_parse(&line).is_some(), *accepted, "{line}");
-            assert_eq!(parse_record_line(&line), reference_parse(&line), "{line}");
+            assert!(parse_record_line(&line).is_some(), "{line}");
+            assert!(accepted_only_if_canonical(&line), "{line}");
         }
-        // A wrong checksum fails both.
-        let good = with_crc(&cases[0].0);
-        let wrong = format!("{} crc 0000000000000000", cases[0].0);
-        assert!(reference_parse(&good).is_some());
-        assert_eq!(parse_record_line(&wrong), None);
-        assert_eq!(reference_parse(&wrong), None);
-        // The one allowed difference: a separator outside ASCII
-        // whitespace (which `format_record_line` never writes).
-        let nbsp = with_crc(&format!("{head} 1\u{a0}0000000000000001"));
-        assert!(reference_parse(&nbsp).is_some());
-        assert_eq!(parse_record_line(&nbsp), None);
+        // Each spells a key and words the formatter writes another way
+        // (or none at all), under a valid checksum.
+        let variants = [
+            format!("{head} 2 0000000000000001 FFFFFFFFFFFFFFFF"),
+            format!("{head} 1 A5a5a5a5a5a5a5a5"),
+            format!("{head} 3 0000000000000001 f 0000000000000002"),
+            format!("{head} 1 fffffffffffffff"),
+            format!("{head} 1 0ffffffffffffffff"),
+            format!("{head} 1 1ffffffffffffffff"),
+            format!("{head} 1 +fffffffffffffff"),
+            format!("{head} 1 +0000000000000001"),
+            format!("{head} 1 -000000000000001"),
+            format!("{head} 1 000000000000000g"),
+            format!("{head} 2 0000000000000001\t0000000000000002"),
+            "rec\t0123456789abcdef MEM2 art+mcf RaT 42 1 0000000000000001".into(),
+            format!("{head} 1\t0000000000000001"),
+            format!("{head} 2 0000000000000001  0000000000000002"),
+            format!("{head}  1 0000000000000001"),
+            "rec  0123456789abcdef MEM2 art+mcf RaT 42 0".into(),
+            format!("{head} 1 0000000000000001 "),
+            format!("{head} 0 "),
+            " rec 0123456789abcdef MEM2 art+mcf RaT 42 0".into(),
+            "rec 0123456789abcdef MEM2 art+mcf RaT 042 0".into(),
+            format!("{head} 01 0000000000000001"),
+            format!("{head} 00"),
+            format!("{head} +1 0000000000000001"),
+            "rec 0123456789abcdef MEM2 art+mcf RaT +42 0".into(),
+            "rec 0123456789ABCDEF MEM2 art+mcf RaT 42 0".into(),
+            "rec 123456789abcdef MEM2 art+mcf RaT 42 0".into(),
+            format!("{head} 1 0000000000000001 0000000000000002"),
+            format!("{head} 3 0000000000000001 0000000000000002"),
+            format!("{head} {} 0000000000000001", u64::MAX),
+            format!("{head} 99999999999999999999 0000000000000001"),
+            "rec 0123456789abcdef MEM2 art+mcf RaT x 0".into(),
+            "ref 0123456789abcdef MEM2 art+mcf RaT 42 0".into(),
+            format!("{head} 1\u{a0}0000000000000001"),
+        ];
+        for body in &variants {
+            assert_eq!(parse_record_line(&with_crc(body)), None, "{body:?}");
+        }
+        // The checksum tail has one spelling too.
+        let line = with_crc(&canonical[0]);
+        let (body, crc) = line.rsplit_once(" crc ").unwrap();
+        for tail in [
+            format!(" crc {}", crc.to_uppercase()),
+            format!("  crc {crc}"),
+            format!(" crc  {crc}"),
+            format!(" crc {crc} "),
+            format!("\tcrc {crc}"),
+            format!(" CRC {crc}"),
+            " crc 0000000000000000".into(),
+        ] {
+            assert_eq!(
+                parse_record_line(&format!("{body}{tail}")),
+                None,
+                "{tail:?}"
+            );
+        }
+
+        // Random keys and words, formatted, then edited one byte at a
+        // time under a recomputed checksum: whatever still parses must
+        // be exactly the formatter's line for it.
+        let alphabet = b" \t0123456789abcdefABCDEF+-gx";
+        let mut x = 0x0bad_5eed_1234_5678u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let (mut edited, mut accepted) = (0, 0);
+        for case in 0..200 {
+            let words: Vec<u64> = (0..next() % 6).map(|i| next() >> (8 * i)).collect();
+            let key = CellKey {
+                fingerprint: next() >> (case % 64),
+                seed: [0, 1, 42, next()][case % 4],
+                ..test_key()
+            };
+            let line = format_record_line(&key, &words);
+            assert_eq!(parse_record_line(&line), Some((key, words)));
+            let body = line.rsplit_once(" crc ").unwrap().0.as_bytes();
+            for _ in 0..20 {
+                let at = next() as usize % (body.len() + 1);
+                let b = alphabet[next() as usize % alphabet.len()];
+                let mut e = body.to_vec();
+                match next() % 3 {
+                    0 => e.insert(at, b),
+                    1 if at < e.len() => e[at] = b,
+                    _ if at < e.len() => drop(e.remove(at)),
+                    _ => e.push(b),
+                }
+                let e = with_crc(std::str::from_utf8(&e).unwrap());
+                assert!(accepted_only_if_canonical(&e), "{e}");
+                edited += 1;
+                accepted += usize::from(parse_record_line(&e).is_some());
+            }
+        }
+        // Some edits (a digit for a digit) leave a canonical line.
+        assert!(
+            accepted > 0 && accepted < edited / 2,
+            "{accepted} of {edited}"
+        );
     }
 
     /// The journal's `rec` lines, in file order.
@@ -1328,6 +1334,7 @@ mod tests {
     fn stored_line_is_the_appended_and_the_loaded_line() {
         let path = tmp("stored_line");
         let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(quarantine_path(&path));
         let (key, r) = sample_result();
         let store = ResultStore::open(&path);
         assert!(store.record_line(&key).is_none());
@@ -1341,10 +1348,16 @@ mod tests {
         assert_eq!(appended[0], format_record_line(&key, &encode_result(&r)));
         drop(store);
 
-        // A valid but non-canonical line (uppercase words) is kept as
-        // read, not re-formatted.
+        // A line with a valid checksum but uppercase words is not a line
+        // the formatter writes: it is quarantined, alone, and its cell
+        // recomputes.
         let words = encode_result(&r);
         let canonical = format_record_line(&key, &words);
+        let other = CellKey {
+            seed: key.seed + 1,
+            ..key.clone()
+        };
+        let kept = format_record_line(&other, &words);
         let mut upper = format!(
             "rec {:016x} {} {} {} {} {}",
             key.fingerprint,
@@ -1359,14 +1372,22 @@ mod tests {
         }
         let upper = with_crc(&upper);
         assert_ne!(upper, canonical, "the IPC words have letters");
-        std::fs::write(&path, format!("{MAGIC}\n{upper}\n")).unwrap();
+        assert!(parse_record_line(&upper).is_none());
+        std::fs::write(&path, format!("{MAGIC}\n{kept}\n{upper}\n")).unwrap();
         let store = ResultStore::open(&path);
         assert_eq!(store.stats().loaded, 1);
-        assert_eq!(store.record_line(&key).as_deref(), Some(upper.as_str()));
-        assert_eq!(journal_lines(&path), vec![upper.clone()]);
-        let back = store.get(&key).expect("replay");
-        assert_eq!(encode_result(&back), words);
+        assert_eq!(store.stats().quarantined, 1);
+        assert!(store.record_line(&key).is_none());
+        assert!(store.get(&key).is_none());
+        assert_eq!(store.record_line(&other).as_deref(), Some(kept.as_str()));
+        assert_eq!(encode_result(&store.get(&other).expect("replay")), words);
+        assert_eq!(journal_lines(&path), vec![kept]);
+        assert_eq!(
+            std::fs::read_to_string(store.quarantine_path()).unwrap(),
+            format!("{upper}\n")
+        );
         let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(store.quarantine_path());
     }
 
     #[test]

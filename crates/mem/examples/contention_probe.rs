@@ -21,7 +21,6 @@ fn main() {
         warmup_insts: 2_000,
         max_cycles: 200_000_000,
         seed: 42,
-        no_skip: false,
         no_drain: false,
     };
     let mut ucfg = SmtConfig::hpca2008_baseline();

@@ -26,13 +26,12 @@
 //!
 //! # Invariants
 //!
-//! * **Drain order**: pending events leave the queue in strictly
-//!   ascending `(ready_cycle, seq)` order; `seq` is a per-queue
-//!   monotonically increasing stamp, so simultaneous completions untie
-//!   deterministically by scheduling order.
 //! * **Bus FIFO**: `reserve_bus` never reorders transfers — the bus-free
 //!   horizon only grows, so a later request can never be granted the bus
-//!   ahead of an earlier one.
+//!   ahead of an earlier one. Each transfer completes at least
+//!   `bus_cycles_per_line` (≥ 1) cycles after the one before it, so the
+//!   pending transfers are a FIFO in ascending completion order, and
+//!   they leave the queue in that order.
 //! * **Determinism**: all arbitration state is plain data owned by the
 //!   queue (no wall clock, no randomness). The same access sequence
 //!   yields the same grants, and `Clone` preserves the exact schedule —
@@ -44,20 +43,9 @@
 //!   resource's arbitration entirely (infinite ports / bandwidth),
 //!   restoring the old latency-accurate behaviour.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 use crate::Cycle;
-
-/// A scheduled completion in the memory system: the cycle a line finishes
-/// crossing the bus, plus the deterministic tie-break stamp.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MemEvent {
-    /// Cycle at which the transfer completes (the line is filled).
-    pub ready_cycle: Cycle,
-    /// Scheduling-order stamp; ties on `ready_cycle` drain in `seq` order.
-    pub seq: u64,
-}
 
 /// Contention counters accumulated by a [`MemEventQueue`].
 ///
@@ -99,11 +87,10 @@ pub struct MemEventQueue {
     bus_cycles_per_line: Cycle,
     /// Cycle at which the bus finishes its last scheduled transfer.
     bus_free: Cycle,
-    /// Next event stamp (monotonic).
-    next_seq: u64,
-    /// Scheduled-but-not-yet-completed transfers, a min-heap on
-    /// `(ready_cycle, seq)`.
-    pending: BinaryHeap<Reverse<(Cycle, u64)>>,
+    /// Completion cycles of the scheduled-but-not-yet-completed
+    /// transfers, in push order, which is ascending (see the module
+    /// docs).
+    pending: VecDeque<Cycle>,
     stats: MemEventStats,
 }
 
@@ -115,8 +102,7 @@ impl MemEventQueue {
             port_free: vec![0; l2_ports],
             bus_cycles_per_line,
             bus_free: 0,
-            next_seq: 0,
-            pending: BinaryHeap::new(),
+            pending: VecDeque::new(),
             stats: MemEventStats::default(),
         }
     }
@@ -168,9 +154,8 @@ impl MemEventQueue {
         self.stats.bus_transfers += 1;
         self.stats.bus_busy_cycles += b;
         self.stats.bus_wait_cycles += ready - uncontended_ready;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.pending.push(Reverse((ready, seq)));
+        debug_assert!(self.pending.back().is_none_or(|&last| last < ready));
+        self.pending.push_back(ready);
         ready
     }
 
@@ -180,21 +165,18 @@ impl MemEventQueue {
     /// structure is quiescent, because nothing in the memory system
     /// changes state before this cycle.
     pub fn next_ready_cycle(&self) -> Option<Cycle> {
-        self.pending.peek().map(|&Reverse((ready, _))| ready)
+        self.pending.front().copied()
     }
 
-    /// Retires every pending event with `ready_cycle <= now`, in
-    /// `(ready_cycle, seq)` order. Returns the number retired.
+    /// Retires every pending transfer that completes at or before `now`,
+    /// in push order. Returns the number retired.
     pub fn drain(&mut self, now: Cycle) -> usize {
         let mut n = 0;
-        while let Some(&Reverse((ready, _))) = self.pending.peek() {
-            if ready > now {
-                break;
-            }
-            self.pending.pop();
-            self.stats.completed_transfers += 1;
+        while self.pending.front().is_some_and(|&ready| ready <= now) {
+            self.pending.pop_front();
             n += 1;
         }
+        self.stats.completed_transfers += n as u64;
         n
     }
 
@@ -267,13 +249,18 @@ mod tests {
 
     #[test]
     fn drain_is_ready_then_seq_ordered() {
-        let mut q = MemEventQueue::new(0, 4);
-        // Two transfers completing at the same cycle: seq breaks the tie,
-        // and drain retires both at once.
-        q.reserve_bus(4);
-        q.reserve_bus(8);
-        assert_eq!(q.drain(3), 0);
-        assert_eq!(q.drain(8), 2);
+        let mut q = MemEventQueue::new(0, 1);
+        // Completions strictly ascend in push order, even for transfers
+        // requested for one cycle on a one-cycle bus, and drain retires
+        // every transfer due at once.
+        assert_eq!(q.reserve_bus(8), 8);
+        assert_eq!(q.reserve_bus(8), 9);
+        assert_eq!(q.reserve_bus(4), 10);
+        assert_eq!(q.drain(7), 0);
+        assert_eq!(q.drain(9), 2);
+        assert_eq!(q.next_ready_cycle(), Some(10));
+        assert_eq!(q.drain(10), 1);
+        assert_eq!(q.stats().completed_transfers, 3);
     }
 
     #[test]

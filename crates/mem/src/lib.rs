@@ -67,7 +67,7 @@ pub mod event;
 mod hierarchy;
 
 pub use cache::{Cache, CacheConfig, CacheStats, Probe};
-pub use event::{MemEvent, MemEventQueue, MemEventStats};
+pub use event::{MemEventQueue, MemEventStats};
 pub use hierarchy::{AccessKind, AccessResult, Hierarchy, HierarchyConfig};
 
 /// A simulation cycle count.

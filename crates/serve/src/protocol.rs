@@ -38,7 +38,9 @@
 //! `RESULT` carries the result journal's record line verbatim
 //! ([`rat_core::format_record_line`]): f64s travel as `to_bits` hex
 //! words (bit-exact) and every line carries its own XXH64 checksum, so
-//! wire corruption is detected exactly like journal corruption. A
+//! wire corruption is detected exactly like journal corruption, and a
+//! record in any spelling but the formatter's is refused as the journal
+//! quarantines it ([`rat_core::parse_record_line`]). A
 //! journaled server sends the record's stored line, as loaded from the
 //! journal or as appended to it ([`rat_core::ResultStore::record_line`]),
 //! so a replayed cell is never re-formatted. The line is the journal's

@@ -125,12 +125,6 @@ impl OracleThread {
         self.cursor
     }
 
-    /// Sequence number of the next instruction to commit.
-    #[inline]
-    pub fn commit_seq(&self) -> u64 {
-        self.committed
-    }
-
     /// Commits the instruction at the commit point, pruning its brief (a
     /// committed instruction is never re-fetched), and returns its
     /// effective address (what the commit stage's store bookkeeping
@@ -284,7 +278,7 @@ mod tests {
                         let want = truth(committed).eff_addr;
                         assert_eq!(o.commit_next(committed), want, "{at}");
                         committed += 1;
-                        assert_eq!(o.commit_seq(), committed, "{at}");
+                        assert_eq!(o.committed, committed, "{at}");
                     }
                     7 => {
                         let resume = committed + rng.below(o.next_seq() - committed + 1);

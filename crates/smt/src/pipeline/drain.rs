@@ -137,7 +137,7 @@ pub(super) struct DrainState {
     /// partition for the live pool keeps it always able to dispatch,
     /// while a *lone* drained thread still charges its full real
     /// occupancy — the common case while the last, slowest thread is
-    /// measured. Released on re-promotion.
+    /// measured. Held until the simulation ends: drain is one-way.
     pub(super) rob_notional: usize,
     /// Issue-queue entries (per kind) charged as notional occupancy,
     /// same capture-then-cap scheme as [`Self::rob_notional`].
@@ -336,39 +336,6 @@ pub(super) fn demote(sim: &mut SmtSimulator, tid: ThreadId) {
     sim.drained_live += 1;
     sim.stats.drained_threads += 1;
     sim.activity = true;
-}
-
-/// Re-promotes every drained thread to full-fidelity simulation: the
-/// notional ROB share is released and the (empty) instruction table is
-/// resynced to the oracle's commit point, so the thread resumes
-/// fetching exactly where draining stopped. Used by the `--no-drain`
-/// toggle and by `reset_stats` (a thread drained during warmup must be
-/// measured at full fidelity).
-pub(super) fn undrain_all(sim: &mut SmtSimulator) {
-    if sim.drained_live == 0 {
-        return;
-    }
-    for t in &mut sim.threads {
-        if !t.drained {
-            continue;
-        }
-        sim.res.rob_occupancy -= t.drain.rob_notional;
-        for i in 0..3 {
-            sim.res.notional_iq[i] -= t.drain.iq_notional[i];
-        }
-        for i in 0..2 {
-            sim.res.notional_regs[i] -= t.drain.reg_notional[i];
-        }
-        // Resync the (empty) instruction table to the oracle's commit
-        // point so the revived thread refetches from its architectural
-        // frontier.
-        let resume = t.oracle.commit_seq();
-        t.oracle.rewind_to(resume);
-        t.instrs.reset_to(resume);
-        t.drained = false;
-        t.drain = DrainState::default();
-    }
-    sim.drained_live = 0;
 }
 
 /// The drain stage: fires the burst for every drained thread whose

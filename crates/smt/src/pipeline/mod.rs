@@ -285,7 +285,8 @@ impl SmtSimulator {
     /// hop, charging the skipped span to the same per-cycle counters the
     /// stepped path updates. All statistics are bit-identical either
     /// way (the `tests/cycle_skip.rs` suite enforces this); `false` is
-    /// the `--no-skip` ablation reference.
+    /// the stepped reference that suite and perfbench's `*_noskip`
+    /// cells run.
     pub fn set_cycle_skip(&mut self, enabled: bool) {
         self.skip_enabled = enabled;
     }
@@ -314,13 +315,17 @@ impl SmtSimulator {
     /// [`SimStats::threads_at_quota`] is taken before demotion. Only
     /// the last thread's post-overlap tail sees approximate timing,
     /// with the drift bounded and measured by `tests/quota_drain.rs`.
-    /// Disabling drain re-promotes every drained thread (it resumes
-    /// full-fidelity fetch at its commit point).
+    ///
+    /// # Panics
+    ///
+    /// Drain is one-way: a demoted thread is never re-promoted, so
+    /// disabling drain after a demotion panics.
     pub fn set_quota_drain(&mut self, enabled: bool) {
+        assert!(
+            enabled || self.drained_live == 0,
+            "post-quota drain is one-way: it cannot be disabled once a thread is drained"
+        );
         self.quota_drain = enabled;
-        if !enabled {
-            drain::undrain_all(self);
-        }
     }
 
     /// Number of hardware threads.
@@ -380,7 +385,7 @@ impl SmtSimulator {
                 // pre-demotion ROB share stays charged to the shared
                 // budget (checked below); the oracle fetch point runs
                 // ahead of the frozen table, so the seq agreement check
-                // does not apply until re-promotion resyncs it.
+                // does not apply.
                 assert_eq!(
                     t.instrs.rob_len(),
                     0,
@@ -467,11 +472,16 @@ impl SmtSimulator {
     /// Zeroes measurement counters (end of warmup). Committed-instruction
     /// baselines and the cycle base are recorded so quota and IPC windows
     /// start here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a thread is drained: drain is one-way, and a drained
+    /// thread cannot be measured at full fidelity.
     pub fn reset_stats(&mut self) {
-        // A thread drained during warmup must be measured at full
-        // fidelity: re-promote everyone before the measurement window
-        // opens (it resumes fetching at its commit point).
-        drain::undrain_all(self);
+        assert_eq!(
+            self.drained_live, 0,
+            "post-quota drain is one-way: stats cannot be reset once a thread is drained"
+        );
         self.stats.cycles_at_reset = self.now;
         for t in self.threads.iter_mut() {
             t.half_mark = None;

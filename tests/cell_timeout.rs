@@ -16,10 +16,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rat_bench::{run_cells, SweepCell, SweepSession};
-use rat_core::smt::{PolicyKind, SmtConfig, SmtSimulator};
+use rat_core::smt::{PolicyKind, SmtConfig};
 use rat_core::store::encode_result;
-use rat_core::workload::{mixes_for_group, Mix, ThreadImage, WorkloadGroup, WorkloadRng};
+use rat_core::workload::{mixes_for_group, Mix, WorkloadGroup, WorkloadRng};
 use rat_core::{CellErrorKind, MixResult, ResultStore, RunConfig, Runner};
+
+mod driven_run;
+use driven_run::run_driven;
 
 fn tiny_runner() -> Runner {
     Runner::new(
@@ -29,7 +32,6 @@ fn tiny_runner() -> Runner {
             warmup_insts: 400,
             max_cycles: 50_000_000,
             seed: 42,
-            no_skip: false,
             no_drain: false,
         },
     )
@@ -193,58 +195,6 @@ fn timed_out_cells_recompute_on_rerun() {
     assert_eq!(second.computed, cells.len());
 }
 
-/// Simulates `mix` under `policy` as [`Runner::run_mix`] does (warm-up,
-/// stats reset, measurement with post-quota drain), but gives each
-/// `run_until_quota` call the cycle count `slice` returns for the
-/// current cycle, within each phase's `max_cycles` budget.
-fn run_sliced(
-    runner: &Runner,
-    mix: &Mix,
-    policy: PolicyKind,
-    slice: &mut dyn FnMut(u64) -> u64,
-) -> MixResult {
-    let run = *runner.run_config();
-    let mut cfg = *runner.smt_config();
-    cfg.policy = policy;
-    let cpus = mix
-        .benchmarks
-        .iter()
-        .enumerate()
-        .map(|(i, &b)| ThreadImage::generate(b, run.seed + i as u64).build_cpu())
-        .collect();
-    let mut sim = SmtSimulator::new(cfg, cpus);
-    sim.set_cycle_skip(!run.no_skip);
-    let mut phase = |sim: &mut SmtSimulator, quota: u64| {
-        let mut left = run.max_cycles;
-        loop {
-            let step = slice(sim.cycles()).clamp(1, left);
-            let reached = sim.run_until_quota(quota, step);
-            left -= step;
-            if reached || left == 0 {
-                return reached;
-            }
-        }
-    };
-    phase(&mut sim, run.warmup_insts);
-    sim.reset_stats();
-    sim.set_quota_drain(!run.no_drain);
-    let complete = phase(&mut sim, run.insts_per_thread);
-    let st = sim.stats();
-    MixResult {
-        mix: mix.clone(),
-        policy,
-        ipcs: (0..mix.benchmarks.len())
-            .map(|t| st.thread_ipc(t))
-            .collect(),
-        executed_insts: st.executed_insts(),
-        cycles: st.cycles_since_reset(),
-        complete,
-        thread_stats: st.threads.clone(),
-        thread_stats_at_quota: st.threads_at_quota.clone(),
-        mem_events: st.mem_events,
-    }
-}
-
 /// The cycles at which the threads of an unsliced run reached their
 /// quotas, earliest first.
 fn quota_cycles(result: &MixResult) -> Vec<u64> {
@@ -278,7 +228,7 @@ fn slice_ending_on_a_quota_cycle_is_bit_identical() {
     for policy in [PolicyKind::Icount, PolicyKind::Rat] {
         let plain = runner.run_mix(mix, policy);
         let boundary = quota_cycles(&plain)[0];
-        let sliced = run_sliced(&runner, mix, policy, &mut |now| {
+        let sliced = run_driven(&runner, mix, policy, true, &mut |now| {
             if now < boundary {
                 boundary - now
             } else {
@@ -319,7 +269,7 @@ fn any_slicing_is_bit_identical() {
             for case in 0..2u64 {
                 let seed = 0x511C_E000 + 16 * (5 * m as u64 + p as u64) + case;
                 let mut rng = WorkloadRng::seed_from_u64(seed);
-                let sliced = run_sliced(&runner, mix, policy, &mut |now| match targets
+                let sliced = run_driven(&runner, mix, policy, true, &mut |now| match targets
                     .iter()
                     .find(|&&c| c > now)
                 {

@@ -1,16 +1,23 @@
 //! Cycle-skip equivalence suite: the event-driven fast-forward in
 //! `SmtSimulator` must be a pure wall-clock optimization. For every
-//! workload class and every policy, a skip-enabled run and a `--no-skip`
-//! run must produce **bit-identical** `MixResult`s — same IPC bits, same
-//! cycle counts, same contention counters, same per-thread statistics.
+//! workload class and every policy, `Runner::run_mix` (which always
+//! skips) and the same cell stepped cycle by cycle
+//! (`SmtSimulator::set_cycle_skip(false)`) must produce **bit-identical**
+//! `MixResult`s — same IPC bits, same cycle counts, same contention
+//! counters, same per-thread statistics, at the end of the run and at
+//! each thread's quota.
 //!
 //! If any of these fail, the quiescence predicate in
 //! `SmtSimulator::next_interesting_cycle` claimed a cycle was dead when
 //! some stage could still act (or `bulk_advance` mischarged the span).
 
 use rat_core::smt::{PolicyKind, SmtConfig, SmtSimulator};
+use rat_core::store::encode_result;
 use rat_core::workload::{mixes_for_group, Mix, ThreadImage, WorkloadGroup};
 use rat_core::{MixResult, RunConfig, Runner};
+
+mod driven_run;
+use driven_run::run_driven;
 
 const ALL_POLICIES: [PolicyKind; 6] = [
     PolicyKind::Icount,
@@ -21,44 +28,38 @@ const ALL_POLICIES: [PolicyKind; 6] = [
     PolicyKind::Rat,
 ];
 
-fn quick(no_skip: bool) -> RunConfig {
-    RunConfig {
-        insts_per_thread: 1_500,
-        warmup_insts: 700,
-        max_cycles: 100_000_000,
-        seed: 42,
-        no_skip,
-        no_drain: false,
-    }
-}
-
-/// Every observable field of a `MixResult`, bit-exactly. Floats go
-/// through `to_bits`; the counter structs are all integers, so their
-/// `Debug` form is exact.
-fn fingerprint(r: &MixResult) -> String {
-    let ipc_bits: Vec<u64> = r.ipcs.iter().map(|i| i.to_bits()).collect();
-    format!(
-        "ipcs={ipc_bits:?} executed={} cycles={} complete={} mem_events={:?} threads={:?}",
-        r.executed_insts, r.cycles, r.complete, r.mem_events, r.thread_stats
+fn quick() -> Runner {
+    Runner::new(
+        SmtConfig::hpca2008_baseline(),
+        RunConfig {
+            insts_per_thread: 1_500,
+            warmup_insts: 700,
+            max_cycles: 100_000_000,
+            seed: 42,
+            no_drain: false,
+        },
     )
 }
 
-fn run_pair(mix: &Mix, policy: PolicyKind) -> (MixResult, MixResult) {
-    let skipping = Runner::new(SmtConfig::hpca2008_baseline(), quick(false)).run_mix(mix, policy);
-    let stepped = Runner::new(SmtConfig::hpca2008_baseline(), quick(true)).run_mix(mix, policy);
-    (skipping, stepped)
+/// Asserts that `runner`'s skipping `run_mix` and the stepped run of the
+/// same cell encode identically (every field of a `MixResult`; floats as
+/// their bits), and returns the skipping run's result.
+fn assert_skip_matches_stepping(runner: &Runner, mix: &Mix, policy: PolicyKind) -> MixResult {
+    let skipping = runner.run_mix(mix, policy);
+    let stepped = run_driven(runner, mix, policy, false, &mut |_| u64::MAX);
+    assert_eq!(
+        encode_result(&skipping),
+        encode_result(&stepped),
+        "{mix} under {policy}: the skipping and the stepped runs diverged"
+    );
+    skipping
 }
 
 #[test]
 fn ilp4_bit_identical_under_all_policies() {
     let mix = &mixes_for_group(WorkloadGroup::Ilp4)[0];
     for policy in ALL_POLICIES {
-        let (skip, step) = run_pair(mix, policy);
-        assert_eq!(
-            fingerprint(&skip),
-            fingerprint(&step),
-            "{mix} under {policy}: skip-enabled and --no-skip runs diverged"
-        );
+        assert_skip_matches_stepping(&quick(), mix, policy);
     }
 }
 
@@ -66,12 +67,7 @@ fn ilp4_bit_identical_under_all_policies() {
 fn mem4_bit_identical_under_all_policies() {
     let mix = &mixes_for_group(WorkloadGroup::Mem4)[0];
     for policy in ALL_POLICIES {
-        let (skip, step) = run_pair(mix, policy);
-        assert_eq!(
-            fingerprint(&skip),
-            fingerprint(&step),
-            "{mix} under {policy}: skip-enabled and --no-skip runs diverged"
-        );
+        assert_skip_matches_stepping(&quick(), mix, policy);
     }
 }
 
@@ -79,12 +75,7 @@ fn mem4_bit_identical_under_all_policies() {
 fn mix4_bit_identical_under_all_policies() {
     let mix = &mixes_for_group(WorkloadGroup::Mix4)[0];
     for policy in ALL_POLICIES {
-        let (skip, step) = run_pair(mix, policy);
-        assert_eq!(
-            fingerprint(&skip),
-            fingerprint(&step),
-            "{mix} under {policy}: skip-enabled and --no-skip runs diverged"
-        );
+        assert_skip_matches_stepping(&quick(), mix, policy);
     }
 }
 
@@ -94,12 +85,7 @@ fn second_mem4_mix_spot_check() {
     // special.
     let mix = &mixes_for_group(WorkloadGroup::Mem4)[3];
     for policy in [PolicyKind::Icount, PolicyKind::Rat] {
-        let (skip, step) = run_pair(mix, policy);
-        assert_eq!(
-            fingerprint(&skip),
-            fingerprint(&step),
-            "{mix} under {policy}"
-        );
+        assert_skip_matches_stepping(&quick(), mix, policy);
     }
 }
 
@@ -109,20 +95,18 @@ fn truncated_runs_are_bit_identical_too() {
     // must never cross the caller's max_cycles bound, because the
     // stepped run ends exactly there and `MixResult.cycles` reflects it.
     let mix = &mixes_for_group(WorkloadGroup::Mem4)[0];
-    let mk = |no_skip| RunConfig {
-        insts_per_thread: 10_000_000, // unreachable: forces truncation
-        warmup_insts: 200,
-        max_cycles: 20_000,
-        seed: 42,
-        no_skip,
-        no_drain: false,
-    };
-    let skip =
-        Runner::new(SmtConfig::hpca2008_baseline(), mk(false)).run_mix(mix, PolicyKind::Icount);
-    let step =
-        Runner::new(SmtConfig::hpca2008_baseline(), mk(true)).run_mix(mix, PolicyKind::Icount);
-    assert!(!skip.complete, "run must actually truncate");
-    assert_eq!(fingerprint(&skip), fingerprint(&step));
+    let runner = Runner::new(
+        SmtConfig::hpca2008_baseline(),
+        RunConfig {
+            insts_per_thread: 10_000_000, // unreachable: forces truncation
+            warmup_insts: 200,
+            max_cycles: 20_000,
+            seed: 42,
+            no_drain: false,
+        },
+    );
+    let r = assert_skip_matches_stepping(&runner, mix, PolicyKind::Icount);
+    assert!(!r.complete, "run must actually truncate");
 }
 
 /// Builds a bare simulator over one MEM4 mix (to read `SimStats`

@@ -13,7 +13,6 @@ fn quick_run() -> RunConfig {
         warmup_insts: 16_000,
         max_cycles: 200_000_000,
         seed: 42,
-        no_skip: false,
         no_drain: false,
     }
 }

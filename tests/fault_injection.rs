@@ -29,7 +29,6 @@ fn tiny_runner() -> Runner {
             warmup_insts: 400,
             max_cycles: 50_000_000,
             seed: 42,
-            no_skip: false,
             no_drain: false,
         },
     )

@@ -14,7 +14,6 @@ fn quick_run() -> RunConfig {
         warmup_insts: 2_000,
         max_cycles: 200_000_000,
         seed: 42,
-        no_skip: false,
         no_drain: false,
     }
 }

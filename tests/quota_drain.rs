@@ -47,7 +47,6 @@ fn quick(no_drain: bool, warmup_insts: u64) -> RunConfig {
         warmup_insts,
         max_cycles: 100_000_000,
         seed: 42,
-        no_skip: false,
         no_drain,
     }
 }
@@ -167,7 +166,6 @@ fn truncated_run_before_any_quota_is_bit_identical() {
         warmup_insts: 0,
         max_cycles: 20_000,
         seed: 42,
-        no_skip: false,
         no_drain,
     };
     let d = Runner::new(SmtConfig::hpca2008_baseline(), mk(false)).run_mix(mix, PolicyKind::Icount);
@@ -193,7 +191,6 @@ fn truncated_run_keeps_every_finished_window_identical() {
         warmup_insts: 0,
         max_cycles: 60_000,
         seed: 42,
-        no_skip: false,
         no_drain,
     };
     let d = Runner::new(SmtConfig::hpca2008_baseline(), mk(false)).run_mix(mix, PolicyKind::Stall);
@@ -239,7 +236,6 @@ fn drift_bound_last_window_ipc_and_fairness() {
             warmup_insts: 2_000,
             max_cycles: 400_000_000,
             seed: 42,
-            no_skip: false,
             no_drain,
         };
         let drained_runner = Runner::new(SmtConfig::hpca2008_baseline(), mk(false));
@@ -321,6 +317,26 @@ fn mem4_actually_drains_the_tail() {
         "drained threads must keep committing"
     );
     sim.check_invariants();
+}
+
+/// Drain is one-way: once a thread is demoted, neither switching drain
+/// off nor opening a new measurement window may bring it back.
+#[test]
+#[should_panic(expected = "post-quota drain is one-way")]
+fn drain_cannot_be_disabled_after_a_demotion() {
+    let mut sim = build_sim(WorkloadGroup::Mem4, PolicyKind::Rat, true);
+    assert!(sim.run_until_quota(3_000, 100_000_000));
+    assert!(sim.stats().drained_threads > 0, "a thread was demoted");
+    sim.set_quota_drain(false);
+}
+
+#[test]
+#[should_panic(expected = "post-quota drain is one-way")]
+fn stats_cannot_be_reset_after_a_demotion() {
+    let mut sim = build_sim(WorkloadGroup::Mem4, PolicyKind::Rat, true);
+    assert!(sim.run_until_quota(3_000, 100_000_000));
+    assert!(sim.stats().drained_threads > 0, "a thread was demoted");
+    sim.reset_stats();
 }
 
 #[test]
