@@ -1,16 +1,19 @@
 //! Table 1 — the simulated SMT processor baseline configuration: the
-//! `rat_smt::config` constants, the perceptron geometry, and the swept
-//! register-file size and memory hierarchy at their baseline values.
+//! `rat_smt::config` constants (the memory hierarchy among them), the
+//! perceptron geometry, and the swept register-file size at its baseline
+//! value.
 
 use rat_bench::{HarnessArgs, TableWriter};
 use rat_core::bpred::PerceptronPredictor;
-use rat_smt::config::{FETCH_THREADS, FRONTEND_DEPTH, FU_COUNT, IQ_SIZE, ROB_SIZE, WIDTH};
+use rat_smt::config::{
+    FETCH_THREADS, FRONTEND_DEPTH, FU_COUNT, HIERARCHY, IQ_SIZE, ROB_SIZE, WIDTH,
+};
 use rat_smt::SmtConfig;
 
 fn main() {
     let args = HarnessArgs::from_env();
     let c = SmtConfig::hpca2008_baseline();
-    let h = &c.hierarchy;
+    let h = &HIERARCHY;
     let mut t = TableWriter::new(&["parameter", "value"]);
     let mut row = |k: &str, v: String| t.row(vec![k.to_string(), v]);
     row(

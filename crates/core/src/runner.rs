@@ -4,7 +4,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use rat_mem::{CacheConfig, HierarchyConfig, MemEventStats};
+use rat_mem::MemEventStats;
 use rat_smt::{PolicyKind, RunaheadVariant, SmtConfig, SmtSimulator, ThreadStats};
 use rat_workload::{Benchmark, Mix, ThreadImage, WorkloadGroup};
 
@@ -59,9 +59,9 @@ const MODEL_DIGEST: u64 = fnv1a(include_bytes!("../../../tests/golden.txt"));
 /// component), the measurement methodology except the seed (another key
 /// component), and the model itself as a compile-time FNV-1a of
 /// `tests/golden.txt`, so re-pinning any golden digest re-keys every
-/// journal. The fixed Table 1 parameters (the `rat_smt::config` constants
-/// and the perceptron geometry) are part of that model: changing one
-/// moves golden digests. It covers the drain
+/// journal. The fixed Table 1 parameters (the `rat_smt::config` constants,
+/// the memory hierarchy among them, and the perceptron geometry) are part
+/// of that model: changing one moves golden digests. It covers the drain
 /// ablation, which changes multithreaded timing, so `--no-drain`
 /// recomputes the single-thread references too even though drain never
 /// moves them.
@@ -79,19 +79,9 @@ pub fn config_fingerprint(smt: &SmtConfig, run: &RunConfig) -> u64 {
 fn fingerprint_with_model(smt: &SmtConfig, run: &RunConfig, model: u64) -> u64 {
     let SmtConfig {
         regs,
-        hierarchy,
         policy: _,
         runahead,
     } = *smt;
-    let HierarchyConfig {
-        icache,
-        dcache,
-        l2,
-        memory_latency,
-        prefetch_mshr_reserve,
-        l2_ports,
-        bus_cycles_per_line,
-    } = hierarchy;
     let RunConfig {
         insts_per_thread,
         warmup_insts,
@@ -99,50 +89,22 @@ fn fingerprint_with_model(smt: &SmtConfig, run: &RunConfig, model: u64) -> u64 {
         seed: _,
         no_drain,
     } = *run;
-    let cache = |c: CacheConfig| {
-        let CacheConfig {
-            size_bytes,
-            ways,
-            line_bytes,
-            latency,
-            mshrs,
-        } = c;
-        [
-            size_bytes as u64,
-            ways as u64,
-            line_bytes as u64,
-            latency,
-            mshrs as u64,
-        ]
-    };
     let variant = match runahead {
         RunaheadVariant::Full => 0,
         RunaheadVariant::NoPrefetch => 1,
         RunaheadVariant::NoFetch => 2,
     };
-    let words: [&[u64]; 6] = [
-        &[model, regs as u64],
-        &cache(icache),
-        &cache(dcache),
-        &cache(l2),
-        &[
-            memory_latency,
-            prefetch_mshr_reserve as u64,
-            l2_ports as u64,
-            bus_cycles_per_line,
-            variant,
-        ],
-        &[
-            insts_per_thread,
-            warmup_insts,
-            max_cycles,
-            u64::from(no_drain),
-        ],
-    ];
-    words
-        .iter()
-        .flat_map(|w| w.iter())
-        .fold(FNV1A_OFFSET, |h, w| fnv1a_continue(h, &w.to_le_bytes()))
+    [
+        model,
+        regs as u64,
+        variant,
+        insts_per_thread,
+        warmup_insts,
+        max_cycles,
+        u64::from(no_drain),
+    ]
+    .iter()
+    .fold(FNV1A_OFFSET, |h, w| fnv1a_continue(h, &w.to_le_bytes()))
 }
 
 /// The outcome of simulating one mix under one policy.
@@ -545,7 +507,7 @@ mod tests {
     fn config_fingerprint_is_pinned() {
         let fingerprint =
             |run: RunConfig| Runner::new(SmtConfig::hpca2008_baseline(), run).config_fingerprint();
-        assert_eq!(fingerprint(RunConfig::default()), 0x043b_2e61_a811_59ce);
+        assert_eq!(fingerprint(RunConfig::default()), 0x2d3a_997e_b820_cf04);
         for seed in [42, 99] {
             let run = RunConfig {
                 insts_per_thread: 6_000,
@@ -553,7 +515,7 @@ mod tests {
                 seed,
                 ..RunConfig::default()
             };
-            assert_eq!(fingerprint(run), 0xa05f_043e_4824_81b7, "seed {seed}");
+            assert_eq!(fingerprint(run), 0x5622_5dab_9b07_3131, "seed {seed}");
         }
     }
 
@@ -564,27 +526,8 @@ mod tests {
         assert_eq!(Runner::new(smt, run).config_fingerprint(), base);
         assert_eq!(fingerprint_with_model(&smt, &run, MODEL_DIGEST), base);
 
-        let smt_edits: [fn(&mut SmtConfig); 22] = [
+        let smt_edits: [fn(&mut SmtConfig); 3] = [
             |c| c.regs += 1,
-            |c| c.hierarchy.icache.size_bytes *= 2,
-            |c| c.hierarchy.icache.ways += 1,
-            |c| c.hierarchy.icache.line_bytes *= 2,
-            |c| c.hierarchy.icache.latency += 1,
-            |c| c.hierarchy.icache.mshrs += 1,
-            |c| c.hierarchy.dcache.size_bytes *= 2,
-            |c| c.hierarchy.dcache.ways += 1,
-            |c| c.hierarchy.dcache.line_bytes *= 2,
-            |c| c.hierarchy.dcache.latency += 1,
-            |c| c.hierarchy.dcache.mshrs += 1,
-            |c| c.hierarchy.l2.size_bytes *= 2,
-            |c| c.hierarchy.l2.ways += 1,
-            |c| c.hierarchy.l2.line_bytes *= 2,
-            |c| c.hierarchy.l2.latency += 1,
-            |c| c.hierarchy.l2.mshrs += 1,
-            |c| c.hierarchy.memory_latency += 1,
-            |c| c.hierarchy.prefetch_mshr_reserve += 1,
-            |c| c.hierarchy.l2_ports += 1,
-            |c| c.hierarchy.bus_cycles_per_line += 1,
             |c| c.runahead = RunaheadVariant::NoPrefetch,
             |c| c.runahead = RunaheadVariant::NoFetch,
         ];

@@ -689,7 +689,7 @@ pub fn format_record_line(key: &CellKey, words: &[u64]) -> String {
 
 /// A decimal `u64` as `{}` writes it: ASCII digits with no sign, and no
 /// leading zero unless it is `0` itself.
-fn parse_decimal(token: &str) -> Option<u64> {
+pub fn parse_decimal(token: &str) -> Option<u64> {
     match token.as_bytes() {
         [b'1'..=b'9', ..] | [b'0'] => token.parse().ok(),
         _ => None,

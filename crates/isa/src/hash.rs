@@ -47,7 +47,7 @@ impl Hasher for WordHasher {
 pub type WordSet = HashSet<u64, BuildHasherDefault<WordHasher>>;
 
 /// A `HashMap<u64, V>` hashed by [`WordHasher`].
-pub(crate) type WordMap<V> = HashMap<u64, V, BuildHasherDefault<WordHasher>>;
+pub type WordMap<V> = HashMap<u64, V, BuildHasherDefault<WordHasher>>;
 
 #[cfg(test)]
 mod tests {

@@ -22,7 +22,7 @@ pub struct CacheConfig {
 
 impl CacheConfig {
     /// The paper's I-cache: 64 KB, 4-way, 64-byte lines, 1-cycle pipelined.
-    pub fn hpca2008_icache() -> Self {
+    pub const fn hpca2008_icache() -> Self {
         CacheConfig {
             size_bytes: 64 * 1024,
             ways: 4,
@@ -33,7 +33,7 @@ impl CacheConfig {
     }
 
     /// The paper's D-cache: 64 KB, 4-way, 64-byte lines, 3-cycle latency.
-    pub fn hpca2008_dcache() -> Self {
+    pub const fn hpca2008_dcache() -> Self {
         CacheConfig {
             size_bytes: 64 * 1024,
             ways: 4,
@@ -44,7 +44,7 @@ impl CacheConfig {
     }
 
     /// The paper's L2: 1 MB, 8-way, 64-byte lines, 20-cycle latency.
-    pub fn hpca2008_l2() -> Self {
+    pub const fn hpca2008_l2() -> Self {
         CacheConfig {
             size_bytes: 1024 * 1024,
             ways: 8,

@@ -39,9 +39,7 @@
 //!   worker-thread count.
 //! * **Work conservation**: with a free port and an idle bus, a request
 //!   is granted at its uncontended cycle; contention can only *delay*
-//!   a grant, never accelerate it. Setting a knob to `0` disables that
-//!   resource's arbitration entirely (infinite ports / bandwidth),
-//!   restoring the old latency-accurate behaviour.
+//!   a grant, never accelerate it.
 
 use std::collections::VecDeque;
 
@@ -70,8 +68,8 @@ pub struct MemEventStats {
 }
 
 impl MemEventStats {
-    /// Total extra latency the event model added over the latency-only
-    /// model: port waits plus bus waits.
+    /// Total delay contention added over the uncontended latencies:
+    /// port waits plus bus waits.
     pub fn contention_cycles(&self) -> u64 {
         self.port_wait_cycles + self.bus_wait_cycles
     }
@@ -81,9 +79,9 @@ impl MemEventStats {
 /// [module docs](self) for the model and its invariants).
 #[derive(Clone, Debug)]
 pub struct MemEventQueue {
-    /// Next free cycle per L2 port; empty means unlimited ports.
+    /// Next free cycle per L2 port.
     port_free: Vec<Cycle>,
-    /// Cycles one line occupies the bus; `0` means unlimited bandwidth.
+    /// Cycles one line occupies the bus.
     bus_cycles_per_line: Cycle,
     /// Cycle at which the bus finishes its last scheduled transfer.
     bus_free: Cycle,
@@ -95,9 +93,18 @@ pub struct MemEventQueue {
 }
 
 impl MemEventQueue {
-    /// Builds the queue. `l2_ports == 0` disables port arbitration;
-    /// `bus_cycles_per_line == 0` disables bus arbitration.
+    /// Builds the queue.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `l2_ports` or `bus_cycles_per_line` is 0: every lookup
+    /// needs a port and every transfer occupies the bus.
     pub fn new(l2_ports: usize, bus_cycles_per_line: Cycle) -> Self {
+        assert!(l2_ports >= 1, "the L2 needs at least one lookup port");
+        assert!(
+            bus_cycles_per_line >= 1,
+            "a line transfer occupies the bus for at least one cycle"
+        );
         MemEventQueue {
             port_free: vec![0; l2_ports],
             bus_cycles_per_line,
@@ -117,9 +124,6 @@ impl MemEventQueue {
     /// cycle; the earliest-free port wins, so grants are deterministic
     /// and work-conserving.
     pub fn acquire_port(&mut self, now: Cycle) -> Cycle {
-        if self.port_free.is_empty() {
-            return now;
-        }
         let (idx, &free) = self
             .port_free
             .iter()
@@ -142,9 +146,6 @@ impl MemEventQueue {
     /// transfers otherwise.
     pub fn reserve_bus(&mut self, uncontended_ready: Cycle) -> Cycle {
         let b = self.bus_cycles_per_line;
-        if b == 0 {
-            return uncontended_ready;
-        }
         // The transfer occupies the bus for its last `b` cycles; it may
         // start no earlier than its data leaves memory and no earlier
         // than the bus frees up.
@@ -192,19 +193,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn unlimited_knobs_are_transparent() {
-        let mut q = MemEventQueue::new(0, 0);
-        assert_eq!(q.acquire_port(7), 7);
-        assert_eq!(q.acquire_port(7), 7);
-        assert_eq!(q.reserve_bus(423), 423);
-        assert_eq!(q.reserve_bus(423), 423);
-        assert_eq!(q.stats().contention_cycles(), 0);
-        assert_eq!(q.stats().bus_transfers, 0);
+    #[should_panic(expected = "at least one lookup port")]
+    fn zero_ports_panic() {
+        MemEventQueue::new(0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one cycle")]
+    fn zero_cycle_bus_panics() {
+        MemEventQueue::new(1, 0);
     }
 
     #[test]
     fn single_port_serializes_same_cycle_lookups() {
-        let mut q = MemEventQueue::new(1, 0);
+        let mut q = MemEventQueue::new(1, 1);
         assert_eq!(q.acquire_port(10), 10);
         assert_eq!(q.acquire_port(10), 11);
         assert_eq!(q.acquire_port(10), 12);
@@ -216,7 +218,7 @@ mod tests {
 
     #[test]
     fn two_ports_accept_two_per_cycle() {
-        let mut q = MemEventQueue::new(2, 0);
+        let mut q = MemEventQueue::new(2, 1);
         assert_eq!(q.acquire_port(5), 5);
         assert_eq!(q.acquire_port(5), 5);
         assert_eq!(q.acquire_port(5), 6);
@@ -225,7 +227,7 @@ mod tests {
 
     #[test]
     fn idle_bus_does_not_delay() {
-        let mut q = MemEventQueue::new(0, 8);
+        let mut q = MemEventQueue::new(1, 8);
         assert_eq!(q.reserve_bus(423), 423);
         assert_eq!(q.stats().bus_wait_cycles, 0);
         assert_eq!(q.stats().bus_busy_cycles, 8);
@@ -233,7 +235,7 @@ mod tests {
 
     #[test]
     fn busy_bus_serializes_fifo() {
-        let mut q = MemEventQueue::new(0, 8);
+        let mut q = MemEventQueue::new(1, 8);
         let a = q.reserve_bus(423);
         let b = q.reserve_bus(423);
         let c = q.reserve_bus(424);
@@ -249,7 +251,7 @@ mod tests {
 
     #[test]
     fn drain_is_ready_then_seq_ordered() {
-        let mut q = MemEventQueue::new(0, 1);
+        let mut q = MemEventQueue::new(1, 1);
         // Completions strictly ascend in push order, even for transfers
         // requested for one cycle on a one-cycle bus, and drain retires
         // every transfer due at once.
@@ -265,7 +267,7 @@ mod tests {
 
     #[test]
     fn next_ready_cycle_tracks_earliest_pending() {
-        let mut q = MemEventQueue::new(0, 4);
+        let mut q = MemEventQueue::new(1, 4);
         assert_eq!(q.next_ready_cycle(), None, "idle queue has no wakeup");
         let a = q.reserve_bus(100);
         let b = q.reserve_bus(50);

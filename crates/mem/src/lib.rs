@@ -13,9 +13,7 @@
 //! Table 1 publishes the cache geometries, latencies and the 400-cycle
 //! memory round trip; it does not publish L2 port counts or bus
 //! bandwidth, so [`HierarchyConfig::hpca2008_baseline`] calibrates
-//! those (see its docs for the reasoning) and
-//! [`HierarchyConfig::unlimited_bandwidth`] turns them back off for
-//! ablations.
+//! those (see its docs for the reasoning).
 //!
 //! # The timing model
 //!
@@ -41,14 +39,15 @@
 //!    and the L2↔memory bus ([`HierarchyConfig::bus_cycles_per_line`],
 //!    one line transfer at a time, FIFO). A lone miss still completes at
 //!    the fixed Table 1 latency; a burst of misses serializes
-//!    realistically instead of overlapping for free. Events drain in
-//!    `(ready_cycle, seq)` order and all arbitration state is plain
+//!    realistically instead of overlapping for free. Pending transfers
+//!    are a FIFO in completion order and all arbitration state is plain
 //!    data, so the model stays deterministic (see the [`event`] module
 //!    docs for the full invariant list).
 //!
 //! Contention is observable via [`Hierarchy::event_stats`]
-//! (port-conflict and bus-occupancy counters), which `rat_smt` surfaces
-//! per simulation.
+//! (port-conflict and bus-occupancy counters;
+//! [`MemEventStats::contention_cycles`] is the delay contention added),
+//! which `rat_smt` surfaces per simulation.
 //!
 //! # Example
 //!

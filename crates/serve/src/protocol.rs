@@ -40,7 +40,9 @@
 //! words (bit-exact) and every line carries its own XXH64 checksum, so
 //! wire corruption is detected exactly like journal corruption, and a
 //! record in any spelling but the formatter's is refused as the journal
-//! quarantines it ([`rat_core::parse_record_line`]). A
+//! quarantines it ([`rat_core::parse_record_line`]). The `RESULT` framing
+//! is as strict: one space on each side of a canonical decimal index,
+//! and nothing trimmed from the line. A
 //! journaled server sends the record's stored line, as loaded from the
 //! journal or as appended to it ([`rat_core::ResultStore::record_line`]),
 //! so a replayed cell is never re-formatted. The line is the journal's
@@ -61,6 +63,7 @@
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read};
 
+use rat_core::store::parse_decimal;
 use rat_core::{parse_record_line, CellKey};
 
 /// Longest accepted line, in bytes (newline excluded). Generous for
@@ -372,6 +375,17 @@ fn parse_idx_rest<'a>(line: &'a str, tag: &str) -> Result<(usize, &'a str), Stri
 /// Parses one server reply line. Like [`parse_request`], errors are
 /// strings and no input panics.
 pub fn parse_reply(line: &str) -> Result<Reply, String> {
+    // A `RESULT` line is framed as strictly as the journal reads its
+    // record: untrimmed, single spaces, and the index as `{}` writes it.
+    if let Some(rest) = line.strip_prefix("RESULT ") {
+        let (idx, rec) = rest.split_once(' ').unwrap_or((rest, ""));
+        let idx = parse_decimal(idx)
+            .and_then(|i| usize::try_from(i).ok())
+            .ok_or_else(|| format!("bad index in RESULT line {line:?}"))?;
+        let (key, words) = parse_record_line(rec)
+            .ok_or_else(|| format!("corrupt RESULT record for cell {idx}"))?;
+        return Ok(Reply::Result { idx, key, words });
+    }
     let line = line.trim_end();
     if line == "PONG" {
         return Ok(Reply::Pong);
@@ -397,12 +411,6 @@ pub fn parse_reply(line: &str) -> Result<Reply, String> {
     }
     if let Some(rest) = line.strip_prefix("BAD ") {
         return Ok(Reply::Bad(rest.to_string()));
-    }
-    if line.starts_with("RESULT ") {
-        let (idx, rec) = parse_idx_rest(line, "RESULT")?;
-        let (key, words) = parse_record_line(rec)
-            .ok_or_else(|| format!("corrupt RESULT record for cell {idx}"))?;
-        return Ok(Reply::Result { idx, key, words });
     }
     if line.starts_with("TIMEOUT ") {
         let (idx, msg) = parse_idx_rest(line, "TIMEOUT")?;
@@ -581,5 +589,38 @@ mod tests {
         assert!(parse_reply("DONE id=1").is_err(), "incomplete DONE");
         assert!(parse_reply("RESULT 0 rec garbage").is_err());
         assert!(parse_reply("???").is_err());
+    }
+
+    #[test]
+    fn result_framing_is_as_strict_as_the_journal() {
+        let key = CellKey {
+            fingerprint: 0x0123_4567_89ab_cdef,
+            group: "MEM2".into(),
+            mix: "art+mcf".into(),
+            policy: "RaT".into(),
+            seed: 42,
+        };
+        let words = [2, 0x3ff8_0000_0000_0000, u64::MAX];
+        let rec = rat_core::format_record_line(&key, &words);
+        for idx in [0, 17] {
+            assert_eq!(
+                parse_reply(&format!("RESULT {idx} {rec}")).unwrap(),
+                Reply::Result {
+                    idx,
+                    key: key.clone(),
+                    words: words.to_vec()
+                }
+            );
+        }
+        for bad in [
+            format!("RESULT 0 {rec} "),
+            format!("RESULT  0 {rec}"),
+            format!("RESULT 0  {rec}"),
+            format!("RESULT 00 {rec}"),
+            format!("RESULT +0 {rec}"),
+            format!("RESULT 0 {rec}\t"),
+        ] {
+            assert!(parse_reply(&bad).is_err(), "{bad:?}");
+        }
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! The paper fixes one machine and varies three things: the
 //! fetch/resource policy (Figures 1–3), the runahead mechanism (Figure 4)
-//! and the register-file size (Figure 6). Those three, plus the memory
-//! hierarchy, are the fields of [`SmtConfig`]; the rest of Table 1 is the
-//! constants below, which the pipeline stages read directly.
+//! and the register-file size (Figure 6). Those three are the fields of
+//! [`SmtConfig`]; the rest of Table 1 is the constants below, which the
+//! pipeline stages read directly.
 
 use rat_mem::HierarchyConfig;
 
@@ -47,18 +47,19 @@ pub const ROB_SIZE: usize = 512;
 pub const IQ_SIZE: [usize; 3] = [64, 64, 64];
 /// INT, FP and LS functional unit counts (Table 1: 6/3/4).
 pub const FU_COUNT: [usize; 3] = [6, 3, 4];
+/// The memory hierarchy: 64 KB L1s, a shared 1 MB L2 and 400-cycle
+/// memory (Table 1), with calibrated L2 ports and bus bandwidth.
+pub const HIERARCHY: HierarchyConfig = HierarchyConfig::hpca2008_baseline();
 
-/// The parameters the paper's figures vary, plus the memory hierarchy.
-/// Every other Table 1 parameter is a constant of this module (the
-/// perceptron's geometry is `rat_bpred`'s). Defaults (via
-/// [`SmtConfig::hpca2008_baseline`]) reproduce Table 1.
+/// The parameters the paper's figures vary. Every other Table 1
+/// parameter is a constant of this module (the perceptron's geometry is
+/// `rat_bpred`'s). Defaults (via [`SmtConfig::hpca2008_baseline`])
+/// reproduce Table 1.
 #[derive(Clone, Copy, Debug)]
 pub struct SmtConfig {
     /// Physical registers in each of the INT and FP register files
     /// (Table 1: 320). Swept in Figure 6.
     pub regs: usize,
-    /// Memory hierarchy geometry and latencies.
-    pub hierarchy: HierarchyConfig,
     /// Fetch / resource-management policy (Figures 1–3).
     pub policy: PolicyKind,
     /// Runahead Threads variant (used when `policy` is
@@ -77,7 +78,6 @@ impl SmtConfig {
     pub fn hpca2008_baseline() -> Self {
         SmtConfig {
             regs: 320,
-            hierarchy: HierarchyConfig::hpca2008_baseline(),
             policy: PolicyKind::Icount,
             runahead: RunaheadVariant::Full,
         }
@@ -110,7 +110,7 @@ mod tests {
         assert_eq!(c.regs, 320);
         assert_eq!(IQ_SIZE, [64, 64, 64]);
         assert_eq!(FU_COUNT, [6, 3, 4]);
-        assert_eq!(c.hierarchy.memory_latency, 400);
+        assert_eq!(HIERARCHY.memory_latency, 400);
     }
 
     #[test]

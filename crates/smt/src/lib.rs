@@ -10,20 +10,20 @@
 //! * shared 512-entry reorder buffer (a pool with per-thread program-order
 //!   queues, as in the paper's shared-ROB design);
 //! * 64-entry INT/FP/LS issue queues; 6 INT, 3 FP, 4 LS units;
-//! * perceptron branch predictor (1024 entries, 32 history bits).
+//! * perceptron branch predictor (1024 entries, 32 history bits);
+//! * the shared I/D/L2 cache hierarchy ([`config::HIERARCHY`]) with
+//!   event-driven L2-port and memory-bus contention (threads compete
+//!   for bandwidth, not just capacity — see [`rat_mem::event`]), whose
+//!   counters surface in [`SimStats::mem_events`] and per-thread
+//!   [`ThreadStats::mem_stall_cycles`].
 //!
-//! [`SmtConfig`] holds what the figures vary, plus the memory hierarchy:
+//! [`SmtConfig`] holds what the figures vary:
 //!
 //! * the fetch/resource policy ([`SmtConfig::policy`], Figures 1–3);
 //! * the runahead variant ([`SmtConfig::runahead`], Figure 4);
 //! * the size of each of the two register files ([`SmtConfig::regs`],
 //!   Figure 6; Table 1: 320 integer + 320 FP physical registers with
-//!   renaming);
-//! * the shared I/D/L2 cache hierarchy ([`SmtConfig::hierarchy`]) with
-//!   event-driven L2-port and memory-bus contention (threads compete
-//!   for bandwidth, not just capacity — see [`rat_mem::event`]), whose
-//!   counters surface in [`SimStats::mem_events`] and per-thread
-//!   [`ThreadStats::mem_stall_cycles`].
+//!   renaming).
 //!
 //! On top of the pipeline it implements every resource-management scheme
 //! the paper evaluates:
@@ -61,7 +61,6 @@ mod policy;
 mod regfile;
 mod rename;
 mod stats;
-mod store_set;
 mod types;
 
 pub use config::{RunaheadVariant, SmtConfig};

@@ -59,7 +59,7 @@ use rat_bpred::Predictor;
 use rat_isa::InstructionKind;
 use rat_mem::AccessKind;
 
-use crate::config::{IQ_SIZE, ROB_SIZE};
+use crate::config::{HIERARCHY, IQ_SIZE, ROB_SIZE};
 use crate::types::{Cycle, IqKind, ThreadId};
 
 use super::{pred_key, runahead, tag_addr, SmtSimulator};
@@ -362,7 +362,7 @@ pub(super) fn run(sim: &mut SmtSimulator) {
 /// self-timed span, so the drained thread's pace tracks the contention
 /// it actually meets.
 fn burst(sim: &mut SmtSimulator, tid: ThreadId, n: u64) {
-    let dlat = sim.cfg.hierarchy.dcache.latency;
+    let dlat = HIERARCHY.dcache.latency;
     let t = &mut sim.threads[tid];
     let ts = &mut sim.stats.threads[tid];
     let res = &mut sim.res;

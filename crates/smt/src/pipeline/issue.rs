@@ -5,7 +5,7 @@
 use rat_isa::InstructionKind;
 use rat_mem::AccessKind;
 
-use crate::config::{RunaheadVariant, FU_COUNT, WIDTH};
+use crate::config::{RunaheadVariant, FU_COUNT, HIERARCHY, WIDTH};
 use crate::instr_table::{
     sched_iq, unpack_reg, F_DMISS, F_INV, F_L2MISS, GSEQ_SHIFT, IQK_MASK, ST_EXEC, ST_WAIT,
 };
@@ -155,14 +155,14 @@ fn issue_load(
     mode: ExecMode,
     inv_in: bool,
 ) -> Option<Cycle> {
-    let dlat = sim.cfg.hierarchy.dcache.latency;
+    let dlat = HIERARCHY.dcache.latency;
     // Bogus address (INV base propagated at issue): fold silently.
     if inv_in {
         return Some(sim.now + 1);
     }
     let tagged = tag_addr(tid, addr);
     // Store→load forwarding (word-granular, oracle addresses).
-    if sim.threads[tid].store_addrs.contains(addr & !7) {
+    if sim.threads[tid].store_addrs.contains_key(&(addr & !7)) {
         sim.stats.threads[tid].forwarded_loads += 1;
         return Some(sim.now + dlat);
     }

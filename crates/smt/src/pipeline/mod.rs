@@ -44,8 +44,10 @@ mod runahead;
 #[cfg(test)]
 mod tests;
 
+use std::collections::hash_map::Entry;
+
 use rat_bpred::GlobalHistory;
-use rat_isa::hash::WordSet;
+use rat_isa::hash::{WordMap, WordSet};
 use rat_isa::Pc;
 use rat_mem::Hierarchy;
 
@@ -54,7 +56,6 @@ use crate::frontend::OracleThread;
 use crate::instr_table::{sched_iq, sched_stage, InstrTable, ST_DONE, ST_WAIT};
 use crate::rename::RenameTables;
 use crate::stats::{SimStats, ThreadStats};
-use crate::store_set::StoreSet;
 use crate::types::{Cycle, ExecMode, IqKind, PhysReg, RegClass, ThreadId};
 
 use resources::SharedResources;
@@ -93,10 +94,10 @@ struct Thread {
     branch_gate: Option<u64>,
     /// Fetch blocked until this cycle by STALL/FLUSH long-latency gating.
     longlat_gate: Cycle,
-    /// In-flight store addresses (word-granular) for store→load
-    /// forwarding — an open-addressed counting table: this is probed on
-    /// every load issue, the hottest lookup in the back end.
-    store_addrs: StoreSet,
+    /// In-flight stores per word address (word-granular), for
+    /// store→load forwarding: probed on every load issue. A word is
+    /// present while at least one in-flight store targets it.
+    store_addrs: WordMap<u32>,
     hist: GlobalHistory,
     dmiss_inflight: usize,
     fp_user: bool,
@@ -136,12 +137,18 @@ impl Thread {
 
     /// Registers an in-flight store for store→load forwarding.
     fn add_store_addr(&mut self, addr: u64) {
-        self.store_addrs.insert(addr & !7);
+        *self.store_addrs.entry(addr & !7).or_insert(0) += 1;
     }
 
-    /// Drops one in-flight store (commit, pseudo-retire, squash).
+    /// Drops one in-flight store (commit, pseudo-retire, squash); a word
+    /// with no store left is removed, and an absent word is ignored.
     fn remove_store_addr(&mut self, addr: u64) {
-        self.store_addrs.remove(addr & !7);
+        if let Entry::Occupied(mut e) = self.store_addrs.entry(addr & !7) {
+            *e.get_mut() -= 1;
+            if *e.get() == 0 {
+                e.remove();
+            }
+        }
     }
 
     /// Whether any front-end gate (I-cache refill, unresolved
@@ -247,7 +254,7 @@ impl SmtSimulator {
                 icache_wait: 0,
                 branch_gate: None,
                 longlat_gate: 0,
-                store_addrs: StoreSet::with_capacity(64),
+                store_addrs: WordMap::default(),
                 hist: GlobalHistory::new(),
                 dmiss_inflight: 0,
                 fp_user: false,

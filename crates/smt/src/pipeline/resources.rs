@@ -18,7 +18,7 @@ use rat_bpred::PerceptronPredictor;
 use rat_isa::ArchReg;
 use rat_mem::Hierarchy;
 
-use crate::config::{SmtConfig, IQ_SIZE, ROB_SIZE};
+use crate::config::{SmtConfig, HIERARCHY, IQ_SIZE, ROB_SIZE};
 use crate::instr_table::{sched_iq, GSEQ_SHIFT, STAGE_MASK, ST_WAIT, WAIT_MASK, WAIT_ONE};
 use crate::iq::{IssueQueues, ReadyKey};
 use crate::policy::{dcra_cap, dcra_weight, HillState, PolicyKind};
@@ -249,7 +249,7 @@ impl SharedResources {
             int_rf: PhysRegFile::new(cfg.regs, n),
             fp_rf: PhysRegFile::new(cfg.regs, n),
             iqs: IssueQueues::new(IQ_SIZE, n, cfg.regs),
-            hier: Hierarchy::new(cfg.hierarchy),
+            hier: Hierarchy::new(HIERARCHY),
             pred: PerceptronPredictor::hpca2008_default(),
             completions: CompletionWheel::new(),
             gseq: 0,

@@ -181,3 +181,49 @@ fn too_many_threads_for_registers_panics() {
         images(&[Benchmark::Gzip, Benchmark::Bzip2, Benchmark::Eon]),
     );
 }
+
+#[test]
+fn store_words_count_their_in_flight_stores() {
+    let mut sim = SmtSimulator::new(SmtConfig::hpca2008_baseline(), images(&[Benchmark::Gzip]));
+    let t = &mut sim.threads[0];
+    // Two stores to one word, at different byte offsets: the word stays
+    // forwardable until its last store leaves.
+    assert!(!t.store_addrs.contains_key(&0x1000));
+    t.add_store_addr(0x1000);
+    t.add_store_addr(0x1004);
+    t.remove_store_addr(0x1000);
+    assert!(t.store_addrs.contains_key(&0x1000), "one store left");
+    t.remove_store_addr(0x1000);
+    assert!(!t.store_addrs.contains_key(&0x1000), "no store left");
+    assert!(t.store_addrs.is_empty());
+}
+
+#[test]
+fn store_word_counts_are_per_word() {
+    let mut sim = SmtSimulator::new(SmtConfig::hpca2008_baseline(), images(&[Benchmark::Gzip]));
+    let t = &mut sim.threads[0];
+    // Two stores to one word and one to the next: removing the first
+    // word's stores leaves the next word's count alone.
+    t.add_store_addr(0x1000);
+    t.add_store_addr(0x1000);
+    t.add_store_addr(0x1008);
+    t.remove_store_addr(0x1000);
+    assert!(t.store_addrs.contains_key(&0x1000));
+    assert!(t.store_addrs.contains_key(&0x1008));
+    t.remove_store_addr(0x1000);
+    assert!(!t.store_addrs.contains_key(&0x1000));
+    assert!(t.store_addrs.contains_key(&0x1008));
+    t.remove_store_addr(0x1008);
+    assert!(t.store_addrs.is_empty());
+}
+
+#[test]
+fn removing_an_absent_store_word_is_a_noop() {
+    let mut sim = SmtSimulator::new(SmtConfig::hpca2008_baseline(), images(&[Benchmark::Gzip]));
+    let t = &mut sim.threads[0];
+    t.remove_store_addr(0xdead_beef);
+    t.add_store_addr(0x40);
+    t.remove_store_addr(0x48);
+    assert!(t.store_addrs.contains_key(&0x40));
+    assert_eq!(t.store_addrs.len(), 1);
+}
