@@ -41,8 +41,8 @@ use std::time::Instant;
 
 use rat_bench::{run_cells, SweepCell, SweepSession, TableWriter};
 use rat_core::{RunConfig, Runner};
-use rat_smt::{PolicyKind, SmtConfig, SmtSimulator};
-use rat_workload::{mixes_for_group, ThreadImage, WorkloadGroup};
+use rat_smt::{PolicyKind, SmtConfig};
+use rat_workload::{mixes_for_group, WorkloadGroup};
 
 /// One benchmark cell: a Table 2 mix under a policy, with or without
 /// cycle skipping / post-quota drain.
@@ -199,16 +199,15 @@ fn parse_args() -> Args {
 }
 
 fn run_bench(s: &BenchSpec, args: &Args) -> BenchResult {
-    let mix = &mixes_for_group(s.group)[0];
-    let mut cfg = SmtConfig::hpca2008_baseline();
-    cfg.policy = s.policy;
-    let cpus = mix
-        .benchmarks
-        .iter()
-        .enumerate()
-        .map(|(i, &b)| ThreadImage::generate(b, args.seed + i as u64).build_cpu())
-        .collect();
-    let mut sim = SmtSimulator::new(cfg, cpus);
+    let run = RunConfig {
+        insts_per_thread: args.insts,
+        warmup_insts: args.warmup,
+        seed: args.seed,
+        no_drain: s.no_drain,
+        ..RunConfig::default()
+    };
+    let runner = Runner::new(SmtConfig::hpca2008_baseline(), run);
+    let mut sim = runner.simulator(&mixes_for_group(s.group)[0], s.policy);
     sim.set_cycle_skip(!s.no_skip);
 
     // Time the whole simulation (warmup + measurement): the figure
@@ -216,10 +215,10 @@ fn run_bench(s: &BenchSpec, args: &Args) -> BenchResult {
     // post-quota drain applies to the measurement phase only (as in
     // `Runner::run_mix`).
     let started = Instant::now();
-    sim.run_until_quota(args.warmup, 400_000_000);
+    sim.run_until_quota(run.warmup_insts, run.max_cycles);
     sim.reset_stats();
-    sim.set_quota_drain(!s.no_drain);
-    sim.run_until_quota(args.insts, 400_000_000);
+    sim.set_quota_drain(!run.no_drain);
+    sim.run_until_quota(run.insts_per_thread, run.max_cycles);
     let wall = started.elapsed();
 
     let cycles = sim.cycles();

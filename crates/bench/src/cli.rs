@@ -44,7 +44,7 @@ pub struct HarnessArgs {
     pub resume: Option<String>,
     /// Deterministic fault-injection plan
     /// (see [`rat_core::FaultPlan::parse`]): `panic@CELL`, `flip@REC`,
-    /// `torn@REC`, `enospc@REC` tokens, or `seed:N`.
+    /// `torn@REC` and `enospc@REC` tokens.
     pub fault_plan: Option<String>,
     /// Per-cell wall-clock watchdog in seconds: a cell still simulating
     /// after this long is abandoned as a timeout failure while the rest
@@ -148,7 +148,7 @@ impl HarnessArgs {
                         "options: --insts N  --warmup N  --mixes N (0=all)  --seed N  \
                          --threads N (0=all cores, 1=serial)  --csv  \
                          --resume PATH (crash-safe result journal; replay + recompute)  \
-                         --fault-plan SPEC (panic@C,flip@R,torn@R,enospc@R or seed:N)  \
+                         --fault-plan SPEC (panic@C,flip@R,torn@R,enospc@R)  \
                          --cell-timeout SECS (abandon a cell still simulating after SECS)  \
                          --policies A,B,.. (restrict the policy set)  \
                          --no-drain  --quick"

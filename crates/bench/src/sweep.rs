@@ -121,7 +121,9 @@ pub struct SweepCell<'a> {
 }
 
 impl SweepCell<'_> {
-    fn key(&self) -> CellKey {
+    /// The cell's journal key: its runner's fingerprint and seed, its
+    /// mix and its policy.
+    pub fn key(&self) -> CellKey {
         cell_key(self.runner, &self.mix, self.policy)
     }
 }

@@ -269,8 +269,14 @@ impl Runner {
         &self.run
     }
 
-    fn build_sim(&self, benches: &[Benchmark], policy: PolicyKind) -> SmtSimulator {
-        let cpus = benches
+    /// A fresh simulator of `mix` under `policy` on this runner's
+    /// hardware: thread `i` runs the image of its benchmark generated
+    /// from `seed + i`. [`Runner::run_mix`] drives it through warmup and
+    /// measurement; a caller driving it by hand ends with
+    /// [`Runner::result`].
+    pub fn simulator(&self, mix: &Mix, policy: PolicyKind) -> SmtSimulator {
+        let cpus = mix
+            .benchmarks
             .iter()
             .enumerate()
             .map(|(i, &b)| ThreadImage::generate(b, self.run.seed + i as u64).build_cpu())
@@ -340,19 +346,20 @@ impl Runner {
                 }
             }
         };
-        let mut sim = self.build_sim(&mix.benchmarks, policy);
+        let mut sim = self.simulator(mix, policy);
         // Warmup that exhausts max_cycles proceeds to the measurement
         // window regardless; only the measurement phase sets `complete`.
         phase(&mut sim, self.run.warmup_insts)?;
         sim.reset_stats();
         sim.set_quota_drain(!self.run.no_drain);
         let complete = phase(&mut sim, self.run.insts_per_thread)?;
-        Ok(self.finish_mix(&sim, mix, policy, complete))
+        Ok(self.result(&sim, mix, policy, complete))
     }
 
-    /// Collects a finished simulation into a [`MixResult`] (warning on a
-    /// truncated measurement window).
-    fn finish_mix(
+    /// Collects a finished simulation of `mix` under `policy` into a
+    /// [`MixResult`], warning when the measurement window was truncated
+    /// (`complete` is false).
+    pub fn result(
         &self,
         sim: &SmtSimulator,
         mix: &Mix,

@@ -35,6 +35,7 @@
 //!   300-ms read timeout. A kill that skips all of that loses nothing
 //!   but in-flight work: the journal is append-only and checksummed.
 
+use std::collections::BTreeMap;
 use std::io::{BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -44,10 +45,9 @@ use std::time::{Duration, Instant};
 
 use rat_bench::{simulate_cells, SweepCell, SweepSession};
 use rat_core::store::{encode_result, parse_mix};
-use rat_core::{config_fingerprint, format_record_line, lock_recover, CellErrorKind, CellKey};
+use rat_core::{format_record_line, lock_recover, CellErrorKind, CellKey};
 use rat_core::{CellError, FaultPlan, MixResult, ResultStore, RunConfig, Runner};
 use rat_smt::{PolicyKind, SmtConfig};
-use rat_workload::Mix;
 
 use crate::protocol::{
     format_done, parse_cell, parse_request, CellSpec, LineReader, Request, SweepHead, MAX_LINE,
@@ -97,11 +97,11 @@ pub struct ServerConfig {
     pub cell_timeout: Option<Duration>,
     /// Worker threads per sweep (`0` = all cores).
     pub threads: usize,
-    /// Injected worker faults (tests/drills). A request's valid cells
-    /// are grouped by seed, keeping request order, and each group runs
-    /// as its own sweep: `panic@C` fires on the cell at index `C` of
-    /// each seed's group, and only when that cell is cold (a journal
-    /// hit is served, never simulated).
+    /// Injected worker faults (tests/drills). A request runs as one
+    /// sweep over its valid cells in request order: `panic@C` fires on
+    /// request cell `C` (counting only cells that name a known mix and
+    /// policy), and only when that cell is cold (a journal hit is
+    /// served, never simulated).
     pub fault_plan: Option<FaultPlan>,
 }
 
@@ -467,32 +467,22 @@ fn sanitize(msg: &str) -> String {
     msg.replace(['\n', '\r'], "; ")
 }
 
-/// One seed's valid cells of a request, in request order: each keyed
-/// once, under the fingerprint of the request's configuration at that
-/// seed, and looked up once.
-struct SeedGroup {
-    run: RunConfig,
-    /// Each cell's request index, mix and policy.
-    cells: Vec<(usize, Mix, PolicyKind)>,
-    keys: Vec<CellKey>,
-    /// Indices into `cells` of the cells the journal does not hold.
-    cold: Vec<usize>,
-}
-
-/// Runs one `SWEEP` request. Each valid cell is keyed once and looked up
-/// once. A journal hit is answered by the server itself: `RESULT <i> `
-/// and the record's stored line ([`ResultStore::record_line`]) go
-/// straight into the reply writer, with no decode and no per-line
-/// string.
-/// The hits' lines go out first. Only the cold cells then reach the
-/// sweep executor ([`simulate_cells`]), one sweep per seed in seed
-/// order, each under its group's original indices so `panic@C` keeps
-/// its meaning; a seed group without a cold cell builds no [`Runner`].
-/// A computed cell's line streams the moment its worker journals it:
-/// the line appended for it, or, on a journal-less server, one
-/// formatted here. Failure lines (`TIMEOUT`/`ERR`) and the final `DONE`
-/// summary are written after the sweep settles: a panicked cell is only
-/// known from the returned failures, not through the callback.
+/// Runs one `SWEEP` request as one sweep: one [`Runner`] per distinct
+/// seed, one cell list of the request's valid cells in request order,
+/// and one [`simulate_cells`] call for the cold ones, so `panic@C` names
+/// request cell `C` (counting only cells that name a known mix and
+/// policy), as it names cell `C` of a figure sweep. Each valid cell is
+/// keyed once and looked up once. A journal hit is
+/// answered by the server itself: `RESULT <i> ` and the record's stored
+/// line ([`ResultStore::record_line`]) go straight into the reply
+/// writer, with no decode and no per-line string.
+/// The hits' lines go out first, and only then are the cold cells
+/// simulated. A computed cell's line streams the moment its worker
+/// journals it: the line appended for it, or, on a journal-less
+/// server, one formatted here. Failure lines (`TIMEOUT`/`ERR`) and the
+/// final `DONE` summary are written after the sweep settles: a panicked
+/// cell is only known from the returned failures, not through the
+/// callback.
 ///
 /// Each line is flushed as it is written, except when the journal holds
 /// a line for every valid cell: nothing then waits on a simulation, so
@@ -510,10 +500,10 @@ fn run_sweep(
     deadline: Option<Instant>,
     writer: &Mutex<BufWriter<TcpStream>>,
 ) -> std::io::Result<()> {
-    // Resolve specs; unresolvable cells fail individually, and the
-    // valid remainder is grouped by seed.
-    let mut by_seed: std::collections::BTreeMap<u64, Vec<(usize, Mix, PolicyKind)>> =
-        std::collections::BTreeMap::new();
+    // Resolve specs; unresolvable cells fail individually.
+    let smt = SmtConfig::hpca2008_baseline();
+    let mut runners: BTreeMap<u64, Runner> = BTreeMap::new();
+    let mut valid = Vec::new();
     let mut unknown = Vec::new();
     for (i, spec) in specs.iter().enumerate() {
         match (
@@ -521,43 +511,41 @@ fn run_sweep(
             PolicyKind::from_name(&spec.policy),
         ) {
             (Some(mix), Some(policy)) => {
-                by_seed.entry(spec.seed).or_default().push((i, mix, policy));
+                runners.entry(spec.seed).or_insert_with(|| {
+                    let run = RunConfig {
+                        insts_per_thread: head.insts,
+                        warmup_insts: head.warmup,
+                        seed: spec.seed,
+                        ..RunConfig::default()
+                    };
+                    Runner::new(smt, run)
+                });
+                valid.push((i, mix, policy, spec.seed));
             }
             (mix, _) => unknown.push((i, if mix.is_none() { "group/mix" } else { "policy" })),
         }
     }
-    // Key and look up every cell before anything is sent.
-    let smt = SmtConfig::hpca2008_baseline();
+    // Each valid cell's request index, sweep cell and key; every key is
+    // looked up before anything is sent.
+    let index: Vec<usize> = valid.iter().map(|&(i, ..)| i).collect();
+    let cells: Vec<SweepCell<'_>> = valid
+        .into_iter()
+        .map(|(_, mix, policy, seed)| SweepCell {
+            runner: &runners[&seed],
+            mix,
+            policy,
+        })
+        .collect();
+    let keys: Vec<CellKey> = cells.iter().map(SweepCell::key).collect();
     let mut hits: Vec<(usize, Arc<str>)> = Vec::new();
-    let mut groups = Vec::with_capacity(by_seed.len());
-    for (seed, cells) in by_seed {
-        let run = RunConfig {
-            insts_per_thread: head.insts,
-            warmup_insts: head.warmup,
-            seed,
-            ..RunConfig::default()
-        };
-        let fingerprint = config_fingerprint(&smt, &run);
-        let keys: Vec<CellKey> = cells
-            .iter()
-            .map(|(_, mix, policy)| CellKey::new(fingerprint, mix, *policy, seed))
-            .collect();
-        let mut cold = Vec::new();
-        for (ci, key) in keys.iter().enumerate() {
-            match shared.store.as_ref().and_then(|s| s.record_line(key)) {
-                Some(line) => hits.push((cells[ci].0, line)),
-                None => cold.push(ci),
-            }
+    let mut cold = Vec::new();
+    for (ci, key) in keys.iter().enumerate() {
+        match shared.store.as_ref().and_then(|s| s.record_line(key)) {
+            Some(line) => hits.push((index[ci], line)),
+            None => cold.push(ci),
         }
-        groups.push(SeedGroup {
-            run,
-            cells,
-            keys,
-            cold,
-        });
     }
-    let journal_answers_all =
-        shared.store.is_some() && groups.iter().all(|group| group.cold.is_empty());
+    let journal_answers_all = shared.store.is_some() && cold.is_empty();
 
     let flushes = &shared.counters.sweep_flushes;
     let flush = |w: &mut BufWriter<TcpStream>| {
@@ -576,7 +564,6 @@ fn run_sweep(
     // no-outcome ERR line.
     let emitted = Mutex::new(vec![false; specs.len()]);
     let (mut timeout, mut err) = (0usize, 0usize);
-    let mut computed = 0usize;
 
     for (i, what) in unknown {
         let spec = &specs[i];
@@ -592,65 +579,46 @@ fn run_sweep(
         lock_recover(&emitted)[*i] = true;
     }
 
-    for group in groups.iter().filter(|group| !group.cold.is_empty()) {
-        let runner = Runner::new(smt, group.run);
-        let cells: Vec<SweepCell<'_>> = group
-            .cells
-            .iter()
-            .map(|(_, mix, policy)| SweepCell {
-                runner: &runner,
-                mix: mix.clone(),
-                policy: *policy,
-            })
-            .collect();
-        let session = SweepSession {
-            store: shared.store.clone(),
-            fault_plan: shared.cfg.fault_plan.clone(),
-            cell_timeout: shared.cfg.cell_timeout,
-            deadline,
-        };
-        let on_cell = |ci: usize, outcome: &Result<MixResult, CellError>| {
-            // Stream completions; failures wait for the settled report.
-            if let Ok(r) = outcome {
-                let (i, key) = (group.cells[ci].0, &group.keys[ci]);
-                let stored = shared.store.as_ref().and_then(|s| s.record_line(key));
-                let line =
-                    stored.unwrap_or_else(|| format_record_line(key, &encode_result(r)).into());
-                send(format_args!("RESULT {i} {line}"));
-                lock_recover(&emitted)[i] = true;
-            }
-        };
-        let (simulated, failures) = simulate_cells(
-            &cells,
-            &group.keys,
-            &group.cold,
-            shared.cfg.threads,
-            &session,
-            &on_cell,
-        );
-        computed += simulated.len();
-        for f in &failures {
-            let i = group.cells[f.index].0;
-            match f.kind {
-                CellErrorKind::Timeout => {
-                    send(format_args!(
-                        "TIMEOUT {i} {}: {}",
-                        f.identity,
-                        sanitize(&f.error)
-                    ));
-                    timeout += 1;
-                }
-                CellErrorKind::Panic => {
-                    send(format_args!(
-                        "ERR {i} {}: {}",
-                        f.identity,
-                        sanitize(&f.error)
-                    ));
-                    err += 1;
-                }
-            }
+    let session = SweepSession {
+        store: shared.store.clone(),
+        fault_plan: shared.cfg.fault_plan.clone(),
+        cell_timeout: shared.cfg.cell_timeout,
+        deadline,
+    };
+    let on_cell = |ci: usize, outcome: &Result<MixResult, CellError>| {
+        // Stream completions; failures wait for the settled report.
+        if let Ok(r) = outcome {
+            let (i, key) = (index[ci], &keys[ci]);
+            let stored = shared.store.as_ref().and_then(|s| s.record_line(key));
+            let line = stored.unwrap_or_else(|| format_record_line(key, &encode_result(r)).into());
+            send(format_args!("RESULT {i} {line}"));
             lock_recover(&emitted)[i] = true;
         }
+    };
+    let (simulated, failures) =
+        simulate_cells(&cells, &keys, &cold, shared.cfg.threads, &session, &on_cell);
+    let computed = simulated.len();
+    for f in &failures {
+        let i = index[f.index];
+        match f.kind {
+            CellErrorKind::Timeout => {
+                send(format_args!(
+                    "TIMEOUT {i} {}: {}",
+                    f.identity,
+                    sanitize(&f.error)
+                ));
+                timeout += 1;
+            }
+            CellErrorKind::Panic => {
+                send(format_args!(
+                    "ERR {i} {}: {}",
+                    f.identity,
+                    sanitize(&f.error)
+                ));
+                err += 1;
+            }
+        }
+        lock_recover(&emitted)[i] = true;
     }
 
     let (hits, ok) = (hits.len(), hits.len() + computed);

@@ -468,10 +468,9 @@ fn warm_repeats_decode_no_record() {
 }
 
 /// A request the journal answers in part: the hits' lines go out before
-/// anything is simulated — even when the cold cells belong to a seed
-/// group that sorts first — and `DONE` counts both kinds. `panic@C`
-/// fires on index `C` of a seed's group only when that cell is cold: a
-/// hit never reaches a worker.
+/// anything is simulated — even when the cold cells come first in the
+/// request — and `DONE` counts both kinds. `panic@C` fires on request
+/// cell `C` only when that cell is cold: a hit never reaches a worker.
 #[test]
 fn hits_are_answered_first_and_faults_fire_only_on_cold_cells() {
     let path = tmp_path("mixed");
@@ -514,7 +513,7 @@ fn hits_are_answered_first_and_faults_fire_only_on_cold_cells() {
         ..ServerConfig::default()
     });
     let client = Client::new(addr.to_string(), 82);
-    // Index 1 of both seed groups is a hit: nothing panics.
+    // Cell 1 is a hit: nothing panics.
     let reply = client
         .sweep(&sweep(
             3,
@@ -533,6 +532,35 @@ fn hits_are_answered_first_and_faults_fire_only_on_cold_cells() {
         .sweep(&sweep(4, vec![cell(0, 42), cell(3, 42)]))
         .unwrap();
     assert_eq!((reply.done["ok"], reply.done["err"]), (1, 1));
+    assert!(reply.outcomes[0].result().is_some());
+    assert!(matches!(&reply.outcomes[1], CellOutcome::Err(msg) if msg.contains("panic")));
+    server.request_shutdown();
+    handle.join().unwrap().unwrap();
+}
+
+/// A request is one sweep whatever its seeds: `panic@1` names request
+/// cell 1 even when each of the two cells has a seed of its own.
+#[test]
+fn fault_index_counts_cells_across_seeds() {
+    let path = tmp_path("seeds");
+    let _cleanup = Cleanup(vec![path.clone(), path.with_extension("quarantine")]);
+    let (server, addr, handle) = spawn_server(ServerConfig {
+        journal: Some(path.clone()),
+        fault_plan: Some(rat_core::FaultPlan::parse("panic@1").unwrap()),
+        ..ServerConfig::default()
+    });
+    let mut req = request(1, 1, None);
+    req.cells.push(CellSpec {
+        seed: 43,
+        ..req.cells[0].clone()
+    });
+    let reply = Client::new(addr.to_string(), 83).sweep(&req).unwrap();
+    assert_eq!(
+        (reply.done["ok"], reply.done["err"]),
+        (1, 1),
+        "{:?}",
+        reply.done
+    );
     assert!(reply.outcomes[0].result().is_some());
     assert!(matches!(&reply.outcomes[1], CellOutcome::Err(msg) if msg.contains("panic")));
     server.request_shutdown();

@@ -26,12 +26,11 @@ use super::{runahead, SmtSimulator, Thread};
 const ENTRY_THRESHOLD: Cycle = 100;
 
 /// Whether the instruction in `slot` — the ROB head of a normal-mode
-/// thread — triggers runahead entry at cycle `at`. Shared between the
-/// commit stage (with `at = now`) and the cycle-skip predicate (with
-/// `at = now + 1`); note the condition can only decay as `at` grows (the
-/// fill gets closer), so a head that is ineligible next cycle stays
-/// ineligible for the rest of a quiescent span.
-pub(super) fn entry_eligible(cfg: &SmtConfig, thread: &Thread, slot: usize, at: Cycle) -> bool {
+/// thread — triggers runahead entry at cycle `at`. The condition can
+/// only decay as `at` grows (the fill gets closer), so a head that is
+/// ineligible next cycle stays ineligible for the rest of a quiescent
+/// span.
+fn entry_eligible(cfg: &SmtConfig, thread: &Thread, slot: usize, at: Cycle) -> bool {
     let t = &thread.instrs;
     let m = t.meta[slot];
     cfg.policy.uses_runahead()
@@ -40,6 +39,34 @@ pub(super) fn entry_eligible(cfg: &SmtConfig, thread: &Thread, slot: usize, at: 
         && m.flags & (F_L2MISS | F_INV) == F_L2MISS
         && t.front[slot].ready_at > at + ENTRY_THRESHOLD
         && (thread.no_retrigger.is_empty() || !thread.no_retrigger.contains(&t.front[slot].seq))
+}
+
+/// What the commit stage does with a thread's ROB head.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(super) enum Action {
+    Commit,
+    PseudoRetire,
+    EnterRunahead,
+    Stop,
+}
+
+/// The commit stage's decision for `thread`'s ROB head at cycle `at`:
+/// a finished head commits (or pseudo-retires in runahead), a
+/// normal-mode head blocked on an eligible L2 miss enters runahead, and
+/// anything else stops the thread's commit for the cycle. Shared
+/// between the commit stage (`at = now`) and the cycle-skip probe
+/// (`at = now + 1`).
+pub(super) fn head_action(cfg: &SmtConfig, thread: &Thread, at: Cycle) -> Action {
+    let Some(front) = thread.instrs.rob_front_slot() else {
+        return Action::Stop;
+    };
+    let done = sched_stage(thread.instrs.sched[front]) == ST_DONE;
+    match thread.mode {
+        ExecMode::Normal if done => Action::Commit,
+        ExecMode::Normal if entry_eligible(cfg, thread, front, at) => Action::EnterRunahead,
+        ExecMode::Runahead if done => Action::PseudoRetire,
+        _ => Action::Stop,
+    }
 }
 
 /// Runs the commit stage for one cycle.
@@ -51,37 +78,7 @@ pub(super) fn run(sim: &mut SmtSimulator) {
     for k in 0..n {
         let tid = (start + k) % n;
         while budget > 0 {
-            enum Action {
-                Commit,
-                PseudoRetire,
-                EnterRunahead,
-                Stop,
-            }
-            let action = {
-                let thread = &sim.threads[tid];
-                match thread.instrs.rob_front_slot() {
-                    None => Action::Stop,
-                    Some(front) => match thread.mode {
-                        ExecMode::Normal => {
-                            if sched_stage(thread.instrs.sched[front]) == ST_DONE {
-                                Action::Commit
-                            } else if entry_eligible(&sim.cfg, thread, front, sim.now) {
-                                Action::EnterRunahead
-                            } else {
-                                Action::Stop
-                            }
-                        }
-                        ExecMode::Runahead => {
-                            if sched_stage(thread.instrs.sched[front]) == ST_DONE {
-                                Action::PseudoRetire
-                            } else {
-                                Action::Stop
-                            }
-                        }
-                    },
-                }
-            };
-            match action {
+            match head_action(&sim.cfg, &sim.threads[tid], sim.now) {
                 Action::Commit => {
                     commit_one(sim, tid);
                     budget -= 1;

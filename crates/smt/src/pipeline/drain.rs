@@ -187,18 +187,9 @@ pub(super) fn demote(sim: &mut SmtSimulator, tid: ThreadId) {
         // trigger load = the commit point).
         runahead::exit_runahead(sim, tid);
     } else {
-        // Normal mode: FLUSH-style whole-window squash. Fetch window
-        // first (its position is relative to the ROB length), then a
-        // youngest-first walk-back over the ROB for per-entry rename
-        // and resource cleanup.
-        let squashed_frontend = sim.threads[tid].instrs.fe_len() as u64;
-        sim.threads[tid].instrs.fe_clear();
-        while let Some(back_seq) = sim.threads[tid].instrs.rob_back_seq() {
-            let slot = sim.threads[tid].instrs.slot_of(back_seq);
-            runahead::cleanup_squashed(sim, tid, slot, true);
-            sim.threads[tid].instrs.rob_pop_back();
-        }
-        sim.stats.threads[tid].squashed += squashed_frontend;
+        // Normal mode: FLUSH-style whole-window squash, with rename
+        // walk-back.
+        runahead::squash_younger_than(sim, tid, None, true);
         // Both windows are empty, so the table's fetch point *is* the
         // commit point; park the oracle there.
         let resume = sim.threads[tid].instrs.next_fetch_seq();
@@ -270,14 +261,13 @@ pub(super) fn demote(sim: &mut SmtSimulator, tid: ThreadId) {
     ];
 
     // Calibrate the self-timed pace over the *second half* of the
-    // quota window (the whole window as a fallback for sliced callers
-    // that never crossed the half mark): the measurement window opens
-    // on empty pipelines, and that cold-start transient is a regime
-    // the overshoot never revisits.
-    let (mark_cycle, mark_committed, mark_stall) =
-        sim.threads[tid]
-            .half_mark
-            .unwrap_or((sim.stats.cycles_at_reset, ts.committed_at_reset, 0));
+    // quota window: the measurement window opens on empty pipelines,
+    // and that cold-start transient is a regime the overshoot never
+    // revisits. `run_until_quota` records a thread's half mark no later
+    // than its quota cycle, and only threads past their quota demote.
+    let (mark_cycle, mark_committed, mark_stall) = sim.threads[tid]
+        .half_mark
+        .expect("a thread past its quota has crossed its half mark");
     let win_cycles = (sim.now - mark_cycle).max(1);
     let win_committed = (ts.committed - mark_committed).max(1);
     let win_stall = ts.mem_stall_cycles - mark_stall;

@@ -5,9 +5,7 @@
 use rat_bpred::Predictor;
 use rat_isa::InstructionKind;
 
-use crate::config::{
-    RunaheadVariant, SmtConfig, FETCH_BUFFER, FETCH_THREADS, FRONTEND_DEPTH, WIDTH,
-};
+use crate::config::{FETCH_BUFFER, FETCH_THREADS, FRONTEND_DEPTH, WIDTH};
 use crate::instr_table::{Front, Meta, ARCH_NONE, F_MISPRED, F_PRED, F_PRED_TAKEN, F_TAKEN};
 use crate::stats::ThreadStats;
 use crate::types::{Cycle, ExecMode, ThreadId};
@@ -44,7 +42,9 @@ pub(super) fn run(sim: &mut SmtSimulator) {
         let include = if sim.threads[t].drained {
             drain::phantom_fetch_active(&sim.threads[t].drain, sim.now)
         } else {
-            fetchable(&sim.threads[t], &sim.cfg, sim.now)
+            sim.threads[t]
+                .fetch_ready_at(&sim.cfg)
+                .is_some_and(|at| at <= sim.now)
         };
         if !include {
             continue;
@@ -100,20 +100,6 @@ pub(super) fn run(sim: &mut SmtSimulator) {
             sim.activity = true;
         }
     }
-}
-
-/// Whether a thread that is not drained can fetch this cycle.
-fn fetchable(t: &Thread, cfg: &SmtConfig, now: Cycle) -> bool {
-    if t.fetch_gated(now) {
-        return false;
-    }
-    if t.instrs.fe_len() >= FETCH_BUFFER {
-        return false;
-    }
-    if t.mode == ExecMode::Runahead && cfg.runahead == RunaheadVariant::NoFetch {
-        return false;
-    }
-    true
 }
 
 /// Fetches up to `max` instructions for one thread: the per-thread stage

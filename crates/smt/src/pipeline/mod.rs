@@ -14,7 +14,7 @@
 //! |---------------|---------------------------------------------------------|
 //! | [`resources`] | [`SharedResources`]: register files, issue queues, cache hierarchy, predictor, completion heap, and the policy arbitration state (DCRA/Hill caps, round-robin pointers) behind a narrow API |
 //! | [`complete`]  | writeback: completion heap drain, register wakeup, branch resolution |
-//! | [`runahead`]  | episode entry/exit, INV propagation, squash machinery (shared with FLUSH) |
+//! | [`runahead`]  | episode entry/exit, INV propagation, the one squash walk (shared with FLUSH and drain demotion) |
 //! | [`commit`]    | architectural commit and runahead pseudo-retirement     |
 //! | [`issue`]     | age-ordered select, functional-unit/MSHR arbitration, load/store timing |
 //! | [`dispatch`]  | rename, resource allocation, runahead folding, DCRA/Hill dispatch gates |
@@ -32,6 +32,16 @@
 //! whose arbitration inherently crosses threads (wakeup, commit
 //! bandwidth, DCRA entitlements) take the whole simulator and split the
 //! borrows internally.
+//!
+//! Each rule is stated once. The cycle-skip probe
+//! ([`SmtSimulator::next_interesting_cycle`]) asks the stages' own
+//! decisions for the next cycle — [`Thread::fetch_ready_at`],
+//! [`commit::head_action`] and [`dispatch::decide`] — and a skipped
+//! span is charged through [`SmtSimulator::charge_occupancy`], which
+//! every stepped cycle calls too. FLUSH, runahead exit and drain
+//! demotion squash through [`runahead::squash_younger_than`], and DCRA
+//! and Hill Climbing cap dispatch through one share check in
+//! [`SharedResources`].
 
 mod commit;
 mod complete;
@@ -53,7 +63,7 @@ use rat_mem::Hierarchy;
 
 use crate::config::{RunaheadVariant, SmtConfig, FETCH_BUFFER, IQ_SIZE, ROB_SIZE};
 use crate::frontend::OracleThread;
-use crate::instr_table::{sched_iq, sched_stage, InstrTable, ST_DONE, ST_WAIT};
+use crate::instr_table::{sched_iq, sched_stage, InstrTable, ST_WAIT};
 use crate::rename::RenameTables;
 use crate::stats::{SimStats, ThreadStats};
 use crate::types::{Cycle, ExecMode, IqKind, PhysReg, RegClass, ThreadId};
@@ -151,10 +161,18 @@ impl Thread {
         }
     }
 
-    /// Whether any front-end gate (I-cache refill, unresolved
-    /// misprediction, STALL/FLUSH long-latency gate) blocks fetch now.
-    fn fetch_gated(&self, now: Cycle) -> bool {
-        now < self.icache_wait || self.branch_gate.is_some() || now < self.longlat_gate
+    /// The cycle from which the thread can fetch: `None` while an
+    /// untimed block holds it (a full fetch buffer, an unresolved
+    /// misprediction, NoFetch runahead), which only an event lifts;
+    /// otherwise the cycle its I-cache refill and STALL/FLUSH
+    /// long-latency gates have both expired. The fetch stage fetches
+    /// when this is at or before `now`, and the cycle-skip probe wakes
+    /// for it.
+    fn fetch_ready_at(&self, cfg: &SmtConfig) -> Option<Cycle> {
+        let blocked = self.instrs.fe_len() >= FETCH_BUFFER
+            || self.branch_gate.is_some()
+            || (self.mode == ExecMode::Runahead && cfg.runahead == RunaheadVariant::NoFetch);
+        (!blocked).then(|| self.icache_wait.max(self.longlat_gate))
     }
 }
 
@@ -333,11 +351,6 @@ impl SmtSimulator {
             "post-quota drain is one-way: it cannot be disabled once a thread is drained"
         );
         self.quota_drain = enabled;
-    }
-
-    /// Number of hardware threads.
-    pub fn num_threads(&self) -> usize {
-        self.threads.len()
     }
 
     /// Elapsed cycles.
@@ -677,14 +690,10 @@ impl SmtSimulator {
                 }
                 next = next.min(ep.exit_at);
             }
-            // Commit head: retirement, pseudo-retirement, runahead entry.
-            if let Some(front) = t.instrs.rob_front_slot() {
-                if sched_stage(t.instrs.sched[front]) == ST_DONE {
-                    return None;
-                }
-                if t.mode == ExecMode::Normal && commit::entry_eligible(&self.cfg, t, front, at) {
-                    return None;
-                }
+            // Commit head: the commit stage's own decision (retire,
+            // pseudo-retire or enter runahead) for the next cycle.
+            if commit::head_action(&self.cfg, t, at) != commit::Action::Stop {
+                return None;
             }
             // Dispatch: the head either acts, waits out the front-end
             // depth (timed), or is blocked on frozen resources/policy.
@@ -696,19 +705,14 @@ impl SmtSimulator {
                     return None;
                 }
             }
-            // Fetch: untimed blocks (full buffer, unresolved
-            // misprediction, NoFetch-runahead) persist until an event
-            // already accounted above; otherwise the thread resumes at
-            // its latest time gate.
-            let untimed_blocked = t.instrs.fe_len() >= FETCH_BUFFER
-                || t.branch_gate.is_some()
-                || (t.mode == ExecMode::Runahead && self.cfg.runahead == RunaheadVariant::NoFetch);
-            if !untimed_blocked {
-                let gate = t.icache_wait.max(t.longlat_gate);
-                if gate <= at {
+            // Fetch: an untimed block persists until an event already
+            // accounted above; otherwise the thread resumes at its
+            // latest time gate.
+            if let Some(ready) = t.fetch_ready_at(&self.cfg) {
+                if ready <= at {
                     return None; // fetchable next cycle
                 }
-                next = next.min(gate);
+                next = next.min(ready);
             }
         }
 
@@ -727,9 +731,10 @@ impl SmtSimulator {
 
     /// Jumps the clock to `to` (exclusive of any stage work), charging
     /// the skipped span to exactly the per-cycle state the stepped path
-    /// would have touched: the mode/register occupancy counters and the
-    /// round-robin rotation pointers, which advance unconditionally once
-    /// per cycle in every stage.
+    /// would have touched: the occupancy counters
+    /// ([`SmtSimulator::charge_occupancy`]) and the round-robin rotation
+    /// pointers, which advance unconditionally once per cycle in every
+    /// stage.
     fn bulk_advance(&mut self, to: Cycle) {
         let k = to - self.now;
         let n = self.threads.len();
@@ -740,19 +745,7 @@ impl SmtSimulator {
         self.res.commit_rr = (self.res.commit_rr + k as usize) % n;
         self.res.dispatch_rr = (self.res.dispatch_rr + k as usize) % n;
         self.res.fetch_rr = self.res.fetch_rr.wrapping_add(k as usize);
-        for tid in 0..n {
-            let m = self.threads[tid].mode.index();
-            let rob = self.threads[tid].instrs.rob_len() as u64;
-            let iq = self.res.iqs.thread_kinds(tid);
-            let ts = &mut self.stats.threads[tid];
-            ts.mode_cycles[m] += k;
-            ts.int_reg_cycles[m] += k * self.res.int_rf.allocated(tid) as u64;
-            ts.fp_reg_cycles[m] += k * self.res.fp_rf.allocated(tid) as u64;
-            ts.rob_occ_cycles += k * rob;
-            for (acc, occ) in ts.iq_occ_cycles.iter_mut().zip(iq) {
-                *acc += k * occ as u64;
-            }
-        }
+        self.charge_occupancy(k);
         // `stats.mem_events` needs no update: a dead span performs no
         // hierarchy access, so the per-cycle mirror would re-copy the
         // same value. Hill's `on_cycle` is a no-op strictly before its
@@ -789,23 +782,33 @@ impl SmtSimulator {
             let total: u64 = self.stats.threads.iter().map(|t| t.committed).sum();
             hill.on_cycle(self.now, total);
         }
-        for tid in 0..self.threads.len() {
-            let m = self.threads[tid].mode.index();
-            let rob = self.threads[tid].instrs.rob_len() as u64;
-            let iq = self.res.iqs.thread_kinds(tid);
-            let ts = &mut self.stats.threads[tid];
-            ts.mode_cycles[m] += 1;
-            ts.int_reg_cycles[m] += self.res.int_rf.allocated(tid) as u64;
-            ts.fp_reg_cycles[m] += self.res.fp_rf.allocated(tid) as u64;
-            ts.rob_occ_cycles += rob;
-            for (acc, occ) in ts.iq_occ_cycles.iter_mut().zip(iq) {
-                *acc += occ as u64;
-            }
-        }
+        self.charge_occupancy(1);
         // Mirror the shared hierarchy's contention counters so
         // `SimStats` snapshots carry them (bus occupancy, port
         // conflicts).
         self.stats.mem_events = *self.res.hier.event_stats();
         self.stats.fetch_replays = self.threads.iter().map(|t| t.oracle.replayed_count()).sum();
+    }
+
+    /// Charges `k` cycles of each thread's present state: one cycle in
+    /// its execution mode, its INT and FP register holdings in that
+    /// mode, and its ROB and issue-queue occupancy. The one occupancy
+    /// charge: every stepped cycle makes it with `k = 1`, and a skipped
+    /// span, in which no state changes, with its length.
+    #[inline]
+    fn charge_occupancy(&mut self, k: u64) {
+        for tid in 0..self.threads.len() {
+            let m = self.threads[tid].mode.index();
+            let rob = self.threads[tid].instrs.rob_len() as u64;
+            let iq = self.res.iqs.thread_kinds(tid);
+            let ts = &mut self.stats.threads[tid];
+            ts.mode_cycles[m] += k;
+            ts.int_reg_cycles[m] += k * self.res.int_rf.allocated(tid) as u64;
+            ts.fp_reg_cycles[m] += k * self.res.fp_rf.allocated(tid) as u64;
+            ts.rob_occ_cycles += k * rob;
+            for (acc, occ) in ts.iq_occ_cycles.iter_mut().zip(iq) {
+                *acc += k * occ as u64;
+            }
+        }
     }
 }

@@ -27,6 +27,10 @@ use crate::types::{Cycle, IqKind, PhysReg, RegClass, ThreadId};
 
 use super::Thread;
 
+/// DCRA's weight for a slow (memory-bound) thread, against 1 for a fast
+/// one (see [`dcra_weight`]).
+const DCRA_SLOW_WEIGHT: f64 = 4.0;
+
 /// One pending completion event: the drain-order word (thread id in the
 /// high byte, sequence number below — sorting by it reproduces the
 /// `(tid, seq)` order the stepped drain has always used, with `gseq` as
@@ -225,7 +229,6 @@ pub(super) struct SharedResources {
     pub(super) dispatch_rr: usize,
     pub(super) fetch_rr: usize,
     pub(super) hill: Option<HillState>,
-    pub(super) dcra_slow_weight: f64,
     /// Reusable scratch for the issue stage's per-cycle retry set (MSHR
     /// rejections put back after the select loop). Capacity persists
     /// across cycles so the steady state allocates nothing.
@@ -260,7 +263,6 @@ impl SharedResources {
             dispatch_rr: 0,
             fetch_rr: 0,
             hill,
-            dcra_slow_weight: 4.0,
             retry_scratch: Vec::new(),
             conv_scratch: Vec::new(),
             dst_scratch: Vec::new(),
@@ -364,7 +366,7 @@ impl SharedResources {
     /// The single dispatch-gating entry point: DCRA and Hill Climbing cap
     /// a thread's issue-queue entries and renaming registers here; every
     /// other policy admits unconditionally (STALL/FLUSH gate *fetch*, via
-    /// `Thread::fetch_gated`).
+    /// `Thread::fetch_ready_at`).
     pub(super) fn allows_dispatch(
         &self,
         cfg: &SmtConfig,
@@ -380,6 +382,44 @@ impl SharedResources {
         }
     }
 
+    /// The one share check of DCRA and Hill Climbing: whether `tid` is
+    /// below its cap of the issue queue `iq_kind` and of the renaming
+    /// registers of `dst_arch`'s class. `cap(total, fp)` is the
+    /// thread's share of a resource of `total` entries (`fp` for the FP
+    /// queue and FP registers), floored at 4. Only renaming registers
+    /// are shared: 32 per thread are pinned for precise state.
+    fn within_caps(
+        &self,
+        cfg: &SmtConfig,
+        n: usize,
+        tid: ThreadId,
+        iq_kind: Option<IqKind>,
+        dst_arch: Option<ArchReg>,
+        cap: impl Fn(usize, bool) -> usize,
+    ) -> bool {
+        if let Some(k) = iq_kind {
+            let limit = cap(IQ_SIZE[k.index()], k == IqKind::Fp).max(4);
+            if self.iqs.thread_occupancy(tid, k) >= limit {
+                return false;
+            }
+        }
+        if let Some(arch) = dst_arch {
+            let limit = cap(cfg.regs.saturating_sub(32 * n), !arch.is_int()).max(4);
+            let rf = if arch.is_int() {
+                &self.int_rf
+            } else {
+                &self.fp_rf
+            };
+            if rf.allocated(tid).saturating_sub(32) >= limit {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// DCRA: each thread's cap is its weighted floor share, with slow
+    /// threads weighted [`DCRA_SLOW_WEIGHT`] and FP resources shared
+    /// only among threads that have touched FP.
     fn dcra_allows(
         &self,
         cfg: &SmtConfig,
@@ -393,45 +433,21 @@ impl SharedResources {
             return true;
         }
         // Weights in stack scratch (n <= 8): the gate runs on every
-        // dispatch attempt and must not allocate. Integer resources: every
-        // thread participates. FP resources: only threads that have
-        // touched FP.
+        // dispatch attempt and must not allocate.
         let (mut int_weights, mut fp_weights) = ([0.0; 8], [0.0; 8]);
         for (t, thread) in threads.iter().enumerate() {
             let slow = thread.dmiss_inflight > 0;
-            int_weights[t] = dcra_weight(slow, true, self.dcra_slow_weight);
-            fp_weights[t] = dcra_weight(slow, thread.fp_user, self.dcra_slow_weight);
+            int_weights[t] = dcra_weight(slow, true, DCRA_SLOW_WEIGHT);
+            fp_weights[t] = dcra_weight(slow, thread.fp_user, DCRA_SLOW_WEIGHT);
         }
         let (int_weights, fp_weights) = (&int_weights[..n], &fp_weights[..n]);
-
-        if let Some(k) = iq_kind {
-            let total = IQ_SIZE[k.index()];
-            let weights = if k == IqKind::Fp {
-                fp_weights
-            } else {
-                int_weights
-            };
-            if self.iqs.thread_occupancy(tid, k) >= dcra_cap(total, weights, tid).max(4) {
-                return false;
-            }
-        }
-        if let Some(arch) = dst_arch {
-            // Only the *renaming* (non-architectural) registers are shared:
-            // 32 per thread are pinned for precise state.
-            let pinned = 32 * n;
-            let (rf, weights) = if arch.is_int() {
-                (&self.int_rf, int_weights)
-            } else {
-                (&self.fp_rf, fp_weights)
-            };
-            let cap = dcra_cap(cfg.regs.saturating_sub(pinned), weights, tid);
-            if rf.allocated(tid).saturating_sub(32) >= cap.max(4) {
-                return false;
-            }
-        }
-        true
+        self.within_caps(cfg, n, tid, iq_kind, dst_arch, |total, fp| {
+            dcra_cap(total, if fp { fp_weights } else { int_weights }, tid)
+        })
     }
 
+    /// Hill Climbing: the thread's ROB entries, and then its caps, are
+    /// bounded by its current share.
     fn hill_allows(
         &self,
         cfg: &SmtConfig,
@@ -445,27 +461,9 @@ impl SharedResources {
         if threads[tid].instrs.rob_len() >= ((ROB_SIZE as f64) * share) as usize {
             return false;
         }
-        if let Some(k) = iq_kind {
-            let cap = ((IQ_SIZE[k.index()] as f64) * share) as usize;
-            if self.iqs.thread_occupancy(tid, k) >= cap.max(4) {
-                return false;
-            }
-        }
-        if let Some(arch) = dst_arch {
-            let n = threads.len();
-            let pinned = 32 * n;
-            let used = if arch.is_int() {
-                self.int_rf.allocated(tid)
-            } else {
-                self.fp_rf.allocated(tid)
-            };
-            let shared = cfg.regs.saturating_sub(pinned);
-            let cap = ((shared as f64) * share) as usize;
-            if used.saturating_sub(32) >= cap.max(4) {
-                return false;
-            }
-        }
-        true
+        self.within_caps(cfg, threads.len(), tid, iq_kind, dst_arch, |total, _| {
+            ((total as f64) * share) as usize
+        })
     }
 }
 

@@ -1,13 +1,14 @@
-//! Runahead episode entry/exit, INV propagation, and the squash
-//! machinery shared with the FLUSH policy.
+//! Runahead episode entry/exit, INV propagation, and the one squash
+//! walk ([`squash_younger_than`]) that runahead exit, the FLUSH policy
+//! and drain demotion share.
 //!
 //! Entry ([`enter_runahead`], called from the commit stage when an
 //! L2-miss load blocks the window head): in-flight L2-miss loads
 //! pseudo-complete INV, every in-flight destination register is
 //! episode-tagged for early release, and the thread switches to
 //! [`ExecMode::Runahead`]. Exit ([`process_exits`], when the trigger's
-//! fill arrives): the entire window is squashed — a columnar walk over
-//! the thread's live slot range for per-entry resource cleanup, then a
+//! fill arrives): the entire window is squashed — a walk over the
+//! thread's live slot range for per-entry resource cleanup, then a
 //! bulk window reset — episode registers are swept, the rename
 //! checkpoint (`fmap := amap`) is restored, and the fetch oracle rewinds
 //! to the trigger load.
@@ -128,19 +129,9 @@ pub(super) fn exit_runahead(sim: &mut SmtSimulator, tid: ThreadId) {
     sim.episodes_live -= 1;
     sim.activity = true;
 
-    // Squash the thread's entire window (all of it is runahead work).
-    // The fetch window is positioned relative to the ROB length, so it
-    // must be invalidated *before* the ROB walk moves that boundary;
-    // then walk the live range youngest-first for per-entry cleanup,
-    // each pop invalidating its slot, and reset the windows to the
-    // trigger.
-    let squashed_frontend = sim.threads[tid].instrs.fe_len() as u64;
-    sim.threads[tid].instrs.fe_clear();
-    while let Some(back_seq) = sim.threads[tid].instrs.rob_back_seq() {
-        let slot = sim.threads[tid].instrs.slot_of(back_seq);
-        cleanup_squashed(sim, tid, slot, false);
-        sim.threads[tid].instrs.rob_pop_back();
-    }
+    // Squash the thread's entire window (all of it is runahead work);
+    // the windows are reset to the trigger below.
+    squash_younger_than(sim, tid, None, false);
     // Sweep episode registers that pseudo-retirement did not yet free.
     // A register freed earlier and re-allocated (possibly to another
     // thread) must be skipped: the ownership check makes the stale
@@ -166,16 +157,40 @@ pub(super) fn exit_runahead(sim: &mut SmtSimulator, tid: ThreadId) {
         thread.oracle.rewind_to(ep.trigger_seq);
         debug_assert_eq!(thread.oracle.next_seq(), ep.trigger_seq);
     }
-    let ts = &mut sim.stats.threads[tid];
-    ts.squashed += squashed_frontend;
-    ts.runahead_cycles += sim.now - ep.entered_at;
+    sim.stats.threads[tid].runahead_cycles += sim.now - ep.entered_at;
+}
+
+/// Squashes `tid`'s fetch window and every ROB entry younger than
+/// `keep` (the whole ROB when `None`), and counts each squashed
+/// instruction: the one squash walk of FLUSH, runahead exit and drain
+/// demotion. The fetch window goes first, because its position is
+/// relative to the ROB length, which the walk moves. The ROB is walked
+/// youngest first, each entry's resources released before its pop;
+/// `walkback` selects FLUSH-style rename recovery (restore the previous
+/// mapping, free the destination), where the runahead exit frees
+/// through episode tags and a map reset instead.
+pub(super) fn squash_younger_than(
+    sim: &mut SmtSimulator,
+    tid: ThreadId,
+    keep: Option<u64>,
+    walkback: bool,
+) {
+    let squashed_frontend = sim.threads[tid].instrs.fe_len() as u64;
+    sim.threads[tid].instrs.fe_clear();
+    while let Some(back_seq) = sim.threads[tid].instrs.rob_back_seq() {
+        if keep.is_some_and(|keep| back_seq <= keep) {
+            break;
+        }
+        let slot = sim.threads[tid].instrs.slot_of(back_seq);
+        cleanup_squashed(sim, tid, slot, walkback);
+        sim.threads[tid].instrs.rob_pop_back();
+    }
+    sim.stats.threads[tid].squashed += squashed_frontend;
 }
 
 /// Releases the resources of a squashed slot (the caller pops it right
-/// after). `walkback` selects FLUSH-style rename recovery (restore prev
-/// mapping, free dst); the runahead exit path instead frees via episode
-/// tags + map reset.
-pub(super) fn cleanup_squashed(sim: &mut SmtSimulator, tid: ThreadId, slot: usize, walkback: bool) {
+/// after); see [`squash_younger_than`] for `walkback`.
+fn cleanup_squashed(sim: &mut SmtSimulator, tid: ThreadId, slot: usize, walkback: bool) {
     let (sched, meta, regs, seq, addr) = {
         let t = &sim.threads[tid].instrs;
         let m = t.meta[slot];
@@ -220,21 +235,9 @@ pub(super) fn cleanup_squashed(sim: &mut SmtSimulator, tid: ThreadId, slot: usiz
 /// restores the rename map by walk-back, rewinds the fetch oracle, and
 /// gates fetch until `resume_at` (the missing load's fill time).
 pub(super) fn flush_thread(sim: &mut SmtSimulator, tid: ThreadId, keep_seq: u64, resume_at: Cycle) {
-    // Fetch window first: its position is relative to the ROB length,
-    // which the walk-back below moves.
-    let squashed_frontend = sim.threads[tid].instrs.fe_len() as u64;
-    sim.threads[tid].instrs.fe_clear();
-    while let Some(back_seq) = sim.threads[tid].instrs.rob_back_seq() {
-        if back_seq <= keep_seq {
-            break;
-        }
-        let slot = sim.threads[tid].instrs.slot_of(back_seq);
-        cleanup_squashed(sim, tid, slot, true);
-        sim.threads[tid].instrs.rob_pop_back();
-    }
+    squash_younger_than(sim, tid, Some(keep_seq), true);
     sim.threads[tid].branch_gate = None;
     sim.threads[tid].icache_wait = 0;
-    sim.stats.threads[tid].squashed += squashed_frontend;
 
     // A cursor move: the squashed span re-fetches from the replay
     // buffer.

@@ -143,8 +143,9 @@ pub struct SimStats {
     /// and the last window's post-overlap timing drifts within the
     /// bound measured by `tests/quota_drain.rs`.
     pub drain_commits: u64,
-    /// Threads demoted to drain mode (cumulative over warmup and
-    /// measurement; a thread demoted in both phases counts twice).
+    /// Threads demoted to drain mode. Drain is one-way and
+    /// `SmtSimulator::reset_stats` panics once a thread is drained, so
+    /// each thread counts at most once.
     pub drained_threads: u64,
 }
 

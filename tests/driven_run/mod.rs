@@ -5,7 +5,7 @@
 //! the result: both suites compare it with `Runner::run_mix` bit for bit.
 
 use rat_core::smt::{PolicyKind, SmtSimulator};
-use rat_core::workload::{Mix, ThreadImage};
+use rat_core::workload::Mix;
 use rat_core::{MixResult, Runner};
 
 /// Simulates `mix` under `policy` as [`Runner::run_mix`] does (warm-up,
@@ -22,15 +22,7 @@ pub fn run_driven(
     slice: &mut dyn FnMut(u64) -> u64,
 ) -> MixResult {
     let run = *runner.run_config();
-    let mut cfg = *runner.smt_config();
-    cfg.policy = policy;
-    let cpus = mix
-        .benchmarks
-        .iter()
-        .enumerate()
-        .map(|(i, &b)| ThreadImage::generate(b, run.seed + i as u64).build_cpu())
-        .collect();
-    let mut sim = SmtSimulator::new(cfg, cpus);
+    let mut sim = runner.simulator(mix, policy);
     sim.set_cycle_skip(skip);
     let mut phase = |sim: &mut SmtSimulator, quota: u64| {
         let mut left = run.max_cycles;
@@ -47,18 +39,5 @@ pub fn run_driven(
     sim.reset_stats();
     sim.set_quota_drain(!run.no_drain);
     let complete = phase(&mut sim, run.insts_per_thread);
-    let st = sim.stats();
-    MixResult {
-        mix: mix.clone(),
-        policy,
-        ipcs: (0..mix.benchmarks.len())
-            .map(|t| st.thread_ipc(t))
-            .collect(),
-        executed_insts: st.executed_insts(),
-        cycles: st.cycles_since_reset(),
-        complete,
-        thread_stats: st.threads.clone(),
-        thread_stats_at_quota: st.threads_at_quota.clone(),
-        mem_events: st.mem_events,
-    }
+    runner.result(&sim, mix, policy, complete)
 }

@@ -346,29 +346,3 @@ fn transient_enospc_is_healed_by_retry() {
         );
     }
 }
-
-/// Seeded plans are a pure function of the seed: the same seed injects
-/// the same faults, a different seed a different set.
-#[test]
-fn seeded_plans_are_deterministic() {
-    let a = FaultPlan::parse("seed:7").unwrap();
-    let b = FaultPlan::parse("seed:7").unwrap();
-    let c = FaultPlan::parse("seed:8").unwrap();
-    let hits = |p: &FaultPlan| (0..512).filter(|&i| p.should_panic(i)).collect::<Vec<_>>();
-    assert_eq!(hits(&a), hits(&b));
-    assert_ne!(hits(&a), hits(&c));
-    assert!(!hits(&a).is_empty(), "seeded plans do inject");
-
-    // Driving a sweep with a seeded plan fails exactly the cells the
-    // plan predicts — the harness and the plan cannot drift apart.
-    let runner = tiny_runner();
-    let cells = cell_grid(&runner);
-    let predicted: Vec<usize> = (0..cells.len()).filter(|&i| a.should_panic(i)).collect();
-    let session = SweepSession {
-        fault_plan: Some(a),
-        ..SweepSession::none()
-    };
-    let report = run_cells(&cells, 0, &session);
-    let failed: Vec<usize> = report.failures.iter().map(|f| f.index).collect();
-    assert_eq!(failed, predicted);
-}
