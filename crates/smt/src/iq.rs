@@ -12,18 +12,19 @@
 //! stale handles after squashes (the table clears a slot's stamp when the
 //! instruction dies, so a popped handle validates with one column read).
 //!
-//! Wakeup lists are stored as intrusive singly-linked chains through one
-//! shared node pool with a freelist, instead of one `Vec` per physical
-//! register: registering a waiter and draining a wakeup are both
-//! pointer-bumps into memory that is already hot, and the steady state
-//! performs zero allocation (nodes recycle through the freelist). The
-//! drain order is per-register LIFO, which is immaterial to the
-//! simulation: woken candidates are re-ranked by the age-ordered ready
-//! heaps, whose keys (`gseq`) are unique.
+//! Every physical register's wakeup list is a chain of packed candidate
+//! handles through one [`NodePool`] (the completion wheel's buckets use
+//! the same pool type), instead of one `Vec` per register: registering
+//! a waiter and draining a wakeup are pointer bumps, and the pool never
+//! holds more nodes than waiters were ever pending at once. The drain
+//! order is per-register LIFO, which is immaterial to the simulation:
+//! woken candidates are re-ranked by the age-ordered ready heaps, whose
+//! keys (`gseq`) are unique.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use crate::pool::{NodePool, NIL};
 use crate::types::{IqKind, PhysReg, RegClass, ThreadId};
 
 /// A candidate for issue, packed into one word: the dispatch stamp
@@ -47,20 +48,9 @@ pub fn ready_parts(key: ReadyKey) -> (u64, u32, u32) {
     (key >> 16, (key >> 13) as u32 & 0b111, key as u32 & 0x1fff)
 }
 
-/// Null link in the pooled wakeup chains.
-const NIL: u32 = u32::MAX;
-
-/// One pooled wakeup-list node: a waiting instruction handle and its
-/// chain link.
-#[derive(Clone, Copy, Debug)]
-struct WaiterNode {
-    gseq: u64,
-    tid: u32,
-    slot: u32,
-    next: u32,
-}
-
-/// The three issue queues plus wakeup machinery.
+/// The three issue queues plus wakeup machinery: per-register chains of
+/// waiting candidates through one [`NodePool`], and per-queue ready
+/// heaps.
 #[derive(Clone, Debug)]
 pub struct IssueQueues {
     capacity: [usize; 3],
@@ -71,10 +61,8 @@ pub struct IssueQueues {
     wake_heads: Vec<u32>,
     /// Registers per file: the offset of the FP region in `wake_heads`.
     regs: usize,
-    /// Shared node pool for every wakeup chain.
-    nodes: Vec<WaiterNode>,
-    /// Head of the recycled-node freelist.
-    free_head: u32,
+    /// Every wakeup chain's waiters, as packed candidate handles.
+    waiters: NodePool<ReadyKey>,
 }
 
 impl IssueQueues {
@@ -88,8 +76,7 @@ impl IssueQueues {
             ready: Default::default(),
             wake_heads: vec![NIL; 2 * regs],
             regs,
-            nodes: Vec::new(),
-            free_head: NIL,
+            waiters: NodePool::new(),
         }
     }
 
@@ -146,29 +133,8 @@ impl IssueQueues {
     /// `gseq` needs register `(class, p)` to become ready.
     pub fn add_waiter(&mut self, class: RegClass, p: PhysReg, tid: u32, slot: u32, gseq: u64) {
         let head = self.head_slot(class, p);
-        let next = self.wake_heads[head];
-        let idx = if self.free_head != NIL {
-            let idx = self.free_head;
-            let node = &mut self.nodes[idx as usize];
-            self.free_head = node.next;
-            *node = WaiterNode {
-                gseq,
-                tid,
-                slot,
-                next,
-            };
-            idx
-        } else {
-            let idx = self.nodes.len() as u32;
-            self.nodes.push(WaiterNode {
-                gseq,
-                tid,
-                slot,
-                next,
-            });
-            idx
-        };
-        self.wake_heads[head] = idx;
+        self.waiters
+            .push(&mut self.wake_heads[head], ready_key(gseq, tid, slot));
     }
 
     /// Drains the waiters of `(class, p)` in place: for each waiter the
@@ -183,15 +149,12 @@ impl IssueQueues {
         mut requeue: impl FnMut(u32, u32, u64) -> Option<IqKind>,
     ) {
         let head = self.head_slot(class, p);
-        let mut cur = std::mem::replace(&mut self.wake_heads[head], NIL);
-        while cur != NIL {
-            let node = self.nodes[cur as usize];
-            self.nodes[cur as usize].next = self.free_head;
-            self.free_head = cur;
-            if let Some(kind) = requeue(node.tid, node.slot, node.gseq) {
-                self.ready[kind.index()].push(Reverse(ready_key(node.gseq, node.tid, node.slot)));
+        let mut chain = std::mem::replace(&mut self.wake_heads[head], NIL);
+        while let Some(key) = self.waiters.pop(&mut chain) {
+            let (gseq, tid, slot) = ready_parts(key);
+            if let Some(kind) = requeue(tid, slot, gseq) {
+                self.ready[kind.index()].push(Reverse(key));
             }
-            cur = node.next;
         }
     }
 
@@ -296,9 +259,9 @@ mod tests {
             }
         }
         assert!(
-            iq.nodes.len() <= 5,
+            iq.waiters.node_count() <= 5,
             "pool must not grow past the peak live waiter count, got {}",
-            iq.nodes.len()
+            iq.waiters.node_count()
         );
     }
 

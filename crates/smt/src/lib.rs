@@ -58,6 +58,7 @@ mod instr_table;
 mod iq;
 mod pipeline;
 mod policy;
+mod pool;
 mod regfile;
 mod rename;
 mod stats;

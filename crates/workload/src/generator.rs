@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use rat_isa::{
     AluOp, BranchCond, Cpu, FpOp, FpReg, Instruction as I, IntReg, MemorySource, Operand, Pc,
-    Program, SparseMemory, LINE_WORDS,
+    Program, SparseMemory,
 };
 
 use crate::profile::{Benchmark, BenchmarkProfile, ThreadClass};
@@ -33,8 +33,6 @@ const STREAM_BASE: u64 = 0x1000_0000;
 const HOT_BASE: u64 = 0x3000_0000;
 const CHASE_BASE: u64 = 0x5000_0000;
 const LINE: u64 = 64;
-/// Bytes per line of the functional memory (its storage granule).
-const MEM_LINE: u64 = (LINE_WORDS * 8) as u64;
 
 const LCG_A: i64 = 6364136223846793005u64 as i64;
 const LCG_C: i64 = 1442695040888963407u64 as i64;
@@ -54,9 +52,9 @@ const BODY_TARGET: usize = 1024;
 /// memory is filled: the random-valued stream and hot arrays (up to
 /// 12 MiB on the MEM benchmarks) are computed from the address on
 /// demand, the pointer-chase list reads a permutation kept as one `u32`
-/// per node, and a 64-byte line is materialized only when a store first
-/// reaches it. So generating an image writes no memory, building CPUs
-/// from it copies none, and a thread holds only the lines it stores to.
+/// per node, and a store holds only the word it writes. So generating
+/// an image writes no memory, building CPUs from it copies none, and a
+/// thread holds only the words it stores.
 #[derive(Clone, Debug)]
 pub struct ThreadImage {
     bench: Benchmark,
@@ -73,8 +71,10 @@ impl ThreadImage {
         Generator::new(bench.profile(), seed).build()
     }
 
-    /// Number of 64-bit words materialized at generation (whole lines):
-    /// zero, since every region of the image is computed on demand.
+    /// Number of 64-bit words the image's memory holds: zero, since
+    /// every region is computed on demand and generation writes
+    /// nothing. A CPU built from the image holds only the words its
+    /// stores write.
     pub fn memory_words(&self) -> u64 {
         self.memory.resident_words() as u64
     }
@@ -541,10 +541,6 @@ impl Generator {
     /// One random-valued array of `bytes` at `base`, drawing from the
     /// RNG's current position; the RNG skips the array's draws.
     fn region(&mut self, base: u64, bytes: u64) -> Region {
-        assert!(
-            base.is_multiple_of(MEM_LINE) && bytes.is_multiple_of(MEM_LINE),
-            "a region covers whole memory lines"
-        );
         let region = Region {
             base,
             words: bytes / 8,
@@ -627,26 +623,6 @@ impl MemorySource for ImageSource {
             odd_word(w)
         }
     }
-
-    /// Draws the line's random words (its even offsets; regions are
-    /// line-aligned, so a line starts at an even word) as consecutive
-    /// draws of the region's stream and interleaves the odd words' FP
-    /// values.
-    fn fill_line(&self, line: u64, out: &mut [u64; LINE_WORDS]) {
-        let addr = line * MEM_LINE;
-        let Some(r) = self.region_of(addr) else {
-            for (i, w) in out.iter_mut().enumerate() {
-                *w = self.chase_word(addr + 8 * i as u64);
-            }
-            return;
-        };
-        let w0 = (addr - r.base) / 8;
-        let mut rng = r.rng_at(w0);
-        for (i, pair) in out.chunks_exact_mut(2).enumerate() {
-            pair[0] = rng.next_u64();
-            pair[1] = odd_word(w0 + 2 * i as u64 + 1);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -695,29 +671,22 @@ mod tests {
     }
 
     /// Checks one image against the eager reference: every word of the
-    /// three regions and of one line on either side, through both the
-    /// per-word read and the line fill, then 50k steps of execution.
+    /// three regions and of one line on either side, then 50k steps of
+    /// execution.
     fn assert_matches_eager(bench: Benchmark, seed: u64) {
         let image = ThreadImage::generate(bench, seed);
         let mut g = at_memory(bench, seed);
         let reference = g.build_memory_eager();
-        let source = at_memory(bench, seed).image_source();
         let spans = [
             (STREAM_BASE, g.stream_bytes),
             (HOT_BASE, g.hot_bytes),
             (CHASE_BASE, g.chase_nodes * LINE),
         ];
-        let mut filled = [0u64; LINE_WORDS];
         for (base, bytes) in spans {
-            for start in (base - MEM_LINE..base + bytes + MEM_LINE).step_by(MEM_LINE as usize) {
-                source.fill_line(start / MEM_LINE, &mut filled);
-                for (i, &fill) in filled.iter().enumerate() {
-                    let addr = start + 8 * i as u64;
-                    let want = reference.read_u64(addr);
-                    let got = image.memory.read_u64(addr);
-                    assert_eq!(got, want, "{bench} seed {seed}: read at {addr:#x}");
-                    assert_eq!(fill, want, "{bench} seed {seed}: line fill at {addr:#x}");
-                }
+            for addr in (base - LINE..base + bytes + LINE).step_by(8) {
+                let want = reference.read_u64(addr);
+                let got = image.memory.read_u64(addr);
+                assert_eq!(got, want, "{bench} seed {seed}: read at {addr:#x}");
             }
         }
         let mut eager = ThreadImage {
@@ -761,7 +730,7 @@ mod tests {
                 assert_eq!(
                     image.memory_words(),
                     0,
-                    "{bench} seed {seed}: words materialized at generation"
+                    "{bench} seed {seed}: words written at generation"
                 );
             }
         }

@@ -27,11 +27,10 @@
 //! filled: the generator's splitmix64 draw `k` is a pure function of the
 //! state, so every word is computed from its address when read. The
 //! pointer-chase list reads the Sattolo permutation it was drawn as, one
-//! `u32` per node. A 64-byte line is materialized on its first write, so
-//! a thread holds only the lines it stores to,
-//! [`ThreadImage::memory_words`] is zero, and generating an image and
-//! building CPUs from it copy no memory even for the 12 MiB MEM working
-//! sets.
+//! `u32` per node. A store keeps only the word it writes, so a thread
+//! holds only the words it stores, [`ThreadImage::memory_words`] is
+//! zero, and generating an image and building CPUs from it copy no
+//! memory even for the 12 MiB MEM working sets.
 //!
 //! # Example
 //!

@@ -13,7 +13,7 @@
 
 use rat_core::smt::{PolicyKind, SmtConfig, SmtSimulator};
 use rat_core::store::encode_result;
-use rat_core::workload::{mixes_for_group, Mix, ThreadImage, WorkloadGroup};
+use rat_core::workload::{mixes_for_group, Mix, WorkloadGroup};
 use rat_core::{MixResult, RunConfig, Runner};
 
 mod driven_run;
@@ -112,16 +112,7 @@ fn truncated_runs_are_bit_identical_too() {
 /// Builds a bare simulator over one MEM4 mix (to read `SimStats`
 /// diagnostics that `MixResult` does not carry).
 fn build_sim(policy: PolicyKind, skip: bool) -> SmtSimulator {
-    let mix = &mixes_for_group(WorkloadGroup::Mem4)[0];
-    let mut cfg = SmtConfig::hpca2008_baseline();
-    cfg.policy = policy;
-    let cpus = mix
-        .benchmarks
-        .iter()
-        .enumerate()
-        .map(|(i, &b)| ThreadImage::generate(b, 42 + i as u64).build_cpu())
-        .collect();
-    let mut sim = SmtSimulator::new(cfg, cpus);
+    let mut sim = quick().simulator(&mixes_for_group(WorkloadGroup::Mem4)[0], policy);
     sim.set_cycle_skip(skip);
     sim
 }

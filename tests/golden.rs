@@ -27,8 +27,9 @@
 mod golden_cells;
 
 use golden_cells::{cells, check, first, Expect};
-use rat_core::smt::{PolicyKind, SmtConfig, SmtSimulator};
-use rat_core::workload::{ThreadImage, WorkloadGroup};
+use rat_core::smt::{PolicyKind, SmtConfig};
+use rat_core::workload::WorkloadGroup;
+use rat_core::{RunConfig, Runner};
 
 #[test]
 fn golden_cells_match_pinned_digests() {
@@ -53,16 +54,8 @@ fn default_quota_rat_long_cells_match_pinned_digests() {
 fn rat_actually_replays_a_large_fraction_of_fetches() {
     // Under RaT every episode's span is re-fetched after its exit, so a
     // large share of all fetches must come from the buffer.
-    let mix = first(WorkloadGroup::Mem4);
-    let mut cfg = SmtConfig::hpca2008_baseline();
-    cfg.policy = PolicyKind::Rat;
-    let cpus = mix
-        .benchmarks
-        .iter()
-        .enumerate()
-        .map(|(i, &b)| ThreadImage::generate(b, 42 + i as u64).build_cpu())
-        .collect();
-    let mut sim = SmtSimulator::new(cfg, cpus);
+    let runner = Runner::new(SmtConfig::hpca2008_baseline(), RunConfig::default());
+    let mut sim = runner.simulator(&first(WorkloadGroup::Mem4), PolicyKind::Rat);
     sim.run_until_quota(3_000, 100_000_000);
     let replayed = sim.stats().fetch_replays;
     let fetched: u64 = sim.stats().threads.iter().map(|t| t.fetched).sum();

@@ -25,7 +25,7 @@ fn total_mem_stall(r: &MixResult) -> u64 {
 /// both the L2 ports and the memory bus, while an ILP4 mix under ICOUNT
 /// loses under 1% of its memory stall cycles to contention
 /// (`MemEventStats::contention_cycles`, the delay the event model
-/// added).
+/// added) in its measurement window.
 ///
 /// The MEM4 case runs under RaT: blocked ICOUNT threads barely overlap
 /// their misses, but runahead threads flood the memory system with
@@ -47,11 +47,19 @@ fn mem4_contends_ilp4_does_not() {
         "the MEM4 mix must queue at the L2 ports"
     );
 
-    let ilp4 = &mixes_for_group(WorkloadGroup::Ilp4)[0];
-    let icount = runner.run_mix(ilp4, PolicyKind::Icount);
-    assert!(icount.complete);
-    let contention = icount.mem_events.contention_cycles();
-    let stall = total_mem_stall(&icount);
+    // `MemEventStats` counts from cycle 0 and the thread stats from the
+    // stats reset, so the ILP4 cell is driven as `run_mix` drives it,
+    // with the contention counters read at the reset: both sides of the
+    // ratio then cover the measurement window alone.
+    let run = runner.run_config();
+    let mut sim = runner.simulator(&mixes_for_group(WorkloadGroup::Ilp4)[0], PolicyKind::Icount);
+    sim.run_until_quota(run.warmup_insts, run.max_cycles);
+    let at_reset = sim.stats().mem_events.contention_cycles();
+    sim.reset_stats();
+    sim.set_quota_drain(!run.no_drain);
+    assert!(sim.run_until_quota(run.insts_per_thread, run.max_cycles));
+    let contention = sim.stats().mem_events.contention_cycles() - at_reset;
+    let stall: u64 = sim.stats().threads.iter().map(|t| t.mem_stall_cycles).sum();
     assert!(
         contention * 100 < stall,
         "ILP4 must be contention-insensitive: {contention} contention cycles \

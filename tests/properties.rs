@@ -7,7 +7,11 @@
 //! from its printed seed, and the case counts match what the proptest
 //! versions ran.
 
-use rat_core::isa::{AluOp, BranchCond, Cpu, Instruction, IntReg, Operand, Program, SparseMemory};
+use std::sync::Arc;
+
+use rat_core::isa::{
+    AluOp, BranchCond, Cpu, Instruction, IntReg, MemorySource, Operand, Program, SparseMemory,
+};
 use rat_core::mem::{AccessKind, Cache, CacheConfig, Hierarchy, HierarchyConfig, Probe};
 use rat_core::smt::{PolicyKind, SmtConfig, SmtSimulator};
 use rat_core::workload::{Benchmark, ThreadImage, WorkloadRng, ALL_BENCHMARKS};
@@ -19,23 +23,55 @@ fn rand_len(rng: &mut WorkloadRng, lo: usize, hi: usize) -> usize {
 
 // ---- sparse memory ----
 
-/// Reads always return the last value written to an address.
+/// A memory source whose words are a mix of their address.
+#[derive(Debug)]
+struct Scrambled;
+
+impl MemorySource for Scrambled {
+    fn word(&self, addr: u64) -> u64 {
+        (addr ^ 0xfeed).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    }
+}
+
+/// Reads always return the last value written to an address, and every
+/// other address reads the memory's source (zero without one) — also
+/// beside a written word and on lines that share its 4-MiB-periodic
+/// written-line bit.
 #[test]
 fn memory_read_your_writes() {
     for case in 0..64u64 {
         let mut rng = WorkloadRng::seed_from_u64(0x5EED_0001 + case);
         let n = rand_len(&mut rng, 1, 64);
-        let mut m = SparseMemory::new();
+        let sourced = case % 2 == 1;
+        let mut m = if sourced {
+            SparseMemory::with_source(Arc::new(Scrambled))
+        } else {
+            SparseMemory::new()
+        };
+        let initial = |addr: u64| if sourced { Scrambled.word(addr) } else { 0 };
+        // Addresses span 64 MiB, so some lines share a bitmap bit.
         let mut model = std::collections::HashMap::new();
         for _ in 0..n {
-            let addr = rng.below(1 << 20) & !7;
+            let addr = rng.below(1 << 26) & !7;
             let val = rng.next_u64();
             m.write_u64(addr, val);
             model.insert(addr, val);
         }
-        for (addr, val) in model {
+        let unwritten = model
+            .keys()
+            .flat_map(|&a| [a ^ 8, a ^ 0x38, a.wrapping_add(4 << 20)])
+            .chain((0..n).map(|_| rng.below(1 << 26) & !7));
+        for addr in unwritten.filter(|a| !model.contains_key(a)) {
+            assert_eq!(
+                m.read_u64(addr),
+                initial(addr),
+                "case {case} unwritten {addr:#x}"
+            );
+        }
+        for (&addr, &val) in &model {
             assert_eq!(m.read_u64(addr), val, "case {case} addr {addr:#x}");
         }
+        assert_eq!(m.resident_words(), model.len(), "case {case}");
     }
 }
 

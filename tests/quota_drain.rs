@@ -29,7 +29,7 @@
 //!    same chaos a +8-instruction warmup perturbation produces).
 
 use rat_core::smt::{PolicyKind, SmtConfig, SmtSimulator};
-use rat_core::workload::{mixes_for_group, Mix, ThreadImage, WorkloadGroup};
+use rat_core::workload::{mixes_for_group, Mix, WorkloadGroup};
 use rat_core::{MixResult, RunConfig, Runner};
 
 const ALL_POLICIES: [PolicyKind; 6] = [
@@ -282,16 +282,8 @@ fn drift_bound_last_window_ipc_and_fairness() {
 /// Builds a bare simulator over one mix (to read `SimStats` diagnostics
 /// that `MixResult` does not carry).
 fn build_sim(group: WorkloadGroup, policy: PolicyKind, drain: bool) -> SmtSimulator {
-    let mix = &mixes_for_group(group)[0];
-    let mut cfg = SmtConfig::hpca2008_baseline();
-    cfg.policy = policy;
-    let cpus = mix
-        .benchmarks
-        .iter()
-        .enumerate()
-        .map(|(i, &b)| ThreadImage::generate(b, 42 + i as u64).build_cpu())
-        .collect();
-    let mut sim = SmtSimulator::new(cfg, cpus);
+    let runner = Runner::new(SmtConfig::hpca2008_baseline(), quick(false, 700));
+    let mut sim = runner.simulator(&mixes_for_group(group)[0], policy);
     sim.set_quota_drain(drain);
     sim
 }
@@ -349,18 +341,11 @@ fn disabled_drain_never_drains() {
 
 #[test]
 fn drain_is_off_by_default_on_a_bare_simulator() {
-    // The `Runner` turns drain on; a hand-built `SmtSimulator` must
-    // stay a faithful FAME machine unless explicitly opted in.
-    let mix = &mixes_for_group(WorkloadGroup::Mix4)[0];
-    let mut cfg = SmtConfig::hpca2008_baseline();
-    cfg.policy = PolicyKind::Icount;
-    let cpus = mix
-        .benchmarks
-        .iter()
-        .enumerate()
-        .map(|(i, &b)| ThreadImage::generate(b, 42 + i as u64).build_cpu())
-        .collect();
-    let mut sim = SmtSimulator::new(cfg, cpus);
+    // `Runner::run_mix` turns drain on after warm-up; the simulator
+    // `Runner::simulator` hands out, before any of that, must stay a
+    // faithful FAME machine unless explicitly opted in.
+    let runner = Runner::new(SmtConfig::hpca2008_baseline(), quick(false, 700));
+    let mut sim = runner.simulator(&mixes_for_group(WorkloadGroup::Mix4)[0], PolicyKind::Icount);
     assert!(sim.run_until_quota(800, 100_000_000));
     assert_eq!(sim.stats().drained_threads, 0);
 }
